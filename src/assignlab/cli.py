@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -83,6 +84,20 @@ EXPERIMENTS = (
 
 SEED_ENV_VAR = "ASSIGNLAB_SEED"
 
+# experiments that build the orthogonal-flag assignment, whose environment
+# has dimension dim_s^2 whatever dim-e says
+_FLAG_EXPERIMENTS = ("lemma1", "compat-domain", "dynamics-cp")
+
+# refuse a config whose largest operator stack exceeds this many bytes
+_MAX_STACK_BYTES = 64 * 2**20
+
+
+def _largest_stack_bytes(config) -> int:
+    """Bytes of dim_s^2 complex joint operators, as in a linear assignment's
+    terms, on the environment the experiment really builds."""
+    dim_e = config.dim_s**2 if config.experiment in _FLAG_EXPERIMENTS else config.dim_e
+    return 16 * config.dim_s**2 * (config.dim_s * dim_e) ** 2
+
 
 class UsageError(ValueError):
     """Invalid configuration or flags; maps to exit status 2."""
@@ -101,14 +116,29 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise UsageError(f"unknown experiment {self.experiment!r}")
+        for key, value in (("seed", self.seed), ("samples", self.samples),
+                           ("dim-s", self.dim_s), ("dim-e", self.dim_e)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{key} must be an integer, got {value!r}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise UsageError("seed must fit in an unsigned 64-bit integer")
         if self.samples < 1:
             raise UsageError("samples must be at least 1")
         if self.dim_s < 2 or self.dim_e < 2:
             raise UsageError("dimensions must be at least 2")
-        if not self.tol > 0:
-            raise UsageError("tol must be positive")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise UsageError(f"tol must be a number, got {self.tol!r}")
+        if not 0 < self.tol < sys.float_info.max:
+            raise UsageError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.out_path is not None and not isinstance(self.out_path, str):
+            raise UsageError(f"out must be a path, got {self.out_path!r}")
+        stack_bytes = _largest_stack_bytes(self)
+        if stack_bytes > _MAX_STACK_BYTES:
+            raise UsageError(
+                f"dimensions too large: {self.experiment} at dim-s {self.dim_s}, "
+                f"dim-e {self.dim_e} needs a {stack_bytes / 2**20:.0f} MiB operator "
+                f"stack, over the {_MAX_STACK_BYTES // 2**20} MiB limit"
+            )
         return self
 
     def echo(self) -> dict:

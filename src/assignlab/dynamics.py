@@ -6,11 +6,25 @@ operators; complete positivity is certified through the spectrum of its Choi
 matrix. Includes the seeded random search for unitaries that break complete
 positivity, and the summary table of linearity/consistency/positivity per
 correlation family.
+
+Induced maps are built from a stack of d_s^2 assigned unit images: the
+images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
+K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
+inputs. A search or sweep assigns them once per assignment; each coupling
+then conjugates the stack by ``u`` in byte-bounded chunks, traces out the
+environment in one batched contraction and assembles the columns H + iK.
+The Choi matrix is a reshape of the superoperator. Contract: every
+superoperator, Choi matrix and Choi spectrum is bit-identical to mapping
+each E_jk by its own assign-conjugate-trace and summing the Choi blocks
+E_jk (x) M[E_jk], which is why the images are not combined before the
+conjugation and the kept blocks are not computed alone; both save flops but
+round differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -58,6 +72,9 @@ __all__ = [
 CP_TOL = 1e-9
 NONCP_THRESHOLD = -1e-6
 
+# largest slice of the unit-image stack conjugated in one batched product
+_CHUNK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
@@ -74,6 +91,68 @@ class Superoperator:
         return (self.mat @ state.reshape(-1)).reshape(self.dim, self.dim)
 
 
+def _unit_images(assignment) -> np.ndarray:
+    """Assigned images of the d_s^2 distinct Hermitian parts of the matrix units.
+
+    E_jk = H_jk + i K_jk with H = (E + E^dag)/2 and K = (E - E^dag)/2i. Slot
+    j*d_s + k holds the image of H_jk for j <= k and of K_kj for j > k; the
+    rest follow from H_kj = H_jk, K_kj = -K_jk and K_jj = 0. Each image comes
+    from the family's own ``apply``, one state at a time.
+    """
+    d = assignment.dim_s
+    inputs = []
+    for j in range(d):
+        for k in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[min(j, k), max(j, k)] = 1.0
+            if j <= k:
+                inputs.append((unit + unit.conj().T) / 2)
+            else:
+                inputs.append((unit - unit.conj().T) / 2j)
+    return np.stack([assignment.apply(h) for h in inputs])
+
+
+@cache
+def _unit_slots(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each matrix unit E_jk, row-major: the image slot of H_jk, the slot
+    of K_jk up to sign, and that sign (0 on the diagonal)."""
+    j, k = np.divmod(np.arange(d * d), d)
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
+    slots = (lo * d + hi, hi * d + lo, np.sign(k - j))
+    for a in slots:
+        a.setflags(write=False)
+    return slots
+
+
+def _superoperator(images: np.ndarray, assignment, u: np.ndarray,
+                   provenance: str = "") -> Superoperator:
+    """Induced map from the assignment's unit images: conjugate by ``u``,
+    trace out the environment, assemble the columns H + iK.
+
+    Every image gets the same two matrix products and the same trace as a
+    lone operator would, so the columns are bit-identical to mapping each
+    matrix unit on its own; the conjugation runs in chunks of at most
+    ``_CHUNK_BYTES`` of images.
+    """
+    d_s, d_e = assignment.dim_s, assignment.dim_e
+    u = require_unitary(u)
+    if u.shape[0] != d_s * d_e:
+        raise ValueError(f"unitary dimension {u.shape[0]} != {d_s * d_e}")
+    u_dag = u.conj().T
+    n = images.shape[0]
+    step = max(1, _CHUNK_BYTES // images[0].nbytes)
+    traced = np.empty((n, d_s, d_s), dtype=complex)
+    for start in range(0, n, step):
+        joint = u @ images[start:start + step] @ u_dag
+        traced[start:start + step] = np.einsum(
+            "niaja->nij", joint.reshape(-1, d_s, d_e, d_s, d_e))
+    herm, skew, sign = _unit_slots(d_s)
+    columns = traced[herm] + 1j * (sign[:, None, None] * traced[skew])
+    mat = np.ascontiguousarray(columns.reshape(d_s * d_s, d_s * d_s).T)
+    mat.setflags(write=False)
+    return Superoperator(dim=d_s, mat=mat, provenance=provenance)
+
+
 def induced_map(assignment, u: np.ndarray, provenance: str = "") -> Superoperator:
     """Superoperator of: assign, conjugate by ``u``, trace out the environment.
 
@@ -81,26 +160,7 @@ def induced_map(assignment, u: np.ndarray, provenance: str = "") -> Superoperato
     is extended complex-linearly through its Hermitian decomposition
     E = H + iK.
     """
-    d_s, d_e = assignment.dim_s, assignment.dim_e
-    u = require_unitary(u)
-    if u.shape[0] != d_s * d_e:
-        raise ValueError(f"unitary dimension {u.shape[0]} != {d_s * d_e}")
-    u_dag = u.conj().T
-
-    def act(h: np.ndarray) -> np.ndarray:
-        return partial_trace(u @ assignment.apply(h) @ u_dag, d_s, d_e, "E")
-
-    mat = np.zeros((d_s * d_s, d_s * d_s), dtype=complex)
-    for j in range(d_s):
-        for k in range(d_s):
-            unit = np.zeros((d_s, d_s), dtype=complex)
-            unit[j, k] = 1.0
-            herm = (unit + unit.conj().T) / 2
-            skew = (unit - unit.conj().T) / 2j
-            out = act(herm) + 1j * act(skew)
-            mat[:, j * d_s + k] = out.reshape(-1)
-    mat.setflags(write=False)
-    return Superoperator(dim=d_s, mat=mat, provenance=provenance)
+    return _superoperator(_unit_images(assignment), assignment, u, provenance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +173,11 @@ class ChoiMatrix:
 
 def choi_matrix(superop: Superoperator) -> ChoiMatrix:
     d = superop.dim
+    # block (j, k) is column j*d + k of the superoperator, reshaped to d x d;
+    # summing onto zeros, as the block sum does, makes every zero +0.0, and
+    # the spectrum's bits depend on the signs of zeros
     c = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[j, k] = 1.0
-            c += np.kron(unit, superop.mat[:, j * d + k].reshape(d, d))
+    c += superop.mat.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     defect = np.max(np.abs(c - c.conj().T))
     if defect > 1e-9:
         raise ValueError(f"Choi matrix is not Hermitian (defect {defect:.3e}); "
@@ -180,9 +239,10 @@ def find_noncp_unitary(
     first_lambda = None
     best_index = -1
     best_lambda = np.inf
+    images = _unit_images(assignment)
     for i in range(attempts):
         u = replay_unitary(seed, i, dim)
-        lam = cp_certificate(induced_map(assignment, u)).lambda_min_choi
+        lam = cp_certificate(_superoperator(images, assignment, u)).lambda_min_choi
         if lam < best_lambda:
             best_index, best_lambda = i, lam
         if first_index is None and lam < threshold:
@@ -221,9 +281,10 @@ def classical_cp_sweep(
     maps_checked = 0
     for _ in range(n_assignments):
         z = random_zero_discord_assignment(dim_s, dim_e, rng)
+        images = _unit_images(z)
         for _ in range(unitaries_per_assignment):
             u = random_unitary(dim_s * dim_e, rng)
-            lam = cp_certificate(induced_map(z, u)).lambda_min_choi
+            lam = cp_certificate(_superoperator(images, z, u)).lambda_min_choi
             min_lambda = min(min_lambda, lam)
             maps_checked += 1
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),

@@ -186,6 +186,45 @@ class TestMain:
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["--config", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        {"seed": "7"},
+        {"samples": 2.5},
+        {"dim-s": None},
+        {"tol": "x"},
+        {"seed": True},
+    ], ids=["string-seed", "float-samples", "null-dim", "string-tol", "bool-seed"])
+    def test_mistyped_config_value_exit_two(self, bad, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "broadcast", "samples": 20, **bad}))
+        assert main(["--config", str(cfg)]) == 2
+        key = next(iter(bad))
+        assert key in capsys.readouterr().err
+
+    def test_infinite_tol_exit_two(self, capsys):
+        assert main(["--experiment", "compat-domain", "--samples", "20", "--tol", "inf"]) == 2
+        assert "tol" in capsys.readouterr().err
+
+
+class TestResourceGuard:
+    def test_oversized_flag_experiment_refused_before_running(self, monkeypatch, capsys):
+        def must_not_run(config):
+            raise AssertionError("an oversized config reached run()")
+
+        monkeypatch.setattr(cli, "run", must_not_run)
+        assert main(["--experiment", "compat-domain", "--dim-s", "16"]) == 2
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,largest_ok", [
+        ("dynamics-cp", 6), ("compat-domain", 6), ("lemma1", 6), ("theorem2", 12),
+    ])
+    def test_bound(self, experiment, largest_ok):
+        def config(d):
+            return ExperimentConfig(experiment=experiment, dim_s=d, dim_e=d)
+
+        config(largest_ok).validate()
+        with pytest.raises(UsageError, match="too large"):
+            config(largest_ok + 1).validate()
+
 
 class TestReportShape:
     def test_witness_fields(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import assignlab.dynamics as dynamics
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
@@ -164,6 +165,92 @@ class TestClassicalSweep:
         assert sweep.maps_checked == 100
         assert sweep.all_cp
         assert sweep.min_lambda >= -1e-9
+
+
+def reference_map(assignment, u):
+    """Independent reference: one assign-conjugate-trace per matrix unit."""
+    d_s, d_e = assignment.dim_s, assignment.dim_e
+    u_dag = u.conj().T
+
+    def act(h):
+        return partial_trace(u @ assignment.apply(h) @ u_dag, d_s, d_e, "E")
+
+    mat = np.zeros((d_s * d_s, d_s * d_s), dtype=complex)
+    for j in range(d_s):
+        for k in range(d_s):
+            unit = np.zeros((d_s, d_s), dtype=complex)
+            unit[j, k] = 1.0
+            herm = (unit + unit.conj().T) / 2
+            skew = (unit - unit.conj().T) / 2j
+            mat[:, j * d_s + k] = (act(herm) + 1j * act(skew)).reshape(-1)
+    return mat
+
+
+def reference_choi_spectrum(mat, d):
+    """Independent reference: the Choi matrix as a sum of kron blocks."""
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[j, k] = 1.0
+            c += np.kron(unit, mat[:, j * d + k].reshape(d, d))
+    return np.linalg.eigvalsh((c + c.conj().T) / 2)
+
+
+def bit_identity_families(d, rng):
+    basis = canonical_basis(d)
+    d_e = 3
+    return [
+        orthogonal_flag_assignment(basis),
+        random_zero_discord_assignment(d, d_e, rng),
+        product_assignment(basis, random_density(d_e, rng)),
+        LinearAssignment(basis, np.stack([random_density(d_e, rng) for _ in range(d * d)])),
+    ]
+
+
+class TestBitIdentity:
+    """The batched unit-image core reproduces the per-unit loop bit for bit."""
+
+    @pytest.mark.parametrize("one_matrix_chunks", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_unit_loop(self, d, one_matrix_chunks, monkeypatch):
+        if one_matrix_chunks:
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(100 + d)
+        for assignment in bit_identity_families(d, rng):
+            for _ in range(3):
+                u = random_unitary(assignment.dim_s * assignment.dim_e, rng)
+                superop = induced_map(assignment, u)
+                ref = reference_map(assignment, u)
+                assert np.array_equal(superop.mat, ref)
+                ref_spectrum = reference_choi_spectrum(ref, d)
+                assert np.array_equal(choi_matrix(superop).spectrum, ref_spectrum)
+                assert cp_certificate(superop).lambda_min_choi == ref_spectrum[0]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_replay_equals_search(self, d):
+        flags = orthogonal_flag_assignment(canonical_basis(d))
+        search = find_noncp_unitary(flags, attempts=12, seed=7)
+        assert search.found
+        dim = flags.dim_s * flags.dim_e
+        for index, lam in ((search.first_index, search.first_lambda),
+                           (search.best_index, search.best_lambda)):
+            u = replay_unitary(search.seed, index, dim)
+            assert cp_certificate(induced_map(flags, u)).lambda_min_choi == lam
+            assert reference_choi_spectrum(reference_map(flags, u), d)[0] == lam
+
+    def test_sweep_matches_per_unit_loop(self):
+        sweep = classical_cp_sweep(
+            n_assignments=3, unitaries_per_assignment=4, dim_s=3, dim_e=2, seed=21
+        )
+        rng = np.random.default_rng(21)
+        lams = []
+        for _ in range(3):
+            z = random_zero_discord_assignment(3, 2, rng)
+            for _ in range(4):
+                u = random_unitary(6, rng)
+                lams.append(reference_choi_spectrum(reference_map(z, u), 3)[0])
+        assert sweep.min_lambda == min(lams)
 
 
 class TestConditionTable:
