@@ -3,7 +3,8 @@
 Each experiment drives one family of library checks and emits a JSON report
 with a fixed key order (experiment, config, pass, metrics, witnesses,
 runtime_ms). Reports are byte-identical across runs of the same
-configuration, runtime_ms aside.
+configuration, runtime_ms aside. The runners' random samples are drawn and
+checked as stacks, in chunks of at most ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from assignlab.assignments import (
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,
+    probe_chunks,
     product_assignment,
     random_zero_discord_assignment,
 )
@@ -49,6 +51,7 @@ from assignlab.dynamics import (
 )
 from assignlab.operators import (
     canonical_basis,
+    chunk_ranges,
     min_eigenvalue,
     partial_trace,
     qubit_states,
@@ -56,6 +59,7 @@ from assignlab.operators import (
     random_unitary,
     tensor,
     trace_norm,
+    weighted_sum,
 )
 
 __all__ = [
@@ -92,11 +96,24 @@ _FLAG_EXPERIMENTS = ("lemma1", "compat-domain", "dynamics-cp")
 _MAX_STACK_BYTES = 64 * 2**20
 
 
+def _effective_dims(config) -> tuple[int, int]:
+    """(dim_s, dim_e) of the assignments the experiment really builds."""
+    if config.experiment in ("table1", "broadcast"):
+        return 2, 2
+    if config.experiment == "pechukas":
+        return 2, config.dim_e
+    if config.experiment in _FLAG_EXPERIMENTS:
+        return config.dim_s, config.dim_s**2
+    return config.dim_s, config.dim_e
+
+
 def _largest_stack_bytes(config) -> int:
     """Bytes of dim_s^2 complex joint operators, as in a linear assignment's
-    terms, on the environment the experiment really builds."""
-    dim_e = config.dim_s**2 if config.experiment in _FLAG_EXPERIMENTS else config.dim_e
-    return 16 * config.dim_s**2 * (config.dim_s * dim_e) ** 2
+    terms, at the effective dims; dynamics-cp holds two such stacks at once
+    (the flag assignment's terms and their induced-map unit images)."""
+    dim_s, dim_e = _effective_dims(config)
+    copies = 2 if config.experiment == "dynamics-cp" else 1
+    return copies * 16 * dim_s**2 * (dim_s * dim_e) ** 2
 
 
 class UsageError(ValueError):
@@ -186,17 +203,17 @@ def _run_pechukas(config, rng):
     z_quartet = (eta[0], eta[2], eta[3], eta[5])
     equal_z = pechukas_constraints([t, t, t, t], states=z_quartet)
 
+    d_e = config.dim_e
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     disagreements = 0
     min_random_residual = np.inf
-    for _ in range(config.samples):
-        taus = [random_density(config.dim_e, rng) for _ in range(4)]
-        res = pechukas_constraints(taus)
-        max_dist = max(
-            trace_norm(a - b) for i, a in enumerate(taus) for b in taus[i + 1:]
-        )
-        if (res.max_residual <= 1e-12) != (max_dist <= 1e-9):
-            disagreements += 1
-        min_random_residual = min(min_random_residual, res.max_residual)
+    # one sample is four environment operators, drawn in a row
+    for lo, hi in chunk_ranges(config.samples, 16 * (2 * d_e) ** 2):
+        taus = random_density(d_e, rng, 4 * (hi - lo)).reshape(hi - lo, 4, d_e, d_e)
+        residual = pechukas_constraints(taus.swapaxes(0, 1)).max_residual
+        max_dist = np.max([trace_norm(taus[:, i] - taus[:, j]) for i, j in pairs], axis=0)
+        disagreements += int(np.count_nonzero((residual <= 1e-12) != (max_dist <= 1e-9)))
+        min_random_residual = min(min_random_residual, float(np.min(residual)))
 
     passed = (
         equal.max_residual <= 1e-12
@@ -247,18 +264,30 @@ def _run_theorem1(config, rng):
 
 
 def _run_theorem2(config, rng):
+    d_s, d_e = config.dim_s, config.dim_e
     max_formula_gap = 0.0
     max_diagonal_defect = 0.0
-    for _ in range(config.samples):
-        z = random_zero_discord_assignment(config.dim_s, config.dim_e, rng)
-        eta = random_density(config.dim_s, rng)
+    # a sample's assignment terms: d_s joint operators
+    for lo, hi in chunk_ranges(config.samples, 16 * d_s * (d_s * d_e) ** 2):
+        # the draws of a sample alternate between kinds (those of
+        # random_zero_discord_assignment, the state, the Dirichlet weights),
+        # so they stay one sample at a time; the stacked assignment checks
+        # and maps them all at once
+        unitaries, envs, etas, weights = [], [], [], []
+        for _ in range(hi - lo):
+            unitaries.append(random_unitary(d_s, rng))
+            envs.append(random_density(d_e, rng, d_s))
+            etas.append(random_density(d_s, rng))
+            weights.append(rng.dirichlet(np.ones(d_s)))
+        z = ZeroDiscordAssignment(OrthogonalProjectorSet.from_unitary(np.stack(unitaries)),
+                                  np.stack(envs))
+        eta = np.stack(etas)
         defect = consistency_defect(z, eta)
-        max_formula_gap = max(
-            max_formula_gap, abs(defect - trace_norm(eta - dephase(eta, z.measurement)))
-        )
-        weights = rng.dirichlet(np.ones(config.dim_s))
-        diagonal = np.tensordot(weights, z.measurement.projectors, axes=1)
-        max_diagonal_defect = max(max_diagonal_defect, consistency_defect(z, diagonal))
+        gap = np.abs(defect - trace_norm(eta - dephase(eta, z.measurement)))
+        diagonal = weighted_sum(np.stack(weights), z.measurement.projectors)
+        max_formula_gap = max(max_formula_gap, float(np.max(gap)))
+        max_diagonal_defect = max(max_diagonal_defect,
+                                  float(np.max(consistency_defect(z, diagonal))))
 
     metrics = [
         _metric("max_formula_gap", max_formula_gap),
@@ -266,7 +295,7 @@ def _run_theorem2(config, rng):
     ]
     passed = max_formula_gap <= 1e-10 and max_diagonal_defect <= 1e-12
     if config.dim_s == 2:
-        taus = np.stack([random_density(config.dim_e, rng) for _ in range(2)])
+        taus = random_density(config.dim_e, rng, 2)
         z_basis = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
         defect_eta1 = consistency_defect(z_basis, qubit_states()[0])
         metrics.append(_metric("defect_eta1", defect_eta1))
@@ -295,11 +324,7 @@ def _run_theorem3(config, rng):
     weights = z_bad.branch_probabilities(bad.witness_state)
     # block spectrum: eigenvalues of the output are the branch weights times
     # the env-state spectra
-    predicted = min(
-        float(w * lam)
-        for w, tau in zip(weights, z_bad.env_states)
-        for lam in np.linalg.eigvalsh(tau)
-    )
+    predicted = float(np.min(weights[:, None] * np.linalg.eigvalsh(z_bad.env_states)))
     bound = -0.25 * weights.min()
 
     passed = (
@@ -322,14 +347,12 @@ def _run_lemma1(config, rng):
     basis = canonical_basis(config.dim_s)
     neg = np.zeros((config.dim_e, config.dim_e), dtype=complex)
     neg[0, 0], neg[1, 1] = 1.5, -0.5
-    taus = np.stack(
-        [neg] + [random_density(config.dim_e, rng) for _ in range(basis.size - 1)]
-    )
+    taus = np.concatenate([neg[None], random_density(config.dim_e, rng, basis.size - 1)])
     report = env_negativity_report(LinearAssignment(basis, taus))
 
     flags = orthogonal_flag_assignment(basis)
     converse = positivity_certificate(flags, config.samples, rng)
-    converse_env_min = min(min_eigenvalue(t) for t in flags.env_ops)
+    converse_env_min = np.min(min_eigenvalue(flags.env_ops))
 
     passed = (
         report.holds
@@ -352,7 +375,7 @@ def _run_appendix(config, rng):
     corrupted_herm = corrupted_trace = None
     n_assignments = max(1, config.samples // 10)
     for i in range(n_assignments):
-        taus = np.stack([random_density(config.dim_e, rng) for _ in range(basis.size)])
+        taus = random_density(config.dim_e, rng, basis.size)
         audit = hermiticity_trace_audit(LinearAssignment(basis, taus), 10, rng)
         max_herm = max(max_herm, audit.max_hermiticity_defect)
         max_trace = max(max_trace, audit.max_trace_defect)
@@ -404,9 +427,8 @@ def _run_compat_domain(config, rng):
         ]
         passed = passed and abs(ray_in.t_star - 1.0) <= 1e-8 and ray_out.t_star <= 1e-8
         grid = [round(0.1 * k, 1) for k in range(11)]
-        profile = [
-            min_eigenvalue(flags.apply((1 - t) * center + t * eta[4])) for t in grid
-        ]
+        t = np.array(grid)[:, None, None]
+        profile = min_eigenvalue(flags.apply((1 - t) * center + t * eta[4])).tolist()
         witnesses.append({
             "description": "ray profile from maximally mixed state toward axis state 5",
             "t_grid": grid,
@@ -432,13 +454,13 @@ def _run_broadcast(config, rng):
         float(np.max(np.abs(b.apply(s) - tensor(s, s)))) for s in (eta[0], eta[1], eta[3])
     )
     random_marginal_defect = 0.0
-    for _ in range(config.samples):
-        state = random_density(2, rng)
-        out = b.apply(state)
+    for lo, hi in probe_chunks(b, config.samples):
+        states = random_density(2, rng, hi - lo)
+        out = b.apply(states)
         random_marginal_defect = max(
             random_marginal_defect,
-            trace_norm(partial_trace(out, 2, 2, "E") - state),
-            trace_norm(partial_trace(out, 2, 2, "S") - state),
+            float(np.max(trace_norm(partial_trace(out, 2, 2, "E") - states))),
+            float(np.max(trace_norm(partial_trace(out, 2, 2, "S") - states))),
         )
 
     passed = (
@@ -599,7 +621,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int)
     parser.add_argument("--dim-s", type=int, dest="dim_s")
     parser.add_argument("--dim-e", type=int, dest="dim_e")
-    parser.add_argument("--tol", type=float)
+    parser.add_argument("--tol", type=float,
+                        help="PSD tolerance of compat-domain's domain checks; "
+                             "the other experiments only echo it in the report")
     parser.add_argument("--out")
     parser.add_argument("--config", help="JSON file with flag values (flags win)")
     return parser

@@ -3,7 +3,9 @@ valid system-environment density operators.
 
 Membership is certified by the smallest output eigenvalue; the domain
 boundary is located by bisection along affine rays, and its volume is
-estimated by Monte Carlo sampling under the Hilbert-Schmidt measure.
+estimated by Monte Carlo sampling under the Hilbert-Schmidt measure. The
+Monte Carlo checks draw and assign their states as byte-bounded stacks
+(``probe_chunks``), with the same draws and counts as one state at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from assignlab.assignments import probe_chunks
 from assignlab.operators import (
     PSD_TOL,
     decompose,
@@ -132,10 +135,9 @@ def domain_volume(
     if samples < 100:
         raise ValueError("need at least 100 samples for a volume estimate")
     hits = 0
-    for _ in range(samples):
-        state = random_density(assignment.dim_s, rng)
-        if min_eigenvalue(assignment.apply(state)) >= -tol:
-            hits += 1
+    for lo, hi in probe_chunks(assignment, samples):
+        states = random_density(assignment.dim_s, rng, hi - lo)
+        hits += int(np.count_nonzero(min_eigenvalue(assignment.apply(states)) >= -tol))
     return DomainEstimate(
         samples=samples,
         hits=hits,
@@ -168,13 +170,10 @@ def simplex_domain_check(
         raise ValueError("environment operators are not orthonormal projectors")
     agreements = 0
     max_gap = 0.0
-    for _ in range(samples):
-        state = random_density(assignment.dim_s, rng)
-        q = decompose(state, assignment.basis)
-        lam = min_eigenvalue(assignment.apply(state))
-        spectral = lam >= -tol
-        coefficient = q.min() >= -tol
-        if spectral == coefficient:
-            agreements += 1
-        max_gap = max(max_gap, abs(lam - min(0.0, q.min())))
+    for lo, hi in probe_chunks(assignment, samples):
+        states = random_density(assignment.dim_s, rng, hi - lo)
+        q_min = decompose(states, assignment.basis).min(axis=-1)
+        lam = min_eigenvalue(assignment.apply(states))
+        agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
+        max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))
     return SimplexDomainReport(probes=samples, agreements=agreements, max_gap=max_gap)

@@ -34,10 +34,12 @@ from assignlab.assignments import (
     consistency_defect,
     orthogonal_flag_assignment,
     positivity_certificate,
+    probe_chunks,
     product_assignment,
     random_zero_discord_assignment,
 )
 from assignlab.operators import (
+    _CHUNK_BYTES,
     canonical_basis,
     partial_trace,
     qubit_states,
@@ -72,9 +74,6 @@ __all__ = [
 CP_TOL = 1e-9
 NONCP_THRESHOLD = -1e-6
 
-# largest slice of the unit-image stack conjugated in one batched product
-_CHUNK_BYTES = 256 * 1024
-
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
@@ -96,8 +95,8 @@ def _unit_images(assignment) -> np.ndarray:
 
     E_jk = H_jk + i K_jk with H = (E + E^dag)/2 and K = (E - E^dag)/2i. Slot
     j*d_s + k holds the image of H_jk for j <= k and of K_kj for j > k; the
-    rest follow from H_kj = H_jk, K_kj = -K_jk and K_jj = 0. Each image comes
-    from the family's own ``apply``, one state at a time.
+    rest follow from H_kj = H_jk, K_kj = -K_jk and K_jj = 0. The images come
+    from one stacked call of the family's own ``apply``.
     """
     d = assignment.dim_s
     inputs = []
@@ -109,7 +108,7 @@ def _unit_images(assignment) -> np.ndarray:
                 inputs.append((unit + unit.conj().T) / 2)
             else:
                 inputs.append((unit - unit.conj().T) / 2j)
-    return np.stack([assignment.apply(h) for h in inputs])
+    return assignment.apply(np.stack(inputs))
 
 
 @cache
@@ -325,21 +324,32 @@ class ConditionTable:
 def _linearity_defect(assignment, samples: int, rng: np.random.Generator) -> float:
     worst = 0.0
     d = assignment.dim_s
-    for _ in range(samples):
-        a = rng.uniform(-1.0, 2.0)
+    for lo, hi in probe_chunks(assignment, samples):
+        # the weight and the two states of a sample are drawn in turn, so the
+        # draws stay one sample at a time and only the maps are stacked
+        a, rho1, rho2 = [], [], []
+        for _ in range(hi - lo):
+            a.append(rng.uniform(-1.0, 2.0))
+            rho1.append(random_density(d, rng))
+            rho2.append(random_density(d, rng))
+        a = np.array(a)[:, None, None]
         b = 1.0 - a
-        rho1 = random_density(d, rng)
-        rho2 = random_density(d, rng)
+        rho1, rho2 = np.stack(rho1), np.stack(rho2)
         mixed = assignment.apply(a * rho1 + b * rho2)
         split = a * assignment.apply(rho1) + b * assignment.apply(rho2)
-        worst = max(worst, trace_norm(mixed - split))
+        worst = max(worst, float(np.max(trace_norm(mixed - split))))
     return worst
 
 
 def _consistency_defect_max(assignment, samples: int, rng: np.random.Generator) -> float:
-    probes = list(qubit_states()) if assignment.dim_s == 2 else []
-    probes += [random_density(assignment.dim_s, rng) for _ in range(samples)]
-    return max(consistency_defect(assignment, p) for p in probes)
+    d = assignment.dim_s
+    worst = 0.0
+    if d == 2:
+        worst = float(np.max(consistency_defect(assignment, np.stack(qubit_states()))))
+    for lo, hi in probe_chunks(assignment, samples):
+        states = random_density(d, rng, hi - lo)
+        worst = max(worst, float(np.max(consistency_defect(assignment, states))))
+    return worst
 
 
 def assignment_condition_table(
@@ -358,7 +368,7 @@ def assignment_condition_table(
         ("none", product_assignment(basis, random_density(2, rng))),
         ("classical", ZeroDiscordAssignment(
             OrthogonalProjectorSet.computational(2),
-            np.stack([random_density(2, rng), random_density(2, rng)]),
+            random_density(2, rng, 2),
         )),
         ("quantum", orthogonal_flag_assignment(basis)),
     )

@@ -4,6 +4,14 @@ Tensor products, partial traces, Hermitian spectra, rank-1 projector bases
 with dual frames for coefficient extraction, and seeded random sampling of
 states and unitaries. Everything operates on plain complex ndarrays; the
 composite index convention is system-major (s * dim_e + e).
+
+The operator functions also take stacks (..., d, d) and act on each matrix
+of the stack; ``random_density`` and ``random_pure`` draw a stack with one
+rng call. Contract: every matrix of a stacked result is bit-identical to the
+same call on that matrix alone, and a drawn stack is bit-identical to
+drawing its states one at a time (the Generator fills in C order). Callers
+that build stacks bound them with ``chunk_ranges``: at most ``_CHUNK_BYTES``
+per pass.
 """
 
 from __future__ import annotations
@@ -20,14 +28,18 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
+    "chunk_ranges",
     "tensor",
     "partial_trace",
     "eigvals_hermitian",
     "min_eigenvalue",
     "hs_inner",
     "trace_norm",
+    "expectations",
+    "weighted_sum",
     "hermiticity_defect",
     "require_hermitian",
+    "require_unit_trace",
     "require_density",
     "require_unitary",
     "qubit_states",
@@ -51,6 +63,21 @@ UNITARITY_TOL = 1e-10
 GRAM_MIN_SINGULAR_VALUE = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
 
+# largest stack of operators built or transformed in one batched pass
+_CHUNK_BYTES = 256 * 1024
+
+
+def chunk_ranges(total: int, item_bytes: int):
+    """Consecutive (start, stop) ranges covering range(total), each spanning
+    at most ``_CHUNK_BYTES`` of items of ``item_bytes`` (at least one item)."""
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    for start in range(0, total, step):
+        yield start, min(start + step, total)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
@@ -64,44 +91,66 @@ PAULI_Z = _frozen([[1, 0], [0, -1]])
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the system factor first."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with the system factor first; leading stack axes
+    broadcast, so stacks give one product per pair of matrices."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    # the same broadcast product np.kron forms for two matrices
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 def partial_trace(x: np.ndarray, dim_s: int, dim_e: int, trace_out: str = "E") -> np.ndarray:
-    """Trace out one factor of a (dim_s*dim_e)-dimensional operator.
+    """Trace out one factor of a (dim_s*dim_e)-dimensional operator or stack.
 
     ``trace_out`` names the subsystem removed: "E" keeps the dim_s x dim_s
     system block, "S" keeps the dim_e x dim_e environment block.
     """
     x = np.asarray(x, dtype=complex)
     n = dim_s * dim_e
-    if x.shape != (n, n):
+    if x.shape[-2:] != (n, n):
         raise ValueError(f"expected a {n}x{n} operator, got shape {x.shape}")
-    blocks = x.reshape(dim_s, dim_e, dim_s, dim_e)
+    blocks = x.reshape(x.shape[:-2] + (dim_s, dim_e, dim_s, dim_e))
     if trace_out == "E":
-        return np.einsum("iaja->ij", blocks)
+        return np.einsum("...iaja->...ij", blocks)
     if trace_out == "S":
-        return np.einsum("aiaj->ij", blocks)
+        return np.einsum("...aiaj->...ij", blocks)
     raise ValueError(f"trace_out must be 'S' or 'E', got {trace_out!r}")
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Trace norm of the anti-Hermitian part (m - m^dag)/2."""
+def hermiticity_defect(m: np.ndarray):
+    """Trace norm of the anti-Hermitian part (m - m^dag)/2, one per matrix."""
     m = np.asarray(m, dtype=complex)
-    skew = (m - m.conj().T) / 2j  # i * (anti-Hermitian) is Hermitian
-    return float(np.abs(np.linalg.eigvalsh(skew)).sum())
+    skew = (m - _dagger(m)) / 2j  # i * (anti-Hermitian) is Hermitian
+    return np.abs(np.linalg.eigvalsh(skew)).sum(axis=-1)
+
+
+def _first(mask: np.ndarray) -> str:
+    """Stack index of the first offending matrix, for error messages."""
+    return "".join(f" {i}" for i in np.argwhere(mask)[0]) if mask.ndim else ""
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
+    """Return ``m`` as complex if it is a Hermitian matrix, or a stack of them."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    defect = np.max(np.abs(m - m.conj().T))
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    defect = np.max(np.abs(m - _dagger(m)), axis=(-2, -1))
+    if np.any(defect > tol):
+        raise ValueError(f"{name}{_first(defect > tol)} is not Hermitian "
+                         f"(defect {np.max(defect):.3e} > {tol:.1e})")
+    return m
+
+
+def require_unit_trace(m: np.ndarray, tol: float = TRACE_TOL, name: str = "operator") -> np.ndarray:
+    """Return ``m`` if every matrix of it has unit trace."""
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > tol
+    if np.any(bad):
+        raise ValueError(f"{name}{_first(bad)} has trace {float(tr[bad].flat[0])!r}, expected 1")
     return m
 
 
@@ -133,10 +182,10 @@ def eigvals_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     return np.linalg.eigvalsh(h)
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``h``."""
+def min_eigenvalue(h: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of ``h``, one per matrix."""
     h = np.asarray(h, dtype=complex)
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
+    return np.linalg.eigvalsh((h + _dagger(h)) / 2)[..., 0]
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -148,11 +197,37 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def trace_norm(h: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of the Hermitian part of ``h``."""
+def trace_norm(h: np.ndarray):
+    """Sum of absolute eigenvalues of the Hermitian part of ``h``, one per matrix."""
     h = np.asarray(h, dtype=complex)
-    h = (h + h.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
+    h = (h + _dagger(h)) / 2
+    return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+
+
+def expectations(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Tr[ops_k state] for a (..., k, d, d) operator set and (..., d, d) states.
+
+    Leading axes broadcast; the result has shape (..., k). The products
+    ops[k, a, b] * state[b, a] are summed over b, then over a, in the order
+    einsum("kab,ba->k") uses on one matrix, so stacked results are
+    bit-identical to single-state ones.
+    """
+    rows = np.einsum("...kab,...ba->...ka", ops, states)
+    out = np.zeros(rows.shape[:-1], dtype=complex)
+    for a in range(rows.shape[-1]):
+        out += rows[..., a]
+    return out
+
+
+def weighted_sum(coeffs, ops: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] ops[..., k, :, :], leading axes broadcast.
+
+    One vector-matrix product per stack entry, the same product
+    np.tensordot(coeffs, ops, axes=1) forms for one coefficient vector.
+    """
+    flat = ops.reshape(ops.shape[:-2] + (-1,))
+    out = np.matmul(np.asarray(coeffs)[..., None, :], flat)[..., 0, :]
+    return out.reshape(out.shape[:-1] + ops.shape[-2:])
 
 
 def qubit_states() -> tuple[np.ndarray, ...]:
@@ -217,12 +292,11 @@ class ProjectorBasis:
             raise ValueError("projectors must be square")
         if n != d * d:
             raise ValueError(f"need {d * d} projectors to span dim {d}, got {n}")
-        for i, p in enumerate(stack):
-            require_hermitian(p, name=f"projector {i}")
-            if abs(np.trace(p).real - 1.0) > TRACE_TOL:
-                raise ValueError(f"projector {i} has trace {np.trace(p).real!r}, expected 1")
-            if np.max(np.abs(p @ p - p)) > 1e-10:
-                raise ValueError(f"projector {i} is not idempotent")
+        require_hermitian(stack, name="projector")
+        require_unit_trace(stack, name="projector")
+        not_idempotent = np.max(np.abs(stack @ stack - stack), axis=(-2, -1)) > 1e-10
+        if np.any(not_idempotent):
+            raise ValueError(f"projector{_first(not_idempotent)} is not idempotent")
         gram = np.einsum("iab,jba->ij", stack, stack).real
         smallest = np.linalg.svd(gram, compute_uv=False)[-1]
         if smallest < GRAM_MIN_SINGULAR_VALUE:
@@ -265,11 +339,12 @@ def canonical_basis(d: int) -> ProjectorBasis:
 
 
 def decompose(h: np.ndarray, basis: ProjectorBasis) -> np.ndarray:
-    """Real coefficients q with h = sum_i q_i P_i, extracted via the dual frame."""
+    """Real coefficients q with h = sum_i q_i P_i, extracted via the dual frame;
+    a stack (..., d, d) gives coefficients (..., d^2)."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (basis.dim, basis.dim):
+    if h.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"operator shape {h.shape} does not match basis dim {basis.dim}")
-    q = np.einsum("kab,ba->k", basis.dual_frame, h)
+    q = expectations(basis.dual_frame, h)
     residue = np.max(np.abs(q.imag))
     if residue > IMAG_RESIDUE_TOL:
         raise ValueError(
@@ -286,19 +361,29 @@ def recompose(q, basis: ProjectorBasis) -> np.ndarray:
     return np.tensordot(q, basis.projectors, axes=1)
 
 
-def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Hilbert-Schmidt random density operator (normalized Ginibre G G^dag)."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return (m + m.conj().T) / 2
+def _shape(size: int | None) -> tuple:
+    return () if size is None else (size,)
 
 
-def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure-state projector."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
+def random_density(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Hilbert-Schmidt random density operator (normalized Ginibre G G^dag),
+    or a stack of ``size`` of them."""
+    x = rng.standard_normal(_shape(size) + (2, d, d))
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    m = g @ _dagger(g)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return (m + _dagger(m)) / 2
+
+
+def random_pure(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-random pure-state projector, or a stack of ``size`` of them."""
+    x = rng.standard_normal(_shape(size) + (2, d))
+    v = x[..., 0, :] + 1j * x[..., 1, :]
+    # the dot products np.linalg.norm takes, on the same strided views
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    norm = np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))
+    v /= norm[..., 0]
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
