@@ -50,6 +50,7 @@ from assignlab.operators import (
     canonical_basis,
     decompose,
     eigvals_hermitian,
+    haar_unitaries,
     hs_inner,
     partial_trace,
     qubit_states,

@@ -52,6 +52,7 @@ from assignlab.dynamics import (
 from assignlab.operators import (
     canonical_basis,
     chunk_ranges,
+    haar_unitaries,
     min_eigenvalue,
     partial_trace,
     qubit_states,
@@ -271,16 +272,18 @@ def _run_theorem2(config, rng):
     for lo, hi in chunk_ranges(config.samples, 16 * d_s * (d_s * d_e) ** 2):
         # the draws of a sample alternate between kinds (those of
         # random_zero_discord_assignment, the state, the Dirichlet weights),
-        # so they stay one sample at a time; the stacked assignment checks
-        # and maps them all at once
-        unitaries, envs, etas, weights = [], [], [], []
+        # so they stay one sample at a time; the measurement's normals become
+        # unitaries in one stacked QR, and the stacked assignment checks and
+        # maps them all at once
+        normals, envs, etas, weights = [], [], [], []
         for _ in range(hi - lo):
-            unitaries.append(random_unitary(d_s, rng))
+            normals.append(rng.standard_normal((2, d_s, d_s)))  # as random_unitary draws
             envs.append(random_density(d_e, rng, d_s))
             etas.append(random_density(d_s, rng))
             weights.append(rng.dirichlet(np.ones(d_s)))
-        z = ZeroDiscordAssignment(OrthogonalProjectorSet.from_unitary(np.stack(unitaries)),
-                                  np.stack(envs))
+        z = ZeroDiscordAssignment(
+            OrthogonalProjectorSet.from_unitary(haar_unitaries(np.stack(normals))),
+            np.stack(envs))
         eta = np.stack(etas)
         defect = consistency_defect(z, eta)
         gap = np.abs(defect - trace_norm(eta - dephase(eta, z.measurement)))

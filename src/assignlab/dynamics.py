@@ -10,15 +10,19 @@ correlation family.
 Induced maps are built from a stack of d_s^2 assigned unit images: the
 images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
 K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
-inputs. A search or sweep assigns them once per assignment; each coupling
-then conjugates the stack by ``u`` in byte-bounded chunks, traces out the
-environment in one batched contraction and assembles the columns H + iK.
-The Choi matrix is a reshape of the superoperator. Contract: every
+inputs. A search or sweep assigns them once per assignment, then takes its
+couplings as stacks: one Haar draw (one stacked QR) per chunk of couplings,
+one stacked unitarity check, every (coupling, image) pair conjugated in
+byte-bounded chunks, one batched contraction tracing out the environment,
+the columns H + iK assembled, the Choi matrices by reshape and their spectra
+from one stacked eigensolve. ``induced_map``, ``choi_matrix`` and
+``cp_certificate`` are the same core on a stack of one. Contract: every
 superoperator, Choi matrix and Choi spectrum is bit-identical to mapping
 each E_jk by its own assign-conjugate-trace and summing the Choi blocks
-E_jk (x) M[E_jk], which is why the images are not combined before the
-conjugation and the kept blocks are not computed alone; both save flops but
-round differently.
+E_jk (x) M[E_jk], one coupling at a time, which is why the images are not
+combined before the conjugation and the kept blocks are not computed alone;
+both save flops but round differently. A search or sweep reports the same
+draws, minima and first witnesses as one coupling at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +44,11 @@ from assignlab.assignments import (
 )
 from assignlab.operators import (
     _CHUNK_BYTES,
+    _first,
+    _hermitian_part,
     canonical_basis,
+    chunk_ranges,
+    haar_unitaries,
     partial_trace,
     qubit_states,
     random_density,
@@ -123,33 +131,36 @@ def _unit_slots(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return slots
 
 
-def _superoperator(images: np.ndarray, assignment, u: np.ndarray,
-                   provenance: str = "") -> Superoperator:
-    """Induced map from the assignment's unit images: conjugate by ``u``,
-    trace out the environment, assemble the columns H + iK.
+def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
+    """Superoperator matrices (K, d_s^2, d_s^2) induced by a stack of K
+    couplings ``u`` from the assignment's unit images: conjugate every image
+    by every coupling, trace out the environment, assemble the columns H + iK.
 
-    Every image gets the same two matrix products and the same trace as a
-    lone operator would, so the columns are bit-identical to mapping each
-    matrix unit on its own; the conjugation runs in chunks of at most
-    ``_CHUNK_BYTES`` of images.
+    Every (coupling, image) pair gets the same two matrix products and the
+    same trace as a lone operator would, so the columns are bit-identical to
+    mapping each matrix unit on its own under each coupling alone. A chunk of
+    pairs, at most ``_CHUNK_BYTES`` of joint operators, is a block of whole
+    couplings by all images, or one coupling by a block of images when one
+    coupling's images exceed the budget.
     """
     d_s, d_e = assignment.dim_s, assignment.dim_e
     u = require_unitary(u)
-    if u.shape[0] != d_s * d_e:
-        raise ValueError(f"unitary dimension {u.shape[0]} != {d_s * d_e}")
-    u_dag = u.conj().T
-    n = images.shape[0]
-    step = max(1, _CHUNK_BYTES // images[0].nbytes)
-    traced = np.empty((n, d_s, d_s), dtype=complex)
-    for start in range(0, n, step):
-        joint = u @ images[start:start + step] @ u_dag
-        traced[start:start + step] = np.einsum(
-            "niaja->nij", joint.reshape(-1, d_s, d_e, d_s, d_e))
+    if u.ndim != 3 or u.shape[-1] != d_s * d_e:
+        raise ValueError(f"expected a stack of {d_s * d_e}-dimensional unitaries, "
+                         f"got shape {u.shape}")
+    u, u_dag = u[:, None], u.conj()[:, None].swapaxes(-1, -2)
+    k, n = u.shape[0], images.shape[0]
+    pairs = max(1, _CHUNK_BYTES // images[0].nbytes)
+    k_step, n_step = max(1, pairs // n), min(n, pairs)
+    traced = np.empty((k, n, d_s, d_s), dtype=complex)
+    for c in range(0, k, k_step):
+        for i in range(0, n, n_step):
+            joint = u[c:c + k_step] @ images[i:i + n_step] @ u_dag[c:c + k_step]
+            traced[c:c + k_step, i:i + n_step] = np.einsum(
+                "kniaja->knij", joint.reshape(joint.shape[:2] + (d_s, d_e, d_s, d_e)))
     herm, skew, sign = _unit_slots(d_s)
-    columns = traced[herm] + 1j * (sign[:, None, None] * traced[skew])
-    mat = np.ascontiguousarray(columns.reshape(d_s * d_s, d_s * d_s).T)
-    mat.setflags(write=False)
-    return Superoperator(dim=d_s, mat=mat, provenance=provenance)
+    columns = traced[:, herm] + 1j * (sign[:, None, None] * traced[:, skew])
+    return np.ascontiguousarray(columns.reshape(k, d_s * d_s, d_s * d_s).swapaxes(-1, -2))
 
 
 def induced_map(assignment, u: np.ndarray, provenance: str = "") -> Superoperator:
@@ -159,7 +170,12 @@ def induced_map(assignment, u: np.ndarray, provenance: str = "") -> Superoperato
     is extended complex-linearly through its Hermitian decomposition
     E = H + iK.
     """
-    return _superoperator(_unit_images(assignment), assignment, u, provenance)
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2:
+        raise ValueError(f"expected one unitary, got shape {u.shape}")
+    mat = _superoperator(_unit_images(assignment), assignment, u[None])[0]
+    mat.setflags(write=False)
+    return Superoperator(dim=assignment.dim_s, mat=mat, provenance=provenance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +186,35 @@ class ChoiMatrix:
     spectrum: np.ndarray  # ascending real eigenvalues
 
 
-def choi_matrix(superop: Superoperator) -> ChoiMatrix:
-    d = superop.dim
+def _choi(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Choi matrices of superoperator matrices (..., d^2, d^2) and their
+    ascending spectra, from one stacked eigensolve."""
     # block (j, k) is column j*d + k of the superoperator, reshaped to d x d;
     # summing onto zeros, as the block sum does, makes every zero +0.0, and
     # the spectrum's bits depend on the signs of zeros
-    c = np.zeros((d * d, d * d), dtype=complex)
-    c += superop.mat.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    defect = np.max(np.abs(c - c.conj().T))
-    if defect > 1e-9:
-        raise ValueError(f"Choi matrix is not Hermitian (defect {defect:.3e}); "
+    lead = mats.ndim - 2
+    c = np.zeros(mats.shape, dtype=complex)
+    c += mats.reshape(mats.shape[:-2] + (d, d, d, d)).transpose(
+        *range(lead), lead + 2, lead, lead + 3, lead + 1).reshape(mats.shape)
+    defect = np.max(np.abs(c - c.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = ~(defect <= 1e-9)
+    if np.any(bad):
+        raise ValueError(f"Choi matrix{_first(bad)} is not Hermitian "
+                         f"(defect {np.max(defect):.3e}); "
                          "the underlying map does not preserve Hermiticity")
-    spectrum = np.linalg.eigvalsh((c + c.conj().T) / 2)
+    return c, np.linalg.eigvalsh(_hermitian_part(c))
+
+
+def choi_matrix(superop: Superoperator) -> ChoiMatrix:
+    c, spectrum = _choi(superop.mat, superop.dim)
     c.setflags(write=False)
     spectrum.setflags(write=False)
     return ChoiMatrix(mat=c, spectrum=spectrum)
+
+
+def _choi_minima(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
+    """Smallest Choi eigenvalue of the map induced by each coupling of ``u``."""
+    return _choi(_superoperator(images, assignment, u), assignment.dim_s)[1][:, 0]
 
 
 @dataclass(frozen=True)
@@ -239,13 +269,18 @@ def find_noncp_unitary(
     best_index = -1
     best_lambda = np.inf
     images = _unit_images(assignment)
-    for i in range(attempts):
-        u = replay_unitary(seed, i, dim)
-        lam = cp_certificate(_superoperator(images, assignment, u)).lambda_min_choi
-        if lam < best_lambda:
-            best_index, best_lambda = i, lam
-        if first_index is None and lam < threshold:
-            first_index, first_lambda = i, lam
+    # a chunk of couplings holds at most _CHUNK_BYTES of joint operators
+    for lo, hi in chunk_ranges(attempts, images.nbytes):
+        # the normals replay_unitary(seed, i) draws, one stream per index
+        normals = np.stack([np.random.default_rng([seed, i]).standard_normal((2, dim, dim))
+                            for i in range(lo, hi)])
+        lams = _choi_minima(images, assignment, haar_unitaries(normals))
+        i = int(np.argmin(lams))  # the first minimum, as a strict < scan keeps
+        if lams[i] < best_lambda:
+            best_index, best_lambda = lo + i, lams[i]
+        below = np.flatnonzero(lams < threshold)
+        if first_index is None and below.size:
+            first_index, first_lambda = lo + int(below[0]), float(lams[below[0]])
     return NonCPSearch(
         found=first_index is not None,
         seed=seed,
@@ -281,11 +316,11 @@ def classical_cp_sweep(
     for _ in range(n_assignments):
         z = random_zero_discord_assignment(dim_s, dim_e, rng)
         images = _unit_images(z)
-        for _ in range(unitaries_per_assignment):
-            u = random_unitary(dim_s * dim_e, rng)
-            lam = cp_certificate(_superoperator(images, z, u)).lambda_min_choi
-            min_lambda = min(min_lambda, lam)
-            maps_checked += 1
+        # consecutive draws: a stack is the same stream as one draw at a time
+        for lo, hi in chunk_ranges(unitaries_per_assignment, images.nbytes):
+            lams = _choi_minima(images, z, random_unitary(dim_s * dim_e, rng, hi - lo))
+            min_lambda = min(min_lambda, float(np.min(lams)))
+            maps_checked += hi - lo
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),
                    all_cp=min_lambda >= -tol)
 

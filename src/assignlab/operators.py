@@ -6,12 +6,14 @@ states and unitaries. Everything operates on plain complex ndarrays; the
 composite index convention is system-major (s * dim_e + e).
 
 The operator functions also take stacks (..., d, d) and act on each matrix
-of the stack; ``random_density`` and ``random_pure`` draw a stack with one
-rng call. Contract: every matrix of a stacked result is bit-identical to the
-same call on that matrix alone, and a drawn stack is bit-identical to
-drawing its states one at a time (the Generator fills in C order). Callers
-that build stacks bound them with ``chunk_ranges``: at most ``_CHUNK_BYTES``
-per pass.
+of the stack; ``random_density``, ``random_pure`` and ``random_unitary``
+draw a stack with one rng call, and ``require_unitary`` checks a stack of
+couplings, naming the first matrix that fails. Contract: every matrix of a
+stacked result is bit-identical to the same call on that matrix alone, and
+a drawn stack is bit-identical to drawing its states or unitaries one at a
+time (the Generator fills in C order; the QR of a stack factors each matrix
+as it would factor it alone). Callers that build stacks bound them with
+``chunk_ranges``: at most ``_CHUNK_BYTES`` per pass.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "random_density",
     "random_pure",
     "random_unitary",
+    "haar_unitaries",
 ]
 
 # Structural identities are held near machine precision; spectral decisions
@@ -167,12 +170,15 @@ def require_density(m: np.ndarray, trace_tol: float = TRACE_TOL, eig_tol: float 
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+    """Return ``u`` as complex if it is a unitary matrix, or a stack of them."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:.1e})")
+    defect = np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
+    bad = ~(defect <= tol)  # a non-finite entry fails too
+    if np.any(bad):
+        raise ValueError(f"matrix{_first(bad)} is not unitary "
+                         f"(defect {np.max(defect):.3e} > {tol:.1e})")
     return u
 
 
@@ -182,10 +188,18 @@ def eigvals_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     return np.linalg.eigvalsh(h)
 
 
+def _hermitian_part(h) -> np.ndarray:
+    """(h + h^dag)/2 in one new array: the same bits as the two-step form,
+    one stack-sized copy fewer."""
+    h = np.asarray(h, dtype=complex)
+    out = np.add(h, _dagger(h))
+    out /= 2
+    return out
+
+
 def min_eigenvalue(h: np.ndarray):
     """Smallest eigenvalue of the Hermitian part of ``h``, one per matrix."""
-    h = np.asarray(h, dtype=complex)
-    return np.linalg.eigvalsh((h + _dagger(h)) / 2)[..., 0]
+    return np.linalg.eigvalsh(_hermitian_part(h))[..., 0]
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -199,9 +213,7 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 def trace_norm(h: np.ndarray):
     """Sum of absolute eigenvalues of the Hermitian part of ``h``, one per matrix."""
-    h = np.asarray(h, dtype=complex)
-    h = (h + _dagger(h)) / 2
-    return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+    return np.abs(np.linalg.eigvalsh(_hermitian_part(h))).sum(axis=-1)
 
 
 def expectations(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -386,10 +398,18 @@ def random_pure(d: int, rng: np.random.Generator, size: int | None = None) -> np
     return v[..., :, None] * v.conj()[..., None, :]
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase-fixed R diagonal."""
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+def haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from standard normals of shape (..., 2, d, d):
+    one stacked QR of the Ginibre matrices (x[0] + i x[1])/sqrt2, with the
+    phases of each R diagonal moved onto the columns of Q."""
+    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
+
+
+def random_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-random unitary, or a stack of ``size`` of them drawn with one rng
+    call (the real parts of a matrix, then its imaginary parts, in turn)."""
+    return haar_unitaries(rng.standard_normal(_shape(size) + (2, d, d)))

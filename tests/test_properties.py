@@ -1,8 +1,9 @@
 """Property tests of the assignment families (hypothesis, derandomized).
 
 Stacked ``apply`` equals per-state ``apply`` bit for bit, every family
-preserves trace and Hermiticity, and every projector basis's dual frame
-satisfies Tr[D_i P_j] = delta_ij.
+preserves trace and Hermiticity, every projector basis's dual frame
+satisfies Tr[D_i P_j] = delta_ij, and the map a product assignment induces
+matches its Kraus form and is certified CP.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from assignlab.assignments import (  # noqa: E402
     product_assignment,
     random_zero_discord_assignment,
 )
+from assignlab.dynamics import choi_matrix, cp_certificate, induced_map  # noqa: E402
 from assignlab.operators import (  # noqa: E402
     GRAM_MIN_SINGULAR_VALUE,
     ProjectorBasis,
@@ -132,3 +134,26 @@ def test_apply_is_linear(family, d, seed):
     mixed = assignment.apply(a * rho[0] + (1 - a) * rho[1])
     split = a * assignment.apply(rho[0]) + (1 - a) * assignment.apply(rho[1])
     assert np.max(np.abs(mixed - split)) <= 1e-12
+
+
+@PROPERTY
+@given(d_s=st.integers(min_value=2, max_value=3), d_e=st.integers(min_value=2, max_value=3),
+       seed=seeds)
+def test_product_assignment_induces_its_kraus_map(d_s, d_e, seed):
+    """rho (x) tau with tau = sum_b p_b |b><b| under a Haar U induces
+    rho -> sum_ab K_ab rho K_ab^dag, K_ab = sqrt(p_b) (I (x) <a|) U (I (x) |b>)
+    (Shabani and Lidar, PRL 102, 100402 (2009): zero discord gives CP)."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(d_e))
+    u = random_unitary(d_s * d_e, rng)
+    superop = induced_map(product_assignment(canonical_basis(d_s), np.diag(p)), u)
+    blocks = u.reshape(d_s, d_e, d_s, d_e)
+    kraus = [np.sqrt(p[b]) * blocks[:, a, :, b] for a in range(d_e) for b in range(d_e)]
+    # row-major vec(K X K^dag) = (K (x) conj(K)) vec(X)
+    oracle = sum(np.kron(k, k.conj()) for k in kraus)
+    assert np.max(np.abs(superop.mat - oracle)) <= 1e-12
+    # sum_jk E_jk (x) K E_jk K^dag = |v><v| with v = vec(K^T): a Gram sum, PSD
+    gram = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in kraus)
+    assert np.max(np.abs(choi_matrix(superop).mat - gram)) <= 1e-12
+    report = cp_certificate(superop)
+    assert report.is_cp and report.is_tp
