@@ -50,6 +50,7 @@ from assignlab.operators import (
     canonical_basis,
     decompose,
     eigvals_hermitian,
+    ginibre_densities,
     haar_unitaries,
     hs_inner,
     partial_trace,

@@ -52,6 +52,7 @@ from assignlab.dynamics import (
 from assignlab.operators import (
     canonical_basis,
     chunk_ranges,
+    ginibre_densities,
     haar_unitaries,
     min_eigenvalue,
     partial_trace,
@@ -268,26 +269,30 @@ def _run_theorem2(config, rng):
     d_s, d_e = config.dim_s, config.dim_e
     max_formula_gap = 0.0
     max_diagonal_defect = 0.0
+    # a sample draws the Ginibre pairs of its measurement, of its d_s
+    # environment states and of its state as one normal draw (the draws
+    # random_unitary and random_density would make, back to back), then its
+    # Dirichlet weights
+    cuts = (2 * d_s * d_s, 2 * d_s * d_s + 2 * d_s * d_e * d_e)
+    alpha = np.ones(d_s)
     # a sample's assignment terms: d_s joint operators
     for lo, hi in chunk_ranges(config.samples, 16 * d_s * (d_s * d_e) ** 2):
-        # the draws of a sample alternate between kinds (those of
-        # random_zero_discord_assignment, the state, the Dirichlet weights),
-        # so they stay one sample at a time; the measurement's normals become
-        # unitaries in one stacked QR, and the stacked assignment checks and
-        # maps them all at once
-        normals, envs, etas, weights = [], [], [], []
-        for _ in range(hi - lo):
-            normals.append(rng.standard_normal((2, d_s, d_s)))  # as random_unitary draws
-            envs.append(random_density(d_e, rng, d_s))
-            etas.append(random_density(d_s, rng))
-            weights.append(rng.dirichlet(np.ones(d_s)))
+        # the draws stay per sample, in stream order; each kind is then built
+        # as one stack, which the stacked assignment checks and maps at once
+        n = hi - lo
+        normals = np.empty((n, cuts[1] + 2 * d_s * d_s))
+        weights = np.empty((n, d_s))
+        for i in range(n):
+            rng.standard_normal(out=normals[i])
+            weights[i] = rng.dirichlet(alpha)
+        measured, envs, etas = np.split(normals, cuts, axis=1)
         z = ZeroDiscordAssignment(
-            OrthogonalProjectorSet.from_unitary(haar_unitaries(np.stack(normals))),
-            np.stack(envs))
-        eta = np.stack(etas)
+            OrthogonalProjectorSet.from_unitary(haar_unitaries(measured.reshape(n, 2, d_s, d_s))),
+            ginibre_densities(envs.reshape(n, d_s, 2, d_e, d_e)))
+        eta = ginibre_densities(etas.reshape(n, 2, d_s, d_s))
         defect = consistency_defect(z, eta)
         gap = np.abs(defect - trace_norm(eta - dephase(eta, z.measurement)))
-        diagonal = weighted_sum(np.stack(weights), z.measurement.projectors)
+        diagonal = weighted_sum(weights, z.measurement.projectors)
         max_formula_gap = max(max_formula_gap, float(np.max(gap)))
         max_diagonal_defect = max(max_diagonal_defect,
                                   float(np.max(consistency_defect(z, diagonal))))

@@ -11,11 +11,12 @@ Induced maps are built from a stack of d_s^2 assigned unit images: the
 images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
 K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
 inputs. A search or sweep assigns them once per assignment, then takes its
-couplings as stacks: one Haar draw (one stacked QR) per chunk of couplings,
-one stacked unitarity check, every (coupling, image) pair conjugated in
-byte-bounded chunks, one batched contraction tracing out the environment,
-the columns H + iK assembled, the Choi matrices by reshape and their spectra
-from one stacked eigensolve. ``induced_map``, ``choi_matrix`` and
+couplings as stacks: one Haar draw (one stacked QR) per chunk of couplings
+(a search chunk is sized by its couplings' normals and unitaries, a sweep
+chunk by their joint operators), one stacked unitarity check, every
+(coupling, image) pair conjugated in byte-bounded chunks, one batched
+contraction tracing out the environment, the columns H + iK assembled, the
+Choi matrices by reshape and their spectra from one stacked eigensolve. ``induced_map``, ``choi_matrix`` and
 ``cp_certificate`` are the same core on a stack of one. Contract: every
 superoperator, Choi matrix and Choi spectrum is bit-identical to mapping
 each E_jk by its own assign-conjugate-trace and summing the Choi blocks
@@ -48,6 +49,7 @@ from assignlab.operators import (
     _hermitian_part,
     canonical_basis,
     chunk_ranges,
+    ginibre_densities,
     haar_unitaries,
     partial_trace,
     qubit_states,
@@ -269,8 +271,9 @@ def find_noncp_unitary(
     best_index = -1
     best_lambda = np.inf
     images = _unit_images(assignment)
-    # a chunk of couplings holds at most _CHUNK_BYTES of joint operators
-    for lo, hi in chunk_ranges(attempts, images.nbytes):
+    # a chunk of couplings holds at most _CHUNK_BYTES of their normals and
+    # unitaries; _superoperator bounds their joint operators on its own
+    for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
         # the normals replay_unitary(seed, i) draws, one stream per index
         normals = np.stack([np.random.default_rng([seed, i]).standard_normal((2, dim, dim))
                             for i in range(lo, hi)])
@@ -360,16 +363,17 @@ def _linearity_defect(assignment, samples: int, rng: np.random.Generator) -> flo
     worst = 0.0
     d = assignment.dim_s
     for lo, hi in probe_chunks(assignment, samples):
-        # the weight and the two states of a sample are drawn in turn, so the
-        # draws stay one sample at a time and only the maps are stacked
-        a, rho1, rho2 = [], [], []
-        for _ in range(hi - lo):
-            a.append(rng.uniform(-1.0, 2.0))
-            rho1.append(random_density(d, rng))
-            rho2.append(random_density(d, rng))
-        a = np.array(a)[:, None, None]
+        # a sample draws its weight, then the Ginibre pairs of its two
+        # states; the draws stay per sample, in stream order, and both
+        # states of the chunk are built in one stacked pass
+        n = hi - lo
+        a = np.empty((n, 1, 1))
+        normals = np.empty((2, n, 2, d, d))
+        for i in range(n):
+            a[i] = rng.uniform(-1.0, 2.0)
+            normals[:, i] = rng.standard_normal((2, 2, d, d))
         b = 1.0 - a
-        rho1, rho2 = np.stack(rho1), np.stack(rho2)
+        rho1, rho2 = ginibre_densities(normals)
         mixed = assignment.apply(a * rho1 + b * rho2)
         split = a * assignment.apply(rho1) + b * assignment.apply(rho2)
         worst = max(worst, float(np.max(trace_norm(mixed - split))))

@@ -7,13 +7,18 @@ composite index convention is system-major (s * dim_e + e).
 
 The operator functions also take stacks (..., d, d) and act on each matrix
 of the stack; ``random_density``, ``random_pure`` and ``random_unitary``
-draw a stack with one rng call, and ``require_unitary`` checks a stack of
-couplings, naming the first matrix that fails. Contract: every matrix of a
-stacked result is bit-identical to the same call on that matrix alone, and
+draw a stack with one rng call, and ``require_unitary`` and
+``require_density`` check a stack, naming the first matrix that fails.
+Sampling is split in two: a draw of standard normals, and a construction
+from them (``haar_unitaries`` for unitaries, ``ginibre_densities`` for
+states). Callers whose samples interleave kinds keep the draws per sample,
+in stream order, and build each kind as one stack. Contract: every matrix of
+a stacked result is bit-identical to the same call on that matrix alone, and
 a drawn stack is bit-identical to drawing its states or unitaries one at a
-time (the Generator fills in C order; the QR of a stack factors each matrix
-as it would factor it alone). Callers that build stacks bound them with
-``chunk_ranges``: at most ``_CHUNK_BYTES`` per pass.
+time (the Generator fills in C order, and consecutive normal draws are one
+stream; the QR of a stack factors each matrix as it would factor it alone).
+Callers that build stacks bound them with ``chunk_ranges``: at most
+``_CHUNK_BYTES`` per pass.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "decompose",
     "recompose",
     "random_density",
+    "ginibre_densities",
     "random_pure",
     "random_unitary",
     "haar_unitaries",
@@ -159,13 +165,13 @@ def require_unit_trace(m: np.ndarray, tol: float = TRACE_TOL, name: str = "opera
 
 def require_density(m: np.ndarray, trace_tol: float = TRACE_TOL, eig_tol: float = PSD_TOL,
                     name: str = "state") -> np.ndarray:
-    m = require_hermitian(m, name=name)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    lam = np.linalg.eigvalsh(m)
-    if lam[0] < -eig_tol:
-        raise ValueError(f"{name} has negative eigenvalue {lam[0]:.3e}")
+    """Return ``m`` as complex if it is a density operator, or a stack of them."""
+    m = require_unit_trace(require_hermitian(m, name=name), tol=trace_tol, name=name)
+    lam = np.linalg.eigvalsh(m)[..., 0]
+    bad = lam < -eig_tol
+    if np.any(bad):
+        raise ValueError(f"{name}{_first(bad)} has negative eigenvalue "
+                         f"{float(lam[bad].flat[0]):.3e}")
     return m
 
 
@@ -377,14 +383,20 @@ def _shape(size: int | None) -> tuple:
     return () if size is None else (size,)
 
 
-def random_density(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Hilbert-Schmidt random density operator (normalized Ginibre G G^dag),
-    or a stack of ``size`` of them."""
-    x = rng.standard_normal(_shape(size) + (2, d, d))
-    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+def ginibre_densities(normals: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt random density operators from standard normals of
+    shape (..., 2, d, d): G G^dag / Tr[G G^dag] of the Ginibre matrices
+    G = x[0] + i x[1], symmetrized."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     m = g @ _dagger(g)
     m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    return (m + _dagger(m)) / 2
+    return _hermitian_part(m)
+
+
+def random_density(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Hilbert-Schmidt random density operator (normalized Ginibre G G^dag),
+    or a stack of ``size`` of them drawn with one rng call."""
+    return ginibre_densities(rng.standard_normal(_shape(size) + (2, d, d)))
 
 
 def random_pure(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -21,6 +21,7 @@ from assignlab.assignments import (
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,
+    probe_chunks,
     product_assignment,
     random_zero_discord_assignment,
 )
@@ -90,11 +91,14 @@ def test_criterion_1_single_env_state_biconditional():
                 taus[other] = _state_at_distance(t, rng, 0.1)
             assignment = LinearAssignment(basis, taus)
             # pure-state probes only: basis projectors, axis states, Haar draws
+            # (drawn in probe-sized stacks, the same stream as one at a time)
             probes = list(basis.projectors)
             if d == 2:
                 probes += list(ETA)
-            probes += [random_pure(d, rng) for _ in range(10_000 - len(probes))]
-            lam = min(min_eigenvalue(assignment.apply(p)) for p in probes)
+            lam = np.min(min_eigenvalue(assignment.apply(np.stack(probes))))
+            for lo, hi in probe_chunks(assignment, 10_000 - len(probes)):
+                pure = random_pure(d, rng, hi - lo)
+                lam = min(lam, np.min(min_eigenvalue(assignment.apply(pure))))
             worst_witness = min(worst_witness, lam)
             ok &= lam < -1e-6
         details.append(f"d={d}: equal {equal.min_eigenvalue:.2e}, witness {worst_witness:.3f}")

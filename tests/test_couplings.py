@@ -79,13 +79,15 @@ def ref_sweep(n_assignments, unitaries_per_assignment, dim_s, dim_e, seed, tol=C
                    all_cp=min_lambda >= -tol)
 
 
-def set_chunking(monkeypatch, chunking, image_stack_bytes):
+def set_chunking(monkeypatch, chunking, coupling_bytes):
     """``one-map``: one coupling and one joint operator per chunk;
-    ``straddling``: two couplings per chunk and pair chunks that end inside a
-    coupling's images."""
+    ``straddling``: two couplings per chunk, given the bytes the chunked loop
+    charges one coupling (the search: its normals and unitary, 32 D^2; the
+    sweep: its joint image stack). In the search, pair chunks then hold five
+    joint operators and, for d_s >= 3, end inside a coupling's images."""
     if chunking == "default":
         return
-    budget = 1 if chunking == "one-map" else int(2.5 * image_stack_bytes)
+    budget = 1 if chunking == "one-map" else int(2.5 * coupling_bytes)
     monkeypatch.setattr(operators, "_CHUNK_BYTES", budget)
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", budget)
 
@@ -169,8 +171,8 @@ class TestStackedSearch:
     @pytest.mark.parametrize("family", ["flag", "zero-discord", "product"])
     def test_matches_per_coupling_loop(self, family, d, chunking, monkeypatch):
         assignment = search_family(family, d, np.random.default_rng(50 + d))
-        n, dim = d * d, assignment.dim_s * assignment.dim_e
-        set_chunking(monkeypatch, chunking, 16 * n * dim * dim)
+        dim = assignment.dim_s * assignment.dim_e
+        set_chunking(monkeypatch, chunking, 32 * dim * dim)
         attempts = 5 if d == 4 else 9
         for seed in (3, 11):
             search = find_noncp_unitary(assignment, attempts=attempts, seed=seed)
@@ -185,7 +187,7 @@ class TestStackedSearch:
         the first index of the minimum and the first below the threshold."""
         flags = orthogonal_flag_assignment(canonical_basis(2))
         dim = flags.dim_s * flags.dim_e
-        set_chunking(monkeypatch, chunking, 16 * 4 * dim * dim)
+        set_chunking(monkeypatch, chunking, 32 * dim * dim)
         pool = random_unitary(dim, np.random.default_rng(4), 2)
         lams = [old_lambda(flags, u) for u in pool]
         assert lams[0] != lams[1] and min(lams) < NONCP_THRESHOLD
