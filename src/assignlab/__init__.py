@@ -7,10 +7,10 @@ dynamical maps.
 """
 
 from assignlab.assignments import (
-    BroadcastAssignment,
     LinearAssignment,
     OrthogonalProjectorSet,
     ZeroDiscordAssignment,
+    broadcast_assignment,
     consistency_defect,
     dephase,
     env_negativity_report,

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from assignlab.assignments import (
-    BroadcastAssignment,
     LinearAssignment,
     OrthogonalProjectorSet,
     ZeroDiscordAssignment,
+    broadcast_assignment,
     consistency_defect,
     dephase,
     env_negativity_report,
@@ -447,7 +447,7 @@ def _run_compat_domain(config, rng):
 
 def _run_broadcast(config, rng):
     basis = canonical_basis(2)
-    b = BroadcastAssignment(basis)
+    b = broadcast_assignment(basis)
     eta = qubit_states()
 
     out5 = b.apply(eta[4])
@@ -656,6 +656,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 file_values = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):

@@ -12,12 +12,12 @@ images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
 K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
 inputs. A search or sweep assigns them once per assignment, then takes its
 couplings as stacks: one Haar draw (one stacked QR) per chunk of couplings
-(a search chunk is sized by its couplings' normals and unitaries, a sweep
-chunk by their joint operators), one stacked unitarity check, every
-(coupling, image) pair conjugated in byte-bounded chunks, one batched
-contraction tracing out the environment, the columns H + iK assembled, the
-Choi matrices by reshape and their spectra from one stacked eigensolve. ``induced_map``, ``choi_matrix`` and
-``cp_certificate`` are the same core on a stack of one. Contract: every
+(a chunk is sized by its couplings' normals and unitaries, in the search and
+the sweep alike), one stacked unitarity check, every (coupling, image) pair
+conjugated in byte-bounded blocks, one batched contraction tracing out the
+environment, the columns H + iK assembled, the Choi matrices by reshape and
+their spectra from one stacked eigensolve. ``induced_map``, ``choi_matrix``
+and ``cp_certificate`` are the same core on a stack of one. Contract: every
 superoperator, Choi matrix and Choi spectrum is bit-identical to mapping
 each E_jk by its own assign-conjugate-trace and summing the Choi blocks
 E_jk (x) M[E_jk], one coupling at a time, which is why the images are not
@@ -44,7 +44,6 @@ from assignlab.assignments import (
     random_zero_discord_assignment,
 )
 from assignlab.operators import (
-    _CHUNK_BYTES,
     _first,
     _hermitian_part,
     canonical_basis,
@@ -91,7 +90,6 @@ class Superoperator:
 
     dim: int
     mat: np.ndarray  # (dim^2, dim^2) complex
-    provenance: str = ""
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=complex)
@@ -140,10 +138,10 @@ def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
 
     Every (coupling, image) pair gets the same two matrix products and the
     same trace as a lone operator would, so the columns are bit-identical to
-    mapping each matrix unit on its own under each coupling alone. A chunk of
-    pairs, at most ``_CHUNK_BYTES`` of joint operators, is a block of whole
-    couplings by all images, or one coupling by a block of images when one
-    coupling's images exceed the budget.
+    mapping each matrix unit on its own under each coupling alone. A block of
+    pairs, bounded by ``chunk_ranges``, is a block of whole couplings by all
+    images, or one coupling by a block of images when one coupling's images
+    exceed the budget.
     """
     d_s, d_e = assignment.dim_s, assignment.dim_e
     u = require_unitary(u)
@@ -152,20 +150,18 @@ def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
                          f"got shape {u.shape}")
     u, u_dag = u[:, None], u.conj()[:, None].swapaxes(-1, -2)
     k, n = u.shape[0], images.shape[0]
-    pairs = max(1, _CHUNK_BYTES // images[0].nbytes)
-    k_step, n_step = max(1, pairs // n), min(n, pairs)
     traced = np.empty((k, n, d_s, d_s), dtype=complex)
-    for c in range(0, k, k_step):
-        for i in range(0, n, n_step):
-            joint = u[c:c + k_step] @ images[i:i + n_step] @ u_dag[c:c + k_step]
-            traced[c:c + k_step, i:i + n_step] = np.einsum(
+    for c, c_end in chunk_ranges(k, images.nbytes):
+        for i, i_end in chunk_ranges(n, images[0].nbytes):
+            joint = u[c:c_end] @ images[i:i_end] @ u_dag[c:c_end]
+            traced[c:c_end, i:i_end] = np.einsum(
                 "kniaja->knij", joint.reshape(joint.shape[:2] + (d_s, d_e, d_s, d_e)))
     herm, skew, sign = _unit_slots(d_s)
     columns = traced[:, herm] + 1j * (sign[:, None, None] * traced[:, skew])
     return np.ascontiguousarray(columns.reshape(k, d_s * d_s, d_s * d_s).swapaxes(-1, -2))
 
 
-def induced_map(assignment, u: np.ndarray, provenance: str = "") -> Superoperator:
+def induced_map(assignment, u: np.ndarray) -> Superoperator:
     """Superoperator of: assign, conjugate by ``u``, trace out the environment.
 
     Assignments are defined on Hermitian operators only, so each matrix unit
@@ -177,7 +173,7 @@ def induced_map(assignment, u: np.ndarray, provenance: str = "") -> Superoperato
         raise ValueError(f"expected one unitary, got shape {u.shape}")
     mat = _superoperator(_unit_images(assignment), assignment, u[None])[0]
     mat.setflags(write=False)
-    return Superoperator(dim=assignment.dim_s, mat=mat, provenance=provenance)
+    return Superoperator(dim=assignment.dim_s, mat=mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,8 +267,8 @@ def find_noncp_unitary(
     best_index = -1
     best_lambda = np.inf
     images = _unit_images(assignment)
-    # a chunk of couplings holds at most _CHUNK_BYTES of their normals and
-    # unitaries; _superoperator bounds their joint operators on its own
+    # a chunk of couplings is bounded by their normals and unitaries;
+    # _superoperator bounds their joint operators on its own
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
         # the normals replay_unitary(seed, i) draws, one stream per index
         normals = np.stack([np.random.default_rng([seed, i]).standard_normal((2, dim, dim))
@@ -314,14 +310,15 @@ def classical_cp_sweep(
     """Check that randomly drawn zero-discord assignments with positive
     environment states always induce CP maps, over random unitary couplings."""
     rng = np.random.default_rng(seed)
+    dim = dim_s * dim_e
     min_lambda = np.inf
     maps_checked = 0
     for _ in range(n_assignments):
         z = random_zero_discord_assignment(dim_s, dim_e, rng)
         images = _unit_images(z)
         # consecutive draws: a stack is the same stream as one draw at a time
-        for lo, hi in chunk_ranges(unitaries_per_assignment, images.nbytes):
-            lams = _choi_minima(images, z, random_unitary(dim_s * dim_e, rng, hi - lo))
+        for lo, hi in chunk_ranges(unitaries_per_assignment, 32 * dim * dim):
+            lams = _choi_minima(images, z, random_unitary(dim, rng, hi - lo))
             min_lambda = min(min_lambda, float(np.min(lams)))
             maps_checked += hi - lo
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),

@@ -24,6 +24,7 @@ Callers that build stacks bound them with ``chunk_ranges``: at most
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -248,6 +249,7 @@ def weighted_sum(coeffs, ops: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + ops.shape[-2:])
 
 
+@cache
 def qubit_states() -> tuple[np.ndarray, ...]:
     """The six axis-aligned pure qubit states (x+, y+, z+, x-, y-, z-)."""
     eye = np.eye(2, dtype=complex)
@@ -328,6 +330,7 @@ class ProjectorBasis:
         return basis
 
 
+@cache
 def canonical_basis(d: int) -> ProjectorBasis:
     """Standard rank-1 projector basis spanning the Hermitian d x d matrices.
 

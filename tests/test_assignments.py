@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from assignlab.assignments import (
-    BroadcastAssignment,
     LinearAssignment,
     OrthogonalProjectorSet,
     ZeroDiscordAssignment,
-    _unchecked_linear_assignment,
+    broadcast_assignment,
     consistency_defect,
     dephase,
     env_negativity_report,
@@ -44,7 +43,7 @@ def assignment_families(rng):
             OrthogonalProjectorSet.computational(2),
             np.stack([random_density(2, rng) for _ in range(2)]),
         ),
-        BroadcastAssignment(BASIS),
+        broadcast_assignment(BASIS),
         orthogonal_flag_assignment(BASIS),
     ]
 
@@ -164,19 +163,19 @@ class TestOrthogonalProjectorSet:
 
 class TestBroadcast:
     def test_copies_basis_states(self):
-        b = BroadcastAssignment(BASIS)
+        b = broadcast_assignment(BASIS)
         for eta in (ETA[0], ETA[1], ETA[3]):
             assert np.max(np.abs(b.apply(eta) - tensor(eta, eta))) < 1e-12
 
     def test_eta5_negative(self):
-        b = BroadcastAssignment(BASIS)
+        b = broadcast_assignment(BASIS)
         out = b.apply(ETA[4])
         lam = np.linalg.eigvalsh(out)
         expected = np.sort([1.0, 1 / np.sqrt(2), 0.0, -1 / np.sqrt(2)])
         assert np.max(np.abs(lam - expected)) < 1e-9
 
     def test_both_marginals(self):
-        b = BroadcastAssignment(BASIS)
+        b = broadcast_assignment(BASIS)
         rng = np.random.default_rng(10)
         for _ in range(20):
             eta = random_density(2, rng)
@@ -371,9 +370,3 @@ class TestAudit:
         report = hermiticity_trace_audit(a, 10, rng)
         assert report.corrupted_hermiticity_defect == pytest.approx(0.2, abs=1e-10)
         assert report.corrupted_trace_defect == pytest.approx(0.1, abs=1e-10)
-
-    def test_bypass_skips_validation(self):
-        bad = np.stack([PAULI_Z, I2 / 2, I2 / 2, I2 / 2])
-        a = _unchecked_linear_assignment(BASIS, bad)
-        out = a.apply(BASIS.projectors[0])
-        assert abs(np.trace(out)) < 1e-12  # trace defect visible downstream

@@ -9,17 +9,19 @@ every float within 1e-12.
 import numpy as np
 import pytest
 
+import assignlab.assignments as assignments
 import assignlab.operators as operators
 from assignlab.assignments import (
-    BroadcastAssignment,
     LinearAssignment,
     OrthogonalProjectorSet,
     ZeroDiscordAssignment,
     _probe_states,
+    broadcast_assignment,
     hermiticity_trace_audit,
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,
+    probe_chunks,
     product_assignment,
     random_zero_discord_assignment,
 )
@@ -36,6 +38,7 @@ from assignlab.operators import (
     random_unitary,
     tensor,
     trace_norm,
+    weighted_sum,
 )
 
 FLOAT_TOL = 1e-12
@@ -65,7 +68,7 @@ def families(d, rng):
         LinearAssignment(basis, np.stack([random_density(2, rng) for _ in range(d * d)])),
         z,
         ZeroDiscordAssignment(z.measurement, bad_states),
-        BroadcastAssignment(basis),
+        broadcast_assignment(basis),
     ]
 
 
@@ -117,6 +120,38 @@ def ref_audit_sampling(assignment, samples, rng):
         max_herm = max(max_herm, hermiticity_defect(out))
         max_trace = max(max_trace, abs(np.trace(out).real - np.trace(state).real))
     return max_herm, max_trace
+
+
+def old_broadcast_apply(basis, state):
+    """``apply`` of the broadcast class the factory replaced."""
+    return weighted_sum(decompose(state, basis), tensor(basis.projectors, basis.projectors))
+
+
+def old_audit(assignment, samples, rng, herm_bump=0.1, trace_scale=1.1):
+    """The audit's four numbers, and the output of the Hermiticity-corrupted
+    set, as computed through the validation bypass: each corrupted set mapped
+    P_0 alone, as ``apply`` of an unvalidated assignment does."""
+    max_herm = max_trace = 0.0
+    for lo, hi in probe_chunks(assignment, max(samples, 1)):
+        states = random_density(assignment.dim_s, rng, hi - lo)
+        out = assignment.apply(states)
+        trace_gap = np.trace(out, axis1=-2, axis2=-1) - np.trace(states, axis1=-2, axis2=-1)
+        max_herm = max(max_herm, np.max(hermiticity_defect(out)))
+        max_trace = max(max_trace, np.max(np.abs(trace_gap.real)))
+    basis = assignment.basis
+    p0 = basis.projectors[0]
+    d_e = assignment.dim_e
+    skew = np.zeros((d_e, d_e), dtype=complex)
+    skew[0, 0], skew[1, 1] = 1.0, -1.0
+    bad_herm = np.array(assignment.env_ops)
+    bad_herm[0] = bad_herm[0] + 1j * herm_bump * skew
+    herm_out = weighted_sum(decompose(p0, basis), tensor(basis.projectors, bad_herm))
+    bad_trace = np.array(assignment.env_ops)
+    bad_trace[0] = trace_scale * bad_trace[0]
+    trace_out = weighted_sum(decompose(p0, basis), tensor(basis.projectors, bad_trace))
+    numbers = (float(max_herm), float(max_trace), float(hermiticity_defect(herm_out)),
+               float(abs(np.trace(trace_out).real - np.trace(p0).real)))
+    return numbers, herm_out
 
 
 def ref_pechukas(taus, states):
@@ -254,6 +289,44 @@ class TestStackedProbing:
                 assert np.allclose(got, ref, rtol=0, atol=FLOAT_TOL)
                 assert abs(res.max_residual[k] - max(ref)) <= FLOAT_TOL
             assert res.max_residual[3] <= FLOAT_TOL
+
+
+class TestFactoriesAndAudit:
+    """The broadcast factory and the audit without forged assignments
+    reproduce the code they replaced bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_broadcast_factory_matches_class(self, d, chunking):
+        basis = canonical_basis(d)
+        b = broadcast_assignment(basis)
+        assert (b.dim_s, b.dim_e) == (d, d)
+        states = np.concatenate([basis.projectors,
+                                 random_density(d, np.random.default_rng(d), 20)])
+        for lo, hi in probe_chunks(b, len(states)):
+            assert np.array_equal(b.apply(states[lo:hi]), old_broadcast_apply(basis, states[lo:hi]))
+        for state in states[:3]:
+            assert np.array_equal(b.apply(state), old_broadcast_apply(basis, state))
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_audit_matches_bypass(self, d, seed, chunking, monkeypatch):
+        seen = []
+
+        def spy(m):
+            seen.append(m)
+            return hermiticity_defect(m)
+
+        monkeypatch.setattr(assignments, "hermiticity_defect", spy)
+        rng = np.random.default_rng(seed)
+        assignment = LinearAssignment(canonical_basis(d), random_density(3, rng, d * d))
+        audit = hermiticity_trace_audit(assignment, 10, np.random.default_rng(seed + 1))
+        numbers, herm_out = old_audit(assignment, 10, np.random.default_rng(seed + 1))
+        assert (audit.max_hermiticity_defect, audit.max_trace_defect,
+                audit.corrupted_hermiticity_defect, audit.corrupted_trace_defect) == numbers
+        assert audit.detects_corruption
+        # the corrupted output itself: P_0 (x) tau_0' alone is off in the
+        # last bits at d >= 3, which the four numbers do not show
+        assert np.array_equal(seen[-1], herm_out)
 
 
 class TestStackedAssignments:

@@ -186,6 +186,12 @@ class TestMain:
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["--config", "/does/not/exist.json"]) == 2
 
+    def test_config_file_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"experiment": "broadcast", "seed": "\xff"}')
+        assert main(["--config", str(cfg)]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [
         {"seed": "7"},
         {"samples": 2.5},

@@ -79,17 +79,16 @@ def ref_sweep(n_assignments, unitaries_per_assignment, dim_s, dim_e, seed, tol=C
                    all_cp=min_lambda >= -tol)
 
 
-def set_chunking(monkeypatch, chunking, coupling_bytes):
+def set_chunking(monkeypatch, chunking, dim):
     """``one-map``: one coupling and one joint operator per chunk;
-    ``straddling``: two couplings per chunk, given the bytes the chunked loop
-    charges one coupling (the search: its normals and unitary, 32 D^2; the
-    sweep: its joint image stack). In the search, pair chunks then hold five
-    joint operators and, for d_s >= 3, end inside a coupling's images."""
+    ``straddling``: two couplings per chunk, given the bytes the search and
+    the sweep charge one coupling (its normals and unitary, 32 D^2). Pair
+    chunks then hold five joint operators and, for d_s >= 3, end inside a
+    coupling's images."""
     if chunking == "default":
         return
-    budget = 1 if chunking == "one-map" else int(2.5 * coupling_bytes)
+    budget = 1 if chunking == "one-map" else int(2.5 * 32 * dim * dim)
     monkeypatch.setattr(operators, "_CHUNK_BYTES", budget)
-    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", budget)
 
 
 def search_family(family, d, rng):
@@ -172,7 +171,7 @@ class TestStackedSearch:
     def test_matches_per_coupling_loop(self, family, d, chunking, monkeypatch):
         assignment = search_family(family, d, np.random.default_rng(50 + d))
         dim = assignment.dim_s * assignment.dim_e
-        set_chunking(monkeypatch, chunking, 32 * dim * dim)
+        set_chunking(monkeypatch, chunking, dim)
         attempts = 5 if d == 4 else 9
         for seed in (3, 11):
             search = find_noncp_unitary(assignment, attempts=attempts, seed=seed)
@@ -187,7 +186,7 @@ class TestStackedSearch:
         the first index of the minimum and the first below the threshold."""
         flags = orthogonal_flag_assignment(canonical_basis(2))
         dim = flags.dim_s * flags.dim_e
-        set_chunking(monkeypatch, chunking, 32 * dim * dim)
+        set_chunking(monkeypatch, chunking, dim)
         pool = random_unitary(dim, np.random.default_rng(4), 2)
         lams = [old_lambda(flags, u) for u in pool]
         assert lams[0] != lams[1] and min(lams) < NONCP_THRESHOLD
@@ -223,7 +222,7 @@ class TestStackedSweep:
     def test_matches_per_coupling_loop(self, d, chunking, monkeypatch):
         d_e = 2
         dim = d * d_e
-        set_chunking(monkeypatch, chunking, 16 * d * d * dim * dim)
+        set_chunking(monkeypatch, chunking, dim)
         for seed in (0, 21):
             sweep = classical_cp_sweep(n_assignments=3, unitaries_per_assignment=5,
                                        dim_s=d, dim_e=d_e, seed=seed)

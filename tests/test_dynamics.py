@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import assignlab.dynamics as dynamics
+import assignlab.operators as operators
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
@@ -215,7 +216,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_per_unit_loop(self, d, one_matrix_chunks, monkeypatch):
         if one_matrix_chunks:
-            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
+            monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
         rng = np.random.default_rng(100 + d)
         for assignment in bit_identity_families(d, rng):
             for _ in range(3):

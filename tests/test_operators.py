@@ -142,6 +142,12 @@ class TestQubitStates:
             require_density(eta)
             assert np.allclose(eta @ eta, eta, atol=1e-14)
 
+    def test_shared_and_read_only(self):
+        eta = qubit_states()
+        assert qubit_states() is eta
+        for state in eta:
+            assert not state.flags.writeable
+
 
 class TestCanonicalBasis:
     def test_qubit_choice(self):
@@ -152,8 +158,17 @@ class TestCanonicalBasis:
             assert np.allclose(p, expected, atol=0)
 
     def test_rejects_small_dim(self):
-        with pytest.raises(ValueError):
-            canonical_basis(1)
+        # a refusal is not cached: every call raises again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                canonical_basis(1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_shared_and_read_only(self, d):
+        basis = canonical_basis(d)
+        assert canonical_basis(d) is basis
+        for field in (basis.projectors, basis.gram, basis.dual_frame):
+            assert not field.flags.writeable
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_dual_frame_exactness(self, d):

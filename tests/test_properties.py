@@ -14,10 +14,10 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from assignlab.assignments import (  # noqa: E402
-    BroadcastAssignment,
     LinearAssignment,
     OrthogonalProjectorSet,
     ZeroDiscordAssignment,
+    broadcast_assignment,
     orthogonal_flag_assignment,
     product_assignment,
     random_zero_discord_assignment,
@@ -50,7 +50,7 @@ def build(family, d, rng):
         ops = random_density(2, rng, d * d) + 0.5 * np.array([[1, 0], [0, -1]])
         return LinearAssignment(basis, ops)
     if family == "broadcast":
-        return BroadcastAssignment(basis)
+        return broadcast_assignment(basis)
     z = random_zero_discord_assignment(d, 3, rng)
     if family == "zero-discord":
         return z
