@@ -9,7 +9,6 @@ dynamical maps.
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     broadcast_assignment,
     consistency_defect,
     dephase,

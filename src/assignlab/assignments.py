@@ -1,16 +1,19 @@
 """Assignment maps from system states to system-environment operators.
 
-Two classes carry every family: ``LinearAssignment`` (P_i -> P_i (x) tau_i
-on a projector basis), with the factories ``product_assignment``,
-``orthogonal_flag_assignment`` and ``broadcast_assignment`` (tau_i = P_i),
-and the zero-discord ``ZeroDiscordAssignment`` on an orthogonal measurement,
-drawn by ``random_zero_discord_assignment``. Checkers certify linearity,
-consistency, and positivity, and audit Hermiticity/trace preservation.
+One class carries every family: ``LinearAssignment`` maps a state to
+sum_i q_i P_i (x) tau_i, reading the weights q from its ``basis``. On a
+spanning ``ProjectorBasis`` (Pechukas) q are the dual-frame coefficients;
+on an orthogonal measurement ``OrthogonalProjectorSet`` (the zero-discord
+family) q_i = Tr[Pi_i state]. The factories ``product_assignment``,
+``orthogonal_flag_assignment``, ``broadcast_assignment`` (tau_i = P_i) and
+``random_zero_discord_assignment`` build the special cases. Checkers certify
+linearity, consistency, and positivity, and audit Hermiticity/trace
+preservation.
 
-Each family's ``apply`` (and ``decompose`` / ``branch_probabilities``
-beneath it) maps one system operator or a stack (..., d, d) of them; a
-zero-discord assignment may itself carry leading stack axes, one assignment
-per entry. The probing checkers draw and push their probe states through
+``apply`` (and the basis's ``coefficients`` beneath it) maps one system
+operator or a stack (..., d, d) of them; an assignment on a stacked
+measurement carries the same leading stack axes, one assignment per entry.
+The probing checkers draw and push their probe states through
 ``apply`` as stacks of at most ``_CHUNK_BYTES`` of joint operators
 (``probe_chunks``), with the same draws, the same probe order and the same
 first-minimum witness as probing one state at a time.
@@ -24,11 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from assignlab.operators import (
-    HERMITICITY_TOL,
     PSD_TOL,
     ProjectorBasis,
     chunk_ranges,
-    decompose,
     expectations,
     hermiticity_defect,
     min_eigenvalue,
@@ -47,7 +48,6 @@ from assignlab.operators import (
 __all__ = [
     "LinearAssignment",
     "OrthogonalProjectorSet",
-    "ZeroDiscordAssignment",
     "product_assignment",
     "orthogonal_flag_assignment",
     "broadcast_assignment",
@@ -70,18 +70,6 @@ __all__ = [
 ENV_EQUALITY_TOL = 1e-9  # trace-norm threshold for "same environment operator"
 
 
-def _env_stack(ops, count: int, name: str) -> np.ndarray:
-    """Validated read-only copy of ``count`` Hermitian unit-trace operators
-    (..., count, d_e, d_e)."""
-    stack = np.array(ops, dtype=complex)
-    if stack.ndim < 3 or stack.shape[-3] != count:
-        raise ValueError(f"need {count} {name}s, got shape {stack.shape}")
-    require_hermitian(stack, tol=HERMITICITY_TOL, name=name)
-    require_unit_trace(stack, name=name)
-    stack.setflags(write=False)
-    return stack
-
-
 def probe_chunks(assignment, total: int):
     """``chunk_ranges`` over ``total`` probe states of ``assignment``: each
     chunk's assigned joint operators fit in ``_CHUNK_BYTES``."""
@@ -91,20 +79,37 @@ def probe_chunks(assignment, total: int):
 
 @dataclass(frozen=True, eq=False)
 class LinearAssignment:
-    """Linear assignment sending basis projector P_i to P_i (x) env_ops[i].
+    """Linear assignment sum_i q_i(state) P_i (x) env_ops[i], with the
+    weights q = ``basis.coefficients(state)`` and P_i = ``basis.projectors``.
+
+    On a ``ProjectorBasis`` (dim_s^2 projectors) q are the coefficients of
+    the state on the basis, so each P_i goes to P_i (x) env_ops[i]. On an
+    ``OrthogonalProjectorSet`` (dim_s projectors Pi_i) q_i = Tr[Pi_i state]:
+    the zero-discord family, whose output is classically correlated and
+    which is positive iff every environment operator is. A stacked
+    measurement with environment operators stacked over the same leading
+    axes makes a stack of assignments, which maps a stack of states entry
+    by entry; a projector basis takes one stack of environment operators.
 
     Environment operators must be Hermitian and unit trace (that keeps the
     map Hermiticity and trace preserving); they are *not* required to be
     positive, which is exactly the property the checkers probe.
     """
 
-    basis: ProjectorBasis
-    env_ops: np.ndarray  # stacked (dim_s^2, dim_e, dim_e)
+    basis: ProjectorBasis | OrthogonalProjectorSet
+    env_ops: np.ndarray  # stacked (..., number of projectors, dim_e, dim_e)
 
     def __post_init__(self):
-        stack = _env_stack(self.env_ops, self.basis.size, "environment operator")
-        if stack.ndim != 3:
-            raise ValueError(f"environment operators must be one stack, got shape {stack.shape}")
+        lead, count = self.basis.projectors.shape[:-3], self.basis.projectors.shape[-3]
+        stack = np.array(self.env_ops, dtype=complex)
+        if stack.ndim < 3 or stack.shape[-3] != count:
+            raise ValueError(f"need {count} environment operators, got shape {stack.shape}")
+        require_hermitian(stack, name="environment operator")
+        require_unit_trace(stack, name="environment operator")
+        if stack.shape[:-3] != lead:
+            raise ValueError(f"environment operators must be stacked as the basis {lead}, "
+                             f"got shape {stack.shape}")
+        stack.setflags(write=False)
         object.__setattr__(self, "env_ops", stack)
 
     @property
@@ -113,17 +118,17 @@ class LinearAssignment:
 
     @property
     def dim_e(self) -> int:
-        return self.env_ops.shape[1]
+        return self.env_ops.shape[-1]
 
     @cached_property
     def _terms(self) -> np.ndarray:
-        # stacked kron(P_i, tau_i), shape (dim_s^2, D, D) with D = dim_s*dim_e
+        # stacked kron(P_i, tau_i), shape (..., n, D, D) with D = dim_s*dim_e
         return tensor(self.basis.projectors, self.env_ops)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Map a Hermitian system operator, or a stack of them, to
         sum_i q_i P_i (x) env_ops[i]."""
-        return weighted_sum(decompose(state, self.basis), self._terms)
+        return weighted_sum(self.basis.coefficients(state), self._terms)
 
 
 def product_assignment(basis: ProjectorBasis, env_state: np.ndarray) -> LinearAssignment:
@@ -142,11 +147,13 @@ def orthogonal_flag_assignment(basis: ProjectorBasis) -> LinearAssignment:
     return LinearAssignment(basis, flags)
 
 
-def broadcast_assignment(basis: ProjectorBasis) -> LinearAssignment:
-    """Assignment copying each basis projector to both legs: P_i -> P_i (x) P_i.
+def broadcast_assignment(basis: ProjectorBasis | OrthogonalProjectorSet) -> LinearAssignment:
+    """Assignment copying each projector to both legs: P_i -> P_i (x) P_i.
 
-    Both marginals of the output reproduce the input; positivity fails on
-    states whose basis decomposition has a negative coefficient.
+    On a projector basis both marginals of the output reproduce the input,
+    and positivity fails on states whose basis decomposition has a negative
+    coefficient. On a measurement it broadcasts the measurement-diagonal
+    part of the input, positively.
     """
     return LinearAssignment(basis, basis.projectors)
 
@@ -178,6 +185,13 @@ class OrthogonalProjectorSet:
     def dim(self) -> int:
         return self.projectors.shape[-1]
 
+    def coefficients(self, state: np.ndarray) -> np.ndarray:
+        """Measurement weights Tr[state Pi_i], (..., dim) for a stack."""
+        state = require_hermitian(state, tol=1e-9, name="state")
+        if state.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"state shape {state.shape} does not match dim {self.dim}")
+        return expectations(self.projectors, state).real
+
     @classmethod
     def computational(cls, d: int) -> "OrthogonalProjectorSet":
         stack = np.zeros((d, d, d), dtype=complex)
@@ -193,63 +207,13 @@ class OrthogonalProjectorSet:
         return cls(columns[..., :, :, None] * columns.conj()[..., :, None, :])
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroDiscordAssignment:
-    """Assignment sum_i Tr[state Pi_i] Pi_i (x) env_states[i].
-
-    Its output is classically correlated (zero quantum discord). The
-    environment states must be Hermitian and unit trace; positivity of each
-    env state is equivalent to positivity of the whole map. A stacked
-    measurement and env-state stack (..., dim_s, dim_e, dim_e) make a stack
-    of assignments, which maps a stack of states entry by entry.
-    """
-
-    measurement: OrthogonalProjectorSet
-    env_states: np.ndarray  # stacked (..., dim_s, dim_e, dim_e)
-
-    def __post_init__(self):
-        stack = _env_stack(self.env_states, self.measurement.dim, "environment state")
-        object.__setattr__(self, "env_states", stack)
-
-    @property
-    def dim_s(self) -> int:
-        return self.measurement.dim
-
-    @property
-    def dim_e(self) -> int:
-        return self.env_states.shape[-1]
-
-    @cached_property
-    def _terms(self) -> np.ndarray:
-        return tensor(self.measurement.projectors, self.env_states)
-
-    def branch_probabilities(self, state: np.ndarray) -> np.ndarray:
-        """Measurement weights Tr[state Pi_i], (..., dim_s) for a stack."""
-        state = np.asarray(state, dtype=complex)
-        if state.shape[-2:] != (self.dim_s, self.dim_s):
-            raise ValueError(f"state shape {state.shape} does not match dim {self.dim_s}")
-        return expectations(self.measurement.projectors, state).real
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        require_hermitian(state, tol=1e-9, name="state")
-        return weighted_sum(self.branch_probabilities(state), self._terms)
-
-    def env_states_positive(self, tol: float = PSD_TOL) -> bool:
-        return bool(np.all(min_eigenvalue(self.env_states) >= -tol))
-
-    @classmethod
-    def classical_broadcast(cls, measurement: OrthogonalProjectorSet) -> "ZeroDiscordAssignment":
-        """Broadcasts the measurement-diagonal part of the input to both legs."""
-        return cls(measurement, measurement.projectors)
-
-
 def random_zero_discord_assignment(
     dim_s: int, dim_e: int, rng: np.random.Generator
-) -> ZeroDiscordAssignment:
+) -> LinearAssignment:
     """Haar-random measurement basis with Hilbert-Schmidt-random (hence
     positive) environment states."""
     measurement = OrthogonalProjectorSet.from_unitary(random_unitary(dim_s, rng))
-    return ZeroDiscordAssignment(measurement, random_density(dim_e, rng, dim_s))
+    return LinearAssignment(measurement, random_density(dim_e, rng, dim_s))
 
 
 def consistency_defect(assignment, state: np.ndarray):
@@ -277,8 +241,8 @@ class PositivityReport:
     witness_state: np.ndarray
     probes: int
 
-    def passed(self, tol: float = PSD_TOL) -> bool:
-        return self.min_eigenvalue >= -tol
+    def passed(self) -> bool:
+        return self.min_eigenvalue >= -PSD_TOL
 
 
 def _probe_states(assignment, samples: int, rng: np.random.Generator):
@@ -287,9 +251,8 @@ def _probe_states(assignment, samples: int, rng: np.random.Generator):
     (labelled from 1), then seeded Haar-random pure and
     Hilbert-Schmidt-random mixed states, each kind drawn as one stream."""
     d = assignment.dim_s
-    basis = getattr(assignment, "basis", None)
-    fixed = [("basis projector", 0, basis.projectors) if basis is not None
-             else ("measurement projector", 0, assignment.measurement.projectors)]
+    kind = "basis" if isinstance(assignment.basis, ProjectorBasis) else "measurement"
+    fixed = [(f"{kind} projector", 0, assignment.basis.projectors)]
     if d == 2:
         fixed.append(("axis state", 1, np.stack(qubit_states())))
     for label, first, stack in fixed:
@@ -338,7 +301,7 @@ class EnvNegativityReport:
     holds: bool  # every negative env op shows up as a negative output
 
 
-def env_negativity_report(assignment: LinearAssignment, tol: float = PSD_TOL) -> EnvNegativityReport:
+def env_negativity_report(assignment: LinearAssignment) -> EnvNegativityReport:
     """Check that a negative environment operator forces a negative output.
 
     The output on basis projector P_i is P_i (x) tau_i, whose spectrum is
@@ -350,7 +313,7 @@ def env_negativity_report(assignment: LinearAssignment, tol: float = PSD_TOL) ->
         min_eigenvalue(assignment.apply(projectors[lo:hi]))
         for lo, hi in probe_chunks(assignment, len(projectors))
     ])
-    holds = np.all(out_eigs[env_eigs < -tol] < -tol)
+    holds = np.all(out_eigs[env_eigs < -PSD_TOL] < -PSD_TOL)
     return EnvNegativityReport(env_min_eigs=env_eigs, output_min_eigs=out_eigs, holds=bool(holds))
 
 
@@ -366,23 +329,19 @@ class EqualEnvVerdict:
 
 
 def equal_env_certificate(
-    assignment: LinearAssignment,
-    samples: int,
-    rng: np.random.Generator,
-    psd_tol: float = PSD_TOL,
-    equality_tol: float = ENV_EQUALITY_TOL,
+    assignment: LinearAssignment, samples: int, rng: np.random.Generator
 ) -> EqualEnvVerdict:
     """Decide positivity via the exact algebraic condition (all env ops equal)
     and cross-check it against the probe certificate."""
     taus = assignment.env_ops
     max_dist = np.max(trace_norm(taus - taus[0]))
-    all_equal = max_dist <= equality_tol
+    all_equal = max_dist <= ENV_EQUALITY_TOL
     report = positivity_certificate(assignment, samples, rng)
     return EqualEnvVerdict(
         all_env_ops_equal=all_equal,
         max_env_distance=float(max_dist),
         positivity=report,
-        biconditional_holds=all_equal == report.passed(psd_tol),
+        biconditional_holds=all_equal == report.passed(),
     )
 
 
@@ -456,11 +415,7 @@ class AuditReport:
 
 
 def hermiticity_trace_audit(
-    assignment: LinearAssignment,
-    samples: int,
-    rng: np.random.Generator,
-    herm_bump: float = 0.1,
-    trace_scale: float = 1.1,
+    assignment: LinearAssignment, samples: int, rng: np.random.Generator
 ) -> AuditReport:
     """Audit both directions of the Hermiticity/trace preservation conditions."""
     max_herm = 0.0
@@ -481,9 +436,9 @@ def hermiticity_trace_audit(
     # both corrupted operator sets map P_0 with ``apply``'s own arithmetic;
     # P_0 (x) tau_0' alone would differ in the last bits at d >= 3
     bad = np.array([assignment.env_ops, assignment.env_ops])
-    bad[0, 0] += 1j * herm_bump * skew
-    bad[1, 0] *= trace_scale
-    herm_out, trace_out = weighted_sum(decompose(p0, basis), tensor(basis.projectors, bad))
+    bad[0, 0] += 1j * 0.1 * skew
+    bad[1, 0] *= 1.1
+    herm_out, trace_out = weighted_sum(basis.coefficients(p0), tensor(basis.projectors, bad))
     corrupted_herm = hermiticity_defect(herm_out)
     corrupted_trace = abs(np.trace(trace_out).real - np.trace(p0).real)
 

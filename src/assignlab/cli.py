@@ -22,7 +22,6 @@ import numpy as np
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     broadcast_assignment,
     consistency_defect,
     dephase,
@@ -50,6 +49,7 @@ from assignlab.dynamics import (
     replay_unitary,
 )
 from assignlab.operators import (
+    PSD_TOL,
     canonical_basis,
     chunk_ranges,
     ginibre_densities,
@@ -74,19 +74,6 @@ __all__ = [
     "render_report",
     "main",
 ]
-
-EXPERIMENTS = (
-    "pechukas",
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "lemma1",
-    "appendix",
-    "compat-domain",
-    "broadcast",
-    "dynamics-cp",
-    "table1",
-)
 
 SEED_ENV_VAR = "ASSIGNLAB_SEED"
 
@@ -286,13 +273,13 @@ def _run_theorem2(config, rng):
             rng.standard_normal(out=normals[i])
             weights[i] = rng.dirichlet(alpha)
         measured, envs, etas = np.split(normals, cuts, axis=1)
-        z = ZeroDiscordAssignment(
+        z = LinearAssignment(
             OrthogonalProjectorSet.from_unitary(haar_unitaries(measured.reshape(n, 2, d_s, d_s))),
             ginibre_densities(envs.reshape(n, d_s, 2, d_e, d_e)))
         eta = ginibre_densities(etas.reshape(n, 2, d_s, d_s))
         defect = consistency_defect(z, eta)
-        gap = np.abs(defect - trace_norm(eta - dephase(eta, z.measurement)))
-        diagonal = weighted_sum(weights, z.measurement.projectors)
+        gap = np.abs(defect - trace_norm(eta - dephase(eta, z.basis)))
+        diagonal = weighted_sum(weights, z.basis.projectors)
         max_formula_gap = max(max_formula_gap, float(np.max(gap)))
         max_diagonal_defect = max(max_diagonal_defect,
                                   float(np.max(consistency_defect(z, diagonal))))
@@ -304,18 +291,18 @@ def _run_theorem2(config, rng):
     passed = max_formula_gap <= 1e-10 and max_diagonal_defect <= 1e-12
     if config.dim_s == 2:
         taus = random_density(config.dim_e, rng, 2)
-        z_basis = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
+        z_basis = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         defect_eta1 = consistency_defect(z_basis, qubit_states()[0])
         metrics.append(_metric("defect_eta1", defect_eta1))
         passed = passed and abs(defect_eta1 - 1.0) <= 1e-10
     return passed, metrics, []
 
 
-def _negative_env_state(dim_e: int, rng, negative_eig: float = -0.25) -> np.ndarray:
-    """Hermitian unit-trace operator with smallest eigenvalue ``negative_eig``."""
+def _negative_env_state(dim_e: int, rng) -> np.ndarray:
+    """Hermitian unit-trace operator with smallest eigenvalue -0.25."""
     eigs = np.zeros(dim_e)
-    eigs[0] = negative_eig
-    eigs[1] = 1.0 - negative_eig
+    eigs[0] = -0.25
+    eigs[1] = 1.25
     u = random_unitary(dim_e, rng)
     return (u * eigs) @ u.conj().T
 
@@ -324,20 +311,20 @@ def _run_theorem3(config, rng):
     z_good = random_zero_discord_assignment(config.dim_s, config.dim_e, rng)
     good = positivity_certificate(z_good, config.samples, rng)
 
-    bad_states = np.array(z_good.env_states)
+    bad_states = np.array(z_good.env_ops)
     bad_states[0] = _negative_env_state(config.dim_e, rng)
-    z_bad = ZeroDiscordAssignment(z_good.measurement, bad_states)
+    z_bad = LinearAssignment(z_good.basis, bad_states)
     bad = positivity_certificate(z_bad, config.samples, rng)
 
-    weights = z_bad.branch_probabilities(bad.witness_state)
+    weights = z_bad.basis.coefficients(bad.witness_state)
     # block spectrum: eigenvalues of the output are the branch weights times
     # the env-state spectra
-    predicted = float(np.min(weights[:, None] * np.linalg.eigvalsh(z_bad.env_states)))
+    predicted = float(np.min(weights[:, None] * np.linalg.eigvalsh(z_bad.env_ops)))
     bound = -0.25 * weights.min()
 
     passed = (
         good.min_eigenvalue >= -1e-10
-        and z_good.env_states_positive()
+        and np.all(min_eigenvalue(z_good.env_ops) >= -PSD_TOL)
         and bad.min_eigenvalue <= bound + 1e-9
         and abs(bad.min_eigenvalue - predicted) <= 1e-9
     )
@@ -546,6 +533,8 @@ _RUNNERS = {
     "dynamics-cp": _run_dynamics_cp,
     "table1": _run_table1,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:

@@ -17,7 +17,6 @@ import numpy as np
 from assignlab.assignments import probe_chunks
 from assignlab.operators import (
     PSD_TOL,
-    decompose,
     min_eigenvalue,
     random_density,
     require_density,
@@ -72,8 +71,6 @@ def boundary_along_ray(
     center: np.ndarray,
     target: np.ndarray,
     tol: float = PSD_TOL,
-    bracket: float = BISECTION_BRACKET,
-    max_iter: int = BISECTION_MAX_ITER,
 ) -> RaySection:
     """Bisect for the largest t in [0, 1] with (1-t) center + t target in domain.
 
@@ -95,7 +92,7 @@ def boundary_along_ray(
                           bracket_width=0.0)
     lo, hi = 0.0, 1.0
     iterations = 0
-    while hi - lo > bracket and iterations < max_iter:
+    while hi - lo > BISECTION_BRACKET and iterations < BISECTION_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if in_domain(mid):
             lo = mid
@@ -114,14 +111,14 @@ class DomainEstimate:
     ci95: tuple[float, float]
 
 
-def wilson_interval(hits: int, samples: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(hits: int, samples: int) -> tuple[float, float]:
     """Wilson score interval; well-behaved for fractions near 0 or 1."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     p = hits / samples
-    denom = 1.0 + z * z / samples
-    center = (p + z * z / (2 * samples)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / samples + z * z / (4 * samples * samples)) / denom
+    denom = 1.0 + Z95 * Z95 / samples
+    center = (p + Z95 * Z95 / (2 * samples)) / denom
+    half = Z95 * np.sqrt(p * (1.0 - p) / samples + Z95 * Z95 / (4 * samples * samples)) / denom
     # the interval endpoints are exactly 0 (resp. 1) at p = 0 (resp. 1)
     low = 0.0 if hits == 0 else max(0.0, center - half)
     high = 1.0 if hits == samples else min(1.0, center + half)
@@ -161,8 +158,8 @@ def simplex_domain_check(
     assignment, samples: int, rng: np.random.Generator, tol: float = PSD_TOL
 ) -> SimplexDomainReport:
     """For an assignment with mutually orthonormal environment flags, the
-    output spectrum is the coefficient vector padded with zeros, so domain
-    membership is equivalent to all decomposition coefficients being
+    output spectrum is the weight vector ``basis.coefficients`` padded with
+    zeros, so domain membership is equivalent to all weights being
     nonnegative. Verify that equivalence on random probes."""
     taus = assignment.env_ops
     overlaps = np.einsum("iab,jba->ij", taus, taus)
@@ -172,7 +169,7 @@ def simplex_domain_check(
     max_gap = 0.0
     for lo, hi in probe_chunks(assignment, samples):
         states = random_density(assignment.dim_s, rng, hi - lo)
-        q_min = decompose(states, assignment.basis).min(axis=-1)
+        q_min = assignment.basis.coefficients(states).min(axis=-1)
         lam = min_eigenvalue(assignment.apply(states))
         agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
         max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))

@@ -34,8 +34,8 @@ from functools import cache
 import numpy as np
 
 from assignlab.assignments import (
+    LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     consistency_defect,
     orthogonal_flag_assignment,
     positivity_certificate,
@@ -44,7 +44,6 @@ from assignlab.assignments import (
     random_zero_discord_assignment,
 )
 from assignlab.operators import (
-    _first,
     _hermitian_part,
     canonical_basis,
     chunk_ranges,
@@ -54,6 +53,7 @@ from assignlab.operators import (
     qubit_states,
     random_density,
     random_unitary,
+    require_hermitian,
     require_unitary,
     trace_norm,
 )
@@ -194,12 +194,7 @@ def _choi(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     c = np.zeros(mats.shape, dtype=complex)
     c += mats.reshape(mats.shape[:-2] + (d, d, d, d)).transpose(
         *range(lead), lead + 2, lead, lead + 3, lead + 1).reshape(mats.shape)
-    defect = np.max(np.abs(c - c.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    bad = ~(defect <= 1e-9)
-    if np.any(bad):
-        raise ValueError(f"Choi matrix{_first(bad)} is not Hermitian "
-                         f"(defect {np.max(defect):.3e}); "
-                         "the underlying map does not preserve Hermiticity")
+    require_hermitian(c, tol=1e-9, name="Choi matrix")
     return c, np.linalg.eigvalsh(_hermitian_part(c))
 
 
@@ -220,18 +215,15 @@ class CPReport:
     lambda_min_choi: float
     is_cp: bool
     is_tp: bool
-    witness: tuple[int, int] | None = None  # (seed, draw index) when found by search
 
 
-def cp_certificate(superop: Superoperator, tol: float = CP_TOL) -> CPReport:
+def cp_certificate(superop: Superoperator) -> CPReport:
     """Complete positivity and trace preservation of a superoperator."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     choi = choi_matrix(superop)
     lam_min = float(choi.spectrum[0])
     d = superop.dim
     tp_defect = np.max(np.abs(partial_trace(choi.mat, d, d, "E") - np.eye(d)))
-    return CPReport(lambda_min_choi=lam_min, is_cp=lam_min >= -tol, is_tp=tp_defect <= tol)
+    return CPReport(lambda_min_choi=lam_min, is_cp=lam_min >= -CP_TOL, is_tp=tp_defect <= CP_TOL)
 
 
 def replay_unitary(seed: int, index: int, dim: int) -> np.ndarray:
@@ -305,7 +297,6 @@ def classical_cp_sweep(
     dim_s: int,
     dim_e: int,
     seed: int,
-    tol: float = CP_TOL,
 ) -> CPSweep:
     """Check that randomly drawn zero-discord assignments with positive
     environment states always induce CP maps, over random unitary couplings."""
@@ -322,7 +313,7 @@ def classical_cp_sweep(
             min_lambda = min(min_lambda, float(np.min(lams)))
             maps_checked += hi - lo
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),
-                   all_cp=min_lambda >= -tol)
+                   all_cp=min_lambda >= -CP_TOL)
 
 
 EXPECTED_CONDITIONS = {
@@ -388,13 +379,7 @@ def _consistency_defect_max(assignment, samples: int, rng: np.random.Generator) 
     return worst
 
 
-def assignment_condition_table(
-    seed: int,
-    samples: int = 200,
-    linearity_tol: float = 1e-9,
-    consistency_tol: float = 1e-10,
-    psd_tol: float = 1e-10,
-) -> ConditionTable:
+def assignment_condition_table(seed: int, samples: int = 200) -> ConditionTable:
     """Linearity / consistency / positivity verdicts for the three qubit
     assignment families: uncorrelated product, classically correlated
     zero-discord, and quantum-correlated orthogonal flags."""
@@ -402,7 +387,7 @@ def assignment_condition_table(
     basis = canonical_basis(2)
     families = (
         ("none", product_assignment(basis, random_density(2, rng))),
-        ("classical", ZeroDiscordAssignment(
+        ("classical", LinearAssignment(
             OrthogonalProjectorSet.computational(2),
             random_density(2, rng, 2),
         )),
@@ -416,9 +401,9 @@ def assignment_condition_table(
         pos = positivity_certificate(assignment, samples, rng)
         rows.append(ConditionRow(
             family=family,
-            linear=lin <= linearity_tol,
-            consistent=cons <= consistency_tol,
-            positive=pos.passed(psd_tol),
+            linear=lin <= 1e-9,
+            consistent=cons <= 1e-10,
+            positive=pos.passed(),
             max_linearity_defect=float(lin),
             max_consistency_defect=float(cons),
             min_output_eigenvalue=float(pos.min_eigenvalue),

@@ -155,44 +155,42 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "
     return m
 
 
-def require_unit_trace(m: np.ndarray, tol: float = TRACE_TOL, name: str = "operator") -> np.ndarray:
+def require_unit_trace(m: np.ndarray, name: str = "operator") -> np.ndarray:
     """Return ``m`` if every matrix of it has unit trace."""
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    bad = np.abs(tr - 1.0) > tol
+    bad = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(bad):
         raise ValueError(f"{name}{_first(bad)} has trace {float(tr[bad].flat[0])!r}, expected 1")
     return m
 
 
-def require_density(m: np.ndarray, trace_tol: float = TRACE_TOL, eig_tol: float = PSD_TOL,
-                    name: str = "state") -> np.ndarray:
+def require_density(m: np.ndarray, name: str = "state") -> np.ndarray:
     """Return ``m`` as complex if it is a density operator, or a stack of them."""
-    m = require_unit_trace(require_hermitian(m, name=name), tol=trace_tol, name=name)
+    m = require_unit_trace(require_hermitian(m, name=name), name=name)
     lam = np.linalg.eigvalsh(m)[..., 0]
-    bad = lam < -eig_tol
+    bad = lam < -PSD_TOL
     if np.any(bad):
         raise ValueError(f"{name}{_first(bad)} has negative eigenvalue "
                          f"{float(lam[bad].flat[0]):.3e}")
     return m
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
     """Return ``u`` as complex if it is a unitary matrix, or a stack of them."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     defect = np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), axis=(-2, -1))
-    bad = ~(defect <= tol)  # a non-finite entry fails too
+    bad = ~(defect <= UNITARITY_TOL)  # a non-finite entry fails too
     if np.any(bad):
         raise ValueError(f"matrix{_first(bad)} is not unitary "
-                         f"(defect {np.max(defect):.3e} > {tol:.1e})")
+                         f"(defect {np.max(defect):.3e} > {UNITARITY_TOL:.1e})")
     return u
 
 
-def eigvals_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of a Hermitian operator; rejects non-Hermitian input."""
-    h = require_hermitian(h, tol=tol)
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(require_hermitian(h))
 
 
 def _hermitian_part(h) -> np.ndarray:
@@ -304,6 +302,10 @@ class ProjectorBasis:
     def size(self) -> int:
         return self.dim * self.dim
 
+    def coefficients(self, h: np.ndarray) -> np.ndarray:
+        """``decompose(h, self)``: the coefficients a linear assignment reads."""
+        return decompose(h, self)
+
     @classmethod
     def from_projectors(cls, projectors) -> "ProjectorBasis":
         stack = np.stack([np.asarray(p, dtype=complex) for p in projectors])
@@ -367,7 +369,7 @@ def decompose(h: np.ndarray, basis: ProjectorBasis) -> np.ndarray:
         raise ValueError(f"operator shape {h.shape} does not match basis dim {basis.dim}")
     q = expectations(basis.dual_frame, h)
     residue = np.max(np.abs(q.imag))
-    if residue > IMAG_RESIDUE_TOL:
+    if not residue <= IMAG_RESIDUE_TOL:  # a non-finite entry fails too
         raise ValueError(
             f"coefficients have imaginary residue {residue:.3e}; input is not Hermitian"
         )

@@ -13,7 +13,6 @@ import numpy as np
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     broadcast_assignment,
     consistency_defect,
     dephase,
@@ -137,14 +136,14 @@ def test_criterion_3_consistency_defect_is_dephasing_distance():
         z = random_zero_discord_assignment(2, 2, rng)
         eta = random_density(2, rng)
         defect = consistency_defect(z, eta)
-        oracle = trace_norm(eta - dephase(eta, z.measurement))
+        oracle = trace_norm(eta - dephase(eta, z.basis))
         max_gap = max(max_gap, abs(defect - oracle))
         weights = rng.dirichlet(np.ones(2))
-        diagonal = np.tensordot(weights, z.measurement.projectors, axes=1)
+        diagonal = np.tensordot(weights, z.basis.projectors, axes=1)
         max_diag = max(max_diag, consistency_defect(z, diagonal))
 
     taus = np.stack([random_density(2, rng) for _ in range(2)])
-    z_basis = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
+    z_basis = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
     defect_eta1 = consistency_defect(z_basis, ETA[0])
 
     ok = max_gap <= 1e-10 and max_diag <= 1e-12 and abs(defect_eta1 - 1.0) <= 1e-10
@@ -167,17 +166,17 @@ def test_criterion_4_zero_discord_positivity_biconditional():
     ok = worst >= -1e-10
 
     z = random_zero_discord_assignment(2, 2, rng)
-    bad = np.array(z.env_states)
+    bad = np.array(z.env_ops)
     eigs = np.array([-0.25, 1.25])
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     bad[0] = (u * eigs) @ u.conj().T
-    z_bad = ZeroDiscordAssignment(z.measurement, bad)
+    z_bad = LinearAssignment(z.basis, bad)
     report = positivity_certificate(z_bad, 10_000, rng)
 
-    weights = z_bad.branch_probabilities(report.witness_state)
+    weights = z_bad.basis.coefficients(report.witness_state)
     # block spectrum: eigenvalues are Tr[eta Pi_i] times the spectrum of tau_i
     predicted = min(
-        w * lam for w, taus in zip(weights, z_bad.env_states)
+        w * lam for w, taus in zip(weights, z_bad.env_ops)
         for lam in np.linalg.eigvalsh(taus)
     )
     bound = -0.25 * weights.min()

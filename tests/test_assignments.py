@@ -4,7 +4,6 @@ import pytest
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     broadcast_assignment,
     consistency_defect,
     dephase,
@@ -39,7 +38,7 @@ def assignment_families(rng):
     return [
         product_assignment(BASIS, random_density(2, rng)),
         LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)])),
-        ZeroDiscordAssignment(
+        LinearAssignment(
             OrthogonalProjectorSet.computational(2),
             np.stack([random_density(2, rng) for _ in range(2)]),
         ),
@@ -105,17 +104,17 @@ class TestZeroDiscord:
     def test_diagonal_input(self):
         rng = np.random.default_rng(4)
         taus = np.stack([random_density(2, rng) for _ in range(2)])
-        z = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
+        z = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         p = np.diag([0.3, 0.7]).astype(complex)
-        pis = z.measurement.projectors
+        pis = z.basis.projectors
         expected = 0.3 * tensor(pis[0], taus[0]) + 0.7 * tensor(pis[1], taus[1])
         assert np.max(np.abs(z.apply(p) - expected)) < 1e-12
 
     def test_eta1_equal_weights(self):
         rng = np.random.default_rng(5)
         taus = np.stack([random_density(2, rng) for _ in range(2)])
-        z = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
-        pis = z.measurement.projectors
+        z = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
+        pis = z.basis.projectors
         expected = 0.5 * tensor(pis[0], taus[0]) + 0.5 * tensor(pis[1], taus[1])
         assert np.max(np.abs(z.apply(ETA[0]) - expected)) < 1e-12
 
@@ -134,7 +133,7 @@ class TestZeroDiscord:
 
     def test_classical_broadcast_marginals(self):
         meas = OrthogonalProjectorSet.computational(2)
-        z = ZeroDiscordAssignment.classical_broadcast(meas)
+        z = broadcast_assignment(meas)
         rng = np.random.default_rng(8)
         eta = random_density(2, rng)
         out = z.apply(eta)
@@ -218,7 +217,7 @@ class TestConsistency:
         rng = np.random.default_rng(14)
         z = random_zero_discord_assignment(2, 2, rng)
         p = rng.uniform(0, 1)
-        diag = p * z.measurement.projectors[0] + (1 - p) * z.measurement.projectors[1]
+        diag = p * z.basis.projectors[0] + (1 - p) * z.basis.projectors[1]
         assert consistency_defect(z, diag) < 1e-12
 
     def test_zero_discord_defect_is_dephasing_distance(self):
@@ -227,12 +226,12 @@ class TestConsistency:
             z = random_zero_discord_assignment(2, 3, rng)
             eta = random_density(2, rng)
             defect = consistency_defect(z, eta)
-            assert abs(defect - trace_norm(eta - dephase(eta, z.measurement))) < 1e-10
+            assert abs(defect - trace_norm(eta - dephase(eta, z.basis))) < 1e-10
 
     def test_eta1_against_z_basis(self):
         rng = np.random.default_rng(16)
         taus = np.stack([random_density(2, rng) for _ in range(2)])
-        z = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
+        z = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         assert consistency_defect(z, ETA[0]) == pytest.approx(1.0, abs=1e-10)
 
 

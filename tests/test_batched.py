@@ -14,7 +14,6 @@ import assignlab.operators as operators
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     _probe_states,
     broadcast_assignment,
     hermiticity_trace_audit,
@@ -27,8 +26,10 @@ from assignlab.assignments import (
 )
 from assignlab.compatibility import domain_volume, simplex_domain_check
 from assignlab.operators import (
+    ProjectorBasis,
     canonical_basis,
     decompose,
+    expectations,
     hermiticity_defect,
     min_eigenvalue,
     partial_trace,
@@ -36,6 +37,7 @@ from assignlab.operators import (
     random_density,
     random_pure,
     random_unitary,
+    require_hermitian,
     tensor,
     trace_norm,
     weighted_sum,
@@ -60,26 +62,22 @@ def old_random_pure(d, rng):
 def families(d, rng):
     basis = canonical_basis(d)
     z = random_zero_discord_assignment(d, 2, rng)
-    bad_states = np.array(z.env_states)
+    bad_states = np.array(z.env_ops)
     bad_states[0] = np.diag([1.25, -0.25])
     return [
         orthogonal_flag_assignment(basis),
         product_assignment(basis, random_density(3, rng)),
         LinearAssignment(basis, np.stack([random_density(2, rng) for _ in range(d * d)])),
         z,
-        ZeroDiscordAssignment(z.measurement, bad_states),
+        LinearAssignment(z.basis, bad_states),
         broadcast_assignment(basis),
     ]
 
 
 def ref_positivity(assignment, samples, rng):
     d = assignment.dim_s
-    basis = getattr(assignment, "basis", None)
-    if basis is not None:
-        probes = [(f"basis projector {i}", p) for i, p in enumerate(basis.projectors)]
-    else:
-        probes = [(f"measurement projector {i}", p)
-                  for i, p in enumerate(assignment.measurement.projectors)]
+    kind = "basis" if isinstance(assignment.basis, ProjectorBasis) else "measurement"
+    probes = [(f"{kind} projector {i}", p) for i, p in enumerate(assignment.basis.projectors)]
     if d == 2:
         probes += [(f"axis state {i + 1}", eta) for i, eta in enumerate(qubit_states())]
     n_pure = (samples + 1) // 2
@@ -125,6 +123,14 @@ def ref_audit_sampling(assignment, samples, rng):
 def old_broadcast_apply(basis, state):
     """``apply`` of the broadcast class the factory replaced."""
     return weighted_sum(decompose(state, basis), tensor(basis.projectors, basis.projectors))
+
+
+def old_zero_discord_apply(measurement, env_states, state):
+    """``apply`` of the zero-discord class that a ``LinearAssignment`` on a
+    measurement replaced: the weights Tr[state Pi_i], then the weighted sum."""
+    require_hermitian(state, tol=1e-9, name="state")
+    weights = expectations(measurement.projectors, np.asarray(state, dtype=complex)).real
+    return weighted_sum(weights, tensor(measurement.projectors, env_states))
 
 
 def old_audit(assignment, samples, rng, herm_bump=0.1, trace_scale=1.1):
@@ -333,9 +339,9 @@ class TestStackedAssignments:
     def test_zero_discord_stack_maps_entry_by_entry(self):
         rng = np.random.default_rng(12)
         singles = [random_zero_discord_assignment(3, 2, rng) for _ in range(4)]
-        stacked = ZeroDiscordAssignment(
-            OrthogonalProjectorSet(np.stack([z.measurement.projectors for z in singles])),
-            np.stack([z.env_states for z in singles]),
+        stacked = LinearAssignment(
+            OrthogonalProjectorSet(np.stack([z.basis.projectors for z in singles])),
+            np.stack([z.env_ops for z in singles]),
         )
         states = random_density(3, rng, 4)
         out = stacked.apply(states)
@@ -356,13 +362,61 @@ class TestStackedAssignments:
         envs[2, 1] *= 1.5
         measurement = OrthogonalProjectorSet(
             np.broadcast_to(OrthogonalProjectorSet.computational(2).projectors, (3, 2, 2, 2)))
-        with pytest.raises(ValueError, match="environment state 2 1 has trace"):
-            ZeroDiscordAssignment(measurement, envs)
+        with pytest.raises(ValueError, match="environment operator 2 1 has trace"):
+            LinearAssignment(measurement, envs)
         bad = np.array(measurement.projectors)
         bad[1, 0, 0, 1] = 0.5
         with pytest.raises(ValueError, match="projector 1 0 is not Hermitian"):
             OrthogonalProjectorSet(bad)
         computational = OrthogonalProjectorSet.computational(2)
-        broadcast = ZeroDiscordAssignment.classical_broadcast(computational)
+        broadcast = broadcast_assignment(computational)
         with pytest.raises(ValueError, match="state 1 is not Hermitian"):
             broadcast.apply(np.stack([np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])]))
+
+
+class TestOneAssignmentClass:
+    """A ``LinearAssignment`` on a measurement is the zero-discord class it
+    replaced, bit for bit, and the probes keep their labels."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_measurement_matches_zero_discord_class(self, d, chunking):
+        rng = np.random.default_rng(d)
+        z = random_zero_discord_assignment(d, 3, rng)
+        states = np.concatenate([z.basis.projectors, random_density(d, rng, 20)])
+        assert z.basis.coefficients(states).dtype == np.float64
+        for lo, hi in probe_chunks(z, len(states)):
+            ref = old_zero_discord_apply(z.basis, z.env_ops, states[lo:hi])
+            assert np.array_equal(z.apply(states[lo:hi]), ref)
+        for state in states[:3]:
+            assert np.array_equal(z.apply(state), old_zero_discord_apply(z.basis, z.env_ops, state))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_measurements_match_zero_discord_class(self, d, chunking):
+        rng = np.random.default_rng(10 + d)
+        projectors = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng, 7)).projectors
+        envs = random_density(2, rng, 7 * d).reshape(7, d, 2, 2)
+        states = random_density(d, rng, 7)
+        for lo, hi in probe_chunks(LinearAssignment(OrthogonalProjectorSet(projectors[:1]),
+                                                    envs[:1]), len(states)):
+            measurement = OrthogonalProjectorSet(projectors[lo:hi])
+            stacked = LinearAssignment(measurement, envs[lo:hi])
+            ref = old_zero_discord_apply(measurement, envs[lo:hi], states[lo:hi])
+            assert np.array_equal(stacked.apply(states[lo:hi]), ref)
+
+    def test_env_stack_must_match_the_basis_stack(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="stacked as the basis"):
+            LinearAssignment(canonical_basis(2), random_density(2, rng, 8).reshape(2, 4, 2, 2))
+        measurement = OrthogonalProjectorSet.from_unitary(random_unitary(2, rng, 3))
+        for envs in (random_density(2, rng, 4).reshape(2, 2, 2, 2), random_density(2, rng, 2)):
+            with pytest.raises(ValueError, match="stacked as the basis"):
+                LinearAssignment(measurement, envs)
+        assert LinearAssignment(measurement, random_density(2, rng, 6).reshape(3, 2, 2, 2))
+
+    def test_probe_labels_name_the_basis_kind(self):
+        rng = np.random.default_rng(0)
+        for assignment, kind in ((orthogonal_flag_assignment(canonical_basis(3)), "basis"),
+                                 (random_zero_discord_assignment(3, 2, rng), "measurement")):
+            label, first, states = next(_probe_states(assignment, 4, rng))
+            assert (label, first) == (f"{kind} projector", 0)
+            assert np.array_equal(states, assignment.basis.projectors)

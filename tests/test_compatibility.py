@@ -3,6 +3,8 @@ import pytest
 
 from assignlab.assignments import (
     LinearAssignment,
+    OrthogonalProjectorSet,
+    broadcast_assignment,
     orthogonal_flag_assignment,
     product_assignment,
     random_zero_discord_assignment,
@@ -20,6 +22,7 @@ from assignlab.operators import (
     min_eigenvalue,
     qubit_states,
     random_density,
+    random_unitary,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -156,6 +159,14 @@ class TestSimplexDomain:
     def test_spectral_matches_coefficients(self):
         rng = np.random.default_rng(10)
         report = simplex_domain_check(FLAG, 1000, rng)
+        assert report.all_agree
+        assert report.max_gap < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_measurement_flags_read_the_weights(self, d):
+        rng = np.random.default_rng(d)
+        measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
+        report = simplex_domain_check(broadcast_assignment(measurement), 200, rng)
         assert report.all_agree
         assert report.max_gap < 1e-9
 

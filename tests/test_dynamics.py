@@ -6,7 +6,6 @@ import assignlab.operators as operators
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     orthogonal_flag_assignment,
     product_assignment,
     random_zero_discord_assignment,
@@ -110,7 +109,7 @@ class TestChoi:
 
     def test_dephasing_channel(self):
         rng = np.random.default_rng(8)
-        z = ZeroDiscordAssignment(
+        z = LinearAssignment(
             OrthogonalProjectorSet.computational(2),
             np.stack([random_density(2, rng) for _ in range(2)]),
         )

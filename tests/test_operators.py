@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from assignlab.assignments import LinearAssignment, OrthogonalProjectorSet, product_assignment
 from assignlab.operators import (
     PAULI_X,
     PAULI_Y,
@@ -226,6 +227,20 @@ class TestDecompose:
         basis = canonical_basis(2)
         with pytest.raises(ValueError):
             decompose(np.array([[0, 1], [0, 0]], dtype=complex), basis)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_nan(self, d):
+        state = np.eye(d, dtype=complex) / (d - 1)
+        state[0, 0] = np.nan
+        basis = canonical_basis(d)
+        with pytest.raises(ValueError, match="imaginary residue nan"):
+            decompose(state, basis)
+        env = np.eye(2, dtype=complex) / 2
+        with pytest.raises(ValueError, match="imaginary residue nan"):
+            product_assignment(basis, env).apply(state)
+        measured = LinearAssignment(OrthogonalProjectorSet.computational(d), np.stack([env] * d))
+        with pytest.raises(ValueError, match="state has non-finite entries"):
+            measured.apply(state)
 
 
 class TestBlochCoeffs:

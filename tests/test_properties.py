@@ -16,7 +16,6 @@ from hypothesis import strategies as st  # noqa: E402
 from assignlab.assignments import (  # noqa: E402
     LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     broadcast_assignment,
     orthogonal_flag_assignment,
     product_assignment,
@@ -54,9 +53,9 @@ def build(family, d, rng):
     z = random_zero_discord_assignment(d, 3, rng)
     if family == "zero-discord":
         return z
-    envs = np.array(z.env_states)
+    envs = np.array(z.env_ops)
     envs[0] = np.diag([1.5, -0.25, -0.25])
-    return ZeroDiscordAssignment(z.measurement, envs)
+    return LinearAssignment(z.basis, envs)
 
 
 def hermitian_inputs(d, rng, n):
@@ -116,11 +115,11 @@ def test_stacked_zero_discord_assignments_map_entry_by_entry(d, seed):
     rng = np.random.default_rng(seed)
     unitaries = np.stack([random_unitary(d, rng) for _ in range(3)])
     envs = random_density(2, rng, 3 * d).reshape(3, d, 2, 2)
-    stacked = ZeroDiscordAssignment(OrthogonalProjectorSet.from_unitary(unitaries), envs)
+    stacked = LinearAssignment(OrthogonalProjectorSet.from_unitary(unitaries), envs)
     states = random_density(d, rng, 3)
     out = stacked.apply(states)
     for k in range(3):
-        single = ZeroDiscordAssignment(OrthogonalProjectorSet.from_unitary(unitaries[k]), envs[k])
+        single = LinearAssignment(OrthogonalProjectorSet.from_unitary(unitaries[k]), envs[k])
         assert np.array_equal(out[k], single.apply(states[k]))
 
 

@@ -13,8 +13,8 @@ import pytest
 
 import assignlab.operators as operators
 from assignlab.assignments import (
+    LinearAssignment,
     OrthogonalProjectorSet,
-    ZeroDiscordAssignment,
     consistency_defect,
     dephase,
     orthogonal_flag_assignment,
@@ -56,20 +56,20 @@ def old_theorem2(config, rng):
             envs.append(old_random_density(d_e, rng, d_s))
             etas.append(old_random_density(d_s, rng))
             weights.append(rng.dirichlet(np.ones(d_s)))
-        z = ZeroDiscordAssignment(
+        z = LinearAssignment(
             OrthogonalProjectorSet.from_unitary(haar_unitaries(np.stack(normals))),
             np.stack(envs))
         eta = np.stack(etas)
         defect = consistency_defect(z, eta)
-        gap = np.abs(defect - trace_norm(eta - dephase(eta, z.measurement)))
-        diagonal = weighted_sum(np.stack(weights), z.measurement.projectors)
+        gap = np.abs(defect - trace_norm(eta - dephase(eta, z.basis)))
+        diagonal = weighted_sum(np.stack(weights), z.basis.projectors)
         max_formula_gap = max(max_formula_gap, float(np.max(gap)))
         max_diagonal_defect = max(max_diagonal_defect,
                                   float(np.max(consistency_defect(z, diagonal))))
     metrics = {"max_formula_gap": max_formula_gap, "max_defect_diagonal": max_diagonal_defect}
     if d_s == 2:
         taus = old_random_density(d_e, rng, 2)
-        z_basis = ZeroDiscordAssignment(OrthogonalProjectorSet.computational(2), taus)
+        z_basis = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         metrics["defect_eta1"] = consistency_defect(z_basis, qubit_states()[0])
     return metrics
 
