@@ -33,7 +33,6 @@ from assignlab.compatibility import (
 from assignlab.dynamics import (
     ChoiMatrix,
     CPReport,
-    Superoperator,
     assignment_condition_table,
     choi_matrix,
     classical_cp_sweep,
@@ -48,7 +47,6 @@ from assignlab.operators import (
     bloch_state,
     canonical_basis,
     decompose,
-    eigvals_hermitian,
     ginibre_densities,
     haar_unitaries,
     hs_inner,

@@ -68,11 +68,14 @@ __all__ = [
 ]
 
 ENV_EQUALITY_TOL = 1e-9  # trace-norm threshold for "same environment operator"
+AUDIT_SAMPLES = 10  # random states of the forward Hermiticity/trace audit
 
 
 def probe_chunks(assignment, total: int):
     """``chunk_ranges`` over ``total`` probe states of ``assignment``: each
     chunk's assigned joint operators fit in ``_CHUNK_BYTES``."""
+    if assignment.env_ops.ndim != 3:
+        raise ValueError(f"expected one assignment, got a stack {assignment.env_ops.shape[:-3]}")
     n = assignment.dim_s * assignment.dim_e
     return chunk_ranges(total, 16 * n * n)
 
@@ -140,11 +143,7 @@ def product_assignment(basis: ProjectorBasis, env_state: np.ndarray) -> LinearAs
 def orthogonal_flag_assignment(basis: ProjectorBasis) -> LinearAssignment:
     """Assignment tagging each basis projector with a distinct orthonormal
     environment flag |i><i| on an environment of dimension dim_s^2."""
-    n = basis.size
-    flags = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        flags[i, i, i] = 1.0
-    return LinearAssignment(basis, flags)
+    return LinearAssignment(basis, OrthogonalProjectorSet.computational(basis.size).projectors)
 
 
 def broadcast_assignment(basis: ProjectorBasis | OrthogonalProjectorSet) -> LinearAssignment:
@@ -172,10 +171,11 @@ class OrthogonalProjectorSet:
             raise ValueError(f"need {d} projectors of dimension {d}, got shape {stack.shape}")
         require_hermitian(stack, name="projector")
         require_unit_trace(stack, name="projector")
-        products = stack[..., :, None, :, :] @ stack[..., None, :, :, :]
-        expected = np.eye(d)[:, :, None, None] * stack[..., None, :, :, :]
-        if np.max(np.abs(products - expected)) > 1e-10:
-            raise ValueError("projectors are not mutually orthogonal")
+        for i in range(d):  # Pi_i Pi_j = delta_ij Pi_i, one i at a time to bound memory
+            products = stack[..., i:i + 1, :, :] @ stack
+            products[..., i, :, :] -= stack[..., i, :, :]
+            if np.max(np.abs(products)) > 1e-10:
+                raise ValueError("projectors are not mutually orthogonal")
         if np.max(np.abs(stack.sum(axis=-3) - np.eye(d))) > 1e-10:
             raise ValueError("projectors do not resolve the identity")
         stack.setflags(write=False)
@@ -195,8 +195,8 @@ class OrthogonalProjectorSet:
     @classmethod
     def computational(cls, d: int) -> "OrthogonalProjectorSet":
         stack = np.zeros((d, d, d), dtype=complex)
-        for i in range(d):
-            stack[i, i, i] = 1.0
+        i = np.arange(d)
+        stack[i, i, i] = 1.0
         return cls(stack)
 
     @classmethod
@@ -414,13 +414,11 @@ class AuditReport:
     detects_corruption: bool
 
 
-def hermiticity_trace_audit(
-    assignment: LinearAssignment, samples: int, rng: np.random.Generator
-) -> AuditReport:
+def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generator) -> AuditReport:
     """Audit both directions of the Hermiticity/trace preservation conditions."""
     max_herm = 0.0
     max_trace = 0.0
-    for lo, hi in probe_chunks(assignment, max(samples, 1)):
+    for lo, hi in probe_chunks(assignment, AUDIT_SAMPLES):
         states = random_density(assignment.dim_s, rng, hi - lo)
         out = assignment.apply(states)
         trace_gap = np.trace(out, axis1=-2, axis2=-1) - np.trace(states, axis1=-2, axis2=-1)

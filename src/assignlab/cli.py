@@ -109,6 +109,18 @@ class UsageError(ValueError):
     """Invalid configuration or flags; maps to exit status 2."""
 
 
+# config-file key -> ExperimentConfig field and flag dest; echo() skips "out"
+_CONFIG_KEYS = {
+    "experiment": "experiment",
+    "seed": "seed",
+    "samples": "samples",
+    "dim-s": "dim_s",
+    "dim-e": "dim_e",
+    "tol": "tol",
+    "out": "out_path",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -148,14 +160,7 @@ class ExperimentConfig:
         return self
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "samples": self.samples,
-            "dim-s": self.dim_s,
-            "dim-e": self.dim_e,
-            "tol": self.tol,
-        }
+        return {key: getattr(self, field) for key, field in _CONFIG_KEYS.items() if key != "out"}
 
 
 @dataclass(frozen=True)
@@ -371,7 +376,7 @@ def _run_appendix(config, rng):
     n_assignments = max(1, config.samples // 10)
     for i in range(n_assignments):
         taus = random_density(config.dim_e, rng, basis.size)
-        audit = hermiticity_trace_audit(LinearAssignment(basis, taus), 10, rng)
+        audit = hermiticity_trace_audit(LinearAssignment(basis, taus), rng)
         max_herm = max(max_herm, audit.max_hermiticity_defect)
         max_trace = max(max_trace, audit.max_trace_defect)
         if i == 0:
@@ -475,13 +480,8 @@ def _run_broadcast(config, rng):
 
 
 def _run_dynamics_cp(config, rng):
-    sweep = classical_cp_sweep(
-        n_assignments=max(1, config.samples // 10),
-        unitaries_per_assignment=10,
-        dim_s=config.dim_s,
-        dim_e=config.dim_e,
-        seed=config.seed,
-    )
+    sweep = classical_cp_sweep(n_assignments=max(1, config.samples // 10),
+                               dim_s=config.dim_s, dim_e=config.dim_e, seed=config.seed)
     flags = orthogonal_flag_assignment(canonical_basis(config.dim_s))
     search = find_noncp_unitary(flags, attempts=config.samples, seed=config.seed)
 
@@ -621,20 +621,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float,
                         help="PSD tolerance of compat-domain's domain checks; "
                              "the other experiments only echo it in the report")
-    parser.add_argument("--out")
+    parser.add_argument("--out", dest="out_path", metavar="OUT")
     parser.add_argument("--config", help="JSON file with flag values (flags win)")
     return parser
-
-
-_CONFIG_KEYS = {
-    "experiment": "experiment",
-    "seed": "seed",
-    "samples": "samples",
-    "dim-s": "dim_s",
-    "dim-e": "dim_e",
-    "tol": "tol",
-    "out": "out_path",
-}
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -656,12 +645,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 raise UsageError(f"unknown config key {key!r}")
             values[_CONFIG_KEYS[key]] = raw
 
-    for field in ("experiment", "seed", "samples", "dim_s", "dim_e", "tol"):
+    for field in _CONFIG_KEYS.values():
         flag_value = getattr(args, field)
         if flag_value is not None:
             values[field] = flag_value
-    if args.out is not None:
-        values["out_path"] = args.out
 
     if "seed" not in values:
         env_seed = os.environ.get(SEED_ENV_VAR)

@@ -1,11 +1,11 @@
 """Compatibility domain of an assignment: the system states it maps to
 valid system-environment density operators.
 
-Membership is certified by the smallest output eigenvalue; the domain
-boundary is located by bisection along affine rays, and its volume is
-estimated by Monte Carlo sampling under the Hilbert-Schmidt measure. The
-Monte Carlo checks draw and assign their states as byte-bounded stacks
-(``probe_chunks``), with the same draws and counts as one state at a time.
+``domain_verdict`` decides membership by the smallest output eigenvalue;
+bisection along affine rays locates the boundary with the same verdict, and
+the volume is estimated by Monte Carlo sampling under the Hilbert-Schmidt
+measure. The Monte Carlo checks draw and assign their states as byte-bounded
+stacks (``probe_chunks``), with the same draws and counts as one state at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ Z95 = 1.959963984540054
 class CompatibilityVerdict:
     lambda_min: float
     in_domain: bool
-    tol: float
 
 
 def domain_verdict(assignment, state: np.ndarray, tol: float = PSD_TOL) -> CompatibilityVerdict:
@@ -52,15 +51,13 @@ def domain_verdict(assignment, state: np.ndarray, tol: float = PSD_TOL) -> Compa
     if tol <= 0:
         raise ValueError("tol must be positive")
     lam = min_eigenvalue(assignment.apply(state))
-    return CompatibilityVerdict(lambda_min=lam, in_domain=lam >= -tol, tol=tol)
+    return CompatibilityVerdict(lambda_min=lam, in_domain=lam >= -tol)
 
 
 @dataclass(frozen=True, eq=False)
 class RaySection:
-    """Largest in-domain prefix of the segment center -> target."""
+    """Largest in-domain prefix [0, t_star] of a segment center -> target."""
 
-    center: np.ndarray
-    target: np.ndarray
     t_star: float
     iterations: int
     bracket_width: float
@@ -84,12 +81,10 @@ def boundary_along_ray(
         raise ValueError("center state is not in the compatibility domain")
 
     def in_domain(t: float) -> bool:
-        state = (1.0 - t) * center + t * target
-        return min_eigenvalue(assignment.apply(state)) >= -tol
+        return domain_verdict(assignment, (1.0 - t) * center + t * target, tol).in_domain
 
     if in_domain(1.0):
-        return RaySection(center=center, target=target, t_star=1.0, iterations=0,
-                          bracket_width=0.0)
+        return RaySection(t_star=1.0, iterations=0, bracket_width=0.0)
     lo, hi = 0.0, 1.0
     iterations = 0
     while hi - lo > BISECTION_BRACKET and iterations < BISECTION_MAX_ITER:
@@ -99,8 +94,7 @@ def boundary_along_ray(
         else:
             hi = mid
         iterations += 1
-    return RaySection(center=center, target=target, t_star=lo, iterations=iterations,
-                      bracket_width=hi - lo)
+    return RaySection(t_star=lo, iterations=iterations, bracket_width=hi - lo)
 
 
 @dataclass(frozen=True)

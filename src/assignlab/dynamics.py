@@ -1,11 +1,11 @@
 """Induced dynamical maps: trace out the environment after a unitary acts on
 an assigned system-environment operator.
 
-The composed map is represented as a superoperator on row-major vectorized
-operators; complete positivity is certified through the spectrum of its Choi
-matrix. Includes the seeded random search for unitaries that break complete
-positivity, and the summary table of linearity/consistency/positivity per
-correlation family.
+The composed map is its superoperator matrix, a plain complex ndarray acting
+on row-major vectorized operators; complete positivity is certified through
+the spectrum of its Choi matrix. Includes the seeded random search for
+unitaries that break complete positivity, and the summary table of
+linearity/consistency/positivity per correlation family.
 
 Induced maps are built from a stack of d_s^2 assigned unit images: the
 images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from assignlab.operators import (
 __all__ = [
     "CP_TOL",
     "NONCP_THRESHOLD",
-    "Superoperator",
+    "SWEEP_COUPLINGS",
     "induced_map",
     "ChoiMatrix",
     "choi_matrix",
@@ -82,20 +83,7 @@ __all__ = [
 # the stricter -1e-6 to stay clear of numerical noise.
 CP_TOL = 1e-9
 NONCP_THRESHOLD = -1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """Matrix of a linear map on operators, acting on row-major vec(X)."""
-
-    dim: int
-    mat: np.ndarray  # (dim^2, dim^2) complex
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        state = np.asarray(state, dtype=complex)
-        if state.shape != (self.dim, self.dim):
-            raise ValueError(f"state shape {state.shape} does not match dim {self.dim}")
-        return (self.mat @ state.reshape(-1)).reshape(self.dim, self.dim)
+SWEEP_COUPLINGS = 10  # Haar couplings per assignment in the classical sweep
 
 
 def _unit_images(assignment) -> np.ndarray:
@@ -161,8 +149,8 @@ def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(columns.reshape(k, d_s * d_s, d_s * d_s).swapaxes(-1, -2))
 
 
-def induced_map(assignment, u: np.ndarray) -> Superoperator:
-    """Superoperator of: assign, conjugate by ``u``, trace out the environment.
+def induced_map(assignment, u: np.ndarray) -> np.ndarray:
+    """Read-only superoperator matrix of: assign, conjugate by ``u``, trace out the environment.
 
     Assignments are defined on Hermitian operators only, so each matrix unit
     is extended complex-linearly through its Hermitian decomposition
@@ -173,7 +161,7 @@ def induced_map(assignment, u: np.ndarray) -> Superoperator:
         raise ValueError(f"expected one unitary, got shape {u.shape}")
     mat = _superoperator(_unit_images(assignment), assignment, u[None])[0]
     mat.setflags(write=False)
-    return Superoperator(dim=assignment.dim_s, mat=mat)
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +186,11 @@ def _choi(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return c, np.linalg.eigvalsh(_hermitian_part(c))
 
 
-def choi_matrix(superop: Superoperator) -> ChoiMatrix:
-    c, spectrum = _choi(superop.mat, superop.dim)
+def choi_matrix(superop: np.ndarray) -> ChoiMatrix:
+    d = isqrt(len(superop))
+    if not d or np.shape(superop) != (d * d, d * d):
+        raise ValueError(f"expected a (d^2, d^2) superoperator matrix, got shape {np.shape(superop)}")
+    c, spectrum = _choi(np.asarray(superop), d)
     c.setflags(write=False)
     spectrum.setflags(write=False)
     return ChoiMatrix(mat=c, spectrum=spectrum)
@@ -217,11 +208,11 @@ class CPReport:
     is_tp: bool
 
 
-def cp_certificate(superop: Superoperator) -> CPReport:
-    """Complete positivity and trace preservation of a superoperator."""
+def cp_certificate(superop: np.ndarray) -> CPReport:
+    """Complete positivity and trace preservation of a superoperator matrix."""
     choi = choi_matrix(superop)
     lam_min = float(choi.spectrum[0])
-    d = superop.dim
+    d = isqrt(choi.mat.shape[0])
     tp_defect = np.max(np.abs(partial_trace(choi.mat, d, d, "E") - np.eye(d)))
     return CPReport(lambda_min_choi=lam_min, is_cp=lam_min >= -CP_TOL, is_tp=tp_defect <= CP_TOL)
 
@@ -238,16 +229,13 @@ class NonCPSearch:
     found: bool
     seed: int
     attempts: int
-    threshold: float
     first_index: int | None
     first_lambda: float | None
     best_index: int
     best_lambda: float
 
 
-def find_noncp_unitary(
-    assignment, attempts: int, seed: int, threshold: float = NONCP_THRESHOLD
-) -> NonCPSearch:
+def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     """Search seeded Haar unitaries for one whose induced map is not CP.
 
     Draw ``i`` uses the stream keyed by (seed, i), so any witness is
@@ -269,14 +257,13 @@ def find_noncp_unitary(
         i = int(np.argmin(lams))  # the first minimum, as a strict < scan keeps
         if lams[i] < best_lambda:
             best_index, best_lambda = lo + i, lams[i]
-        below = np.flatnonzero(lams < threshold)
+        below = np.flatnonzero(lams < NONCP_THRESHOLD)
         if first_index is None and below.size:
             first_index, first_lambda = lo + int(below[0]), float(lams[below[0]])
     return NonCPSearch(
         found=first_index is not None,
         seed=seed,
         attempts=attempts,
-        threshold=threshold,
         first_index=first_index,
         first_lambda=first_lambda,
         best_index=best_index,
@@ -291,15 +278,9 @@ class CPSweep:
     all_cp: bool
 
 
-def classical_cp_sweep(
-    n_assignments: int,
-    unitaries_per_assignment: int,
-    dim_s: int,
-    dim_e: int,
-    seed: int,
-) -> CPSweep:
-    """Check that randomly drawn zero-discord assignments with positive
-    environment states always induce CP maps, over random unitary couplings."""
+def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int, seed: int) -> CPSweep:
+    """Check that random zero-discord assignments with positive environment
+    states always induce CP maps, under ``SWEEP_COUPLINGS`` Haar couplings each."""
     rng = np.random.default_rng(seed)
     dim = dim_s * dim_e
     min_lambda = np.inf
@@ -308,7 +289,7 @@ def classical_cp_sweep(
         z = random_zero_discord_assignment(dim_s, dim_e, rng)
         images = _unit_images(z)
         # consecutive draws: a stack is the same stream as one draw at a time
-        for lo, hi in chunk_ranges(unitaries_per_assignment, 32 * dim * dim):
+        for lo, hi in chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim):
             lams = _choi_minima(images, z, random_unitary(dim, rng, hi - lo))
             min_lambda = min(min_lambda, float(np.min(lams)))
             maps_checked += hi - lo
@@ -379,7 +360,7 @@ def _consistency_defect_max(assignment, samples: int, rng: np.random.Generator) 
     return worst
 
 
-def assignment_condition_table(seed: int, samples: int = 200) -> ConditionTable:
+def assignment_condition_table(seed: int, samples: int) -> ConditionTable:
     """Linearity / consistency / positivity verdicts for the three qubit
     assignment families: uncorrelated product, classically correlated
     zero-discord, and quantum-correlated orthogonal flags."""

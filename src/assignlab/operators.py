@@ -39,7 +39,6 @@ __all__ = [
     "chunk_ranges",
     "tensor",
     "partial_trace",
-    "eigvals_hermitian",
     "min_eigenvalue",
     "hs_inner",
     "trace_norm",
@@ -186,11 +185,6 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix{_first(bad)} is not unitary "
                          f"(defect {np.max(defect):.3e} > {UNITARITY_TOL:.1e})")
     return u
-
-
-def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
-    """Ascending real spectrum of a Hermitian operator; rejects non-Hermitian input."""
-    return np.linalg.eigvalsh(require_hermitian(h))
 
 
 def _hermitian_part(h) -> np.ndarray:
@@ -369,7 +363,9 @@ def decompose(h: np.ndarray, basis: ProjectorBasis) -> np.ndarray:
         raise ValueError(f"operator shape {h.shape} does not match basis dim {basis.dim}")
     q = expectations(basis.dual_frame, h)
     residue = np.max(np.abs(q.imag))
-    if not residue <= IMAG_RESIDUE_TOL:  # a non-finite entry fails too
+    if not np.isfinite(residue):
+        raise ValueError("operator has non-finite entries")
+    if residue > IMAG_RESIDUE_TOL:
         raise ValueError(
             f"coefficients have imaginary residue {residue:.3e}; input is not Hermitian"
         )

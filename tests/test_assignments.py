@@ -149,8 +149,17 @@ class TestOrthogonalProjectorSet:
         assert s.dim == 4
 
     def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
             OrthogonalProjectorSet(np.stack([ETA[0], ETA[2]]))
+        # only the pair (1, 2) overlaps, alone and as the second set of a stack
+        plus = np.zeros((3, 3), dtype=complex)
+        plus[1:, 1:] = 0.5
+        bad = np.stack([np.diag([1.0, 0.0, 0.0]), plus, np.diag([0.0, 1.0, 0.0])]).astype(complex)
+        good = OrthogonalProjectorSet.computational(3).projectors
+        assert OrthogonalProjectorSet(np.stack([good, good])).dim == 3
+        for projectors in (bad, np.stack([good, bad])):
+            with pytest.raises(ValueError, match="not mutually orthogonal"):
+                OrthogonalProjectorSet(projectors)
 
     def test_rejects_incomplete(self):
         half = np.zeros((2, 2, 2), dtype=complex)
@@ -358,14 +367,15 @@ class TestAudit:
     def test_valid_assignment_clean(self):
         rng = np.random.default_rng(28)
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
-        report = hermiticity_trace_audit(a, 50, rng)
-        assert report.max_hermiticity_defect <= 1e-10
-        assert report.max_trace_defect <= 1e-10
-        assert report.detects_corruption
+        for _ in range(5):  # 5 * AUDIT_SAMPLES random states
+            report = hermiticity_trace_audit(a, rng)
+            assert report.max_hermiticity_defect <= 1e-10
+            assert report.max_trace_defect <= 1e-10
+            assert report.detects_corruption
 
     def test_corruption_magnitudes(self):
         rng = np.random.default_rng(29)
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
-        report = hermiticity_trace_audit(a, 10, rng)
+        report = hermiticity_trace_audit(a, rng)
         assert report.corrupted_hermiticity_defect == pytest.approx(0.2, abs=1e-10)
         assert report.corrupted_trace_defect == pytest.approx(0.1, abs=1e-10)

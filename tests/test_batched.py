@@ -12,10 +12,13 @@ import pytest
 import assignlab.assignments as assignments
 import assignlab.operators as operators
 from assignlab.assignments import (
+    AUDIT_SAMPLES,
     LinearAssignment,
     OrthogonalProjectorSet,
     _probe_states,
     broadcast_assignment,
+    env_negativity_report,
+    equal_env_certificate,
     hermiticity_trace_audit,
     orthogonal_flag_assignment,
     pechukas_constraints,
@@ -275,8 +278,9 @@ class TestStackedProbing:
         rng = np.random.default_rng(9)
         assignment = LinearAssignment(
             canonical_basis(d), np.stack([random_density(3, rng) for _ in range(d * d)]))
-        audit = hermiticity_trace_audit(assignment, 12, np.random.default_rng(3))
-        max_herm, max_trace = ref_audit_sampling(assignment, 12, np.random.default_rng(3))
+        audit = hermiticity_trace_audit(assignment, np.random.default_rng(3))
+        max_herm, max_trace = ref_audit_sampling(assignment, AUDIT_SAMPLES,
+                                                 np.random.default_rng(3))
         assert abs(audit.max_hermiticity_defect - max_herm) <= FLOAT_TOL
         assert abs(audit.max_trace_defect - max_trace) <= FLOAT_TOL
 
@@ -325,8 +329,8 @@ class TestFactoriesAndAudit:
         monkeypatch.setattr(assignments, "hermiticity_defect", spy)
         rng = np.random.default_rng(seed)
         assignment = LinearAssignment(canonical_basis(d), random_density(3, rng, d * d))
-        audit = hermiticity_trace_audit(assignment, 10, np.random.default_rng(seed + 1))
-        numbers, herm_out = old_audit(assignment, 10, np.random.default_rng(seed + 1))
+        audit = hermiticity_trace_audit(assignment, np.random.default_rng(seed + 1))
+        numbers, herm_out = old_audit(assignment, AUDIT_SAMPLES, np.random.default_rng(seed + 1))
         assert (audit.max_hermiticity_defect, audit.max_trace_defect,
                 audit.corrupted_hermiticity_defect, audit.corrupted_trace_defect) == numbers
         assert audit.detects_corruption
@@ -373,6 +377,20 @@ class TestStackedAssignments:
         with pytest.raises(ValueError, match="state 1 is not Hermitian"):
             broadcast.apply(np.stack([np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])]))
 
+    @pytest.mark.parametrize("check", [
+        lambda a, rng: positivity_certificate(a, 10, rng),
+        lambda a, rng: env_negativity_report(a),
+        lambda a, rng: equal_env_certificate(a, 10, rng),
+        lambda a, rng: domain_volume(a, 100, rng),
+        hermiticity_trace_audit,
+    ], ids=["positivity", "env-negativity", "equal-env", "domain-volume", "audit"])
+    def test_probing_checkers_refuse_a_stack(self, check):
+        rng = np.random.default_rng(4)
+        measurement = OrthogonalProjectorSet.from_unitary(random_unitary(2, rng, 3))
+        stacked = LinearAssignment(measurement, random_density(2, rng, 6).reshape(3, 2, 2, 2))
+        with pytest.raises(ValueError, match=r"expected one assignment, got a stack \(3,\)"):
+            check(stacked, rng)
+
 
 class TestOneAssignmentClass:
     """A ``LinearAssignment`` on a measurement is the zero-discord class it
@@ -396,8 +414,8 @@ class TestOneAssignmentClass:
         projectors = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng, 7)).projectors
         envs = random_density(2, rng, 7 * d).reshape(7, d, 2, 2)
         states = random_density(d, rng, 7)
-        for lo, hi in probe_chunks(LinearAssignment(OrthogonalProjectorSet(projectors[:1]),
-                                                    envs[:1]), len(states)):
+        for lo, hi in probe_chunks(LinearAssignment(OrthogonalProjectorSet(projectors[0]),
+                                                    envs[0]), len(states)):
             measurement = OrthogonalProjectorSet(projectors[lo:hi])
             stacked = LinearAssignment(measurement, envs[lo:hi])
             ref = old_zero_discord_apply(measurement, envs[lo:hi], states[lo:hi])

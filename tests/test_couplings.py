@@ -51,7 +51,7 @@ def old_lambda(assignment, u):
     return cp_certificate(induced_map(assignment, u)).lambda_min_choi
 
 
-def ref_find_noncp(assignment, attempts, seed, threshold=NONCP_THRESHOLD):
+def ref_find_noncp(assignment, attempts, seed):
     dim = assignment.dim_s * assignment.dim_e
     first_index = first_lambda = None
     best_index, best_lambda = -1, np.inf
@@ -59,20 +59,19 @@ def ref_find_noncp(assignment, attempts, seed, threshold=NONCP_THRESHOLD):
         lam = old_lambda(assignment, old_random_unitary(dim, np.random.default_rng([seed, i])))
         if lam < best_lambda:
             best_index, best_lambda = i, lam
-        if first_index is None and lam < threshold:
+        if first_index is None and lam < NONCP_THRESHOLD:
             first_index, first_lambda = i, lam
     return NonCPSearch(found=first_index is not None, seed=seed, attempts=attempts,
-                       threshold=threshold, first_index=first_index,
-                       first_lambda=first_lambda, best_index=best_index,
-                       best_lambda=float(best_lambda))
+                       first_index=first_index, first_lambda=first_lambda,
+                       best_index=best_index, best_lambda=float(best_lambda))
 
 
-def ref_sweep(n_assignments, unitaries_per_assignment, dim_s, dim_e, seed, tol=CP_TOL):
+def ref_sweep(n_assignments, dim_s, dim_e, seed, tol=CP_TOL):
     rng = np.random.default_rng(seed)
     min_lambda, maps_checked = np.inf, 0
     for _ in range(n_assignments):
         z = random_zero_discord_assignment(dim_s, dim_e, rng)
-        for _ in range(unitaries_per_assignment):
+        for _ in range(dynamics.SWEEP_COUPLINGS):
             min_lambda = min(min_lambda, old_lambda(z, old_random_unitary(dim_s * dim_e, rng)))
             maps_checked += 1
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),
@@ -205,8 +204,8 @@ class TestStackedSearch:
         assert (search.best_index, search.best_lambda) == (first, lams[low])
         assert (search.first_index, search.first_lambda) == (first, lams[low])
         # a threshold every coupling meets: the very first draw is the witness
-        loose = find_noncp_unitary(flags, attempts=attempts, seed=seed,
-                                   threshold=max(lams) + 1.0)
+        monkeypatch.setattr(dynamics, "NONCP_THRESHOLD", max(lams) + 1.0)
+        loose = find_noncp_unitary(flags, attempts=attempts, seed=seed)
         assert (loose.first_index, loose.first_lambda) == (0, lams[choice[0]])
 
     def test_no_attempts(self):
@@ -223,21 +222,24 @@ class TestStackedSweep:
         d_e = 2
         dim = d * d_e
         set_chunking(monkeypatch, chunking, dim)
+        # an odd count: the straddling chunks leave a ragged last one
+        monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 5)
         for seed in (0, 21):
-            sweep = classical_cp_sweep(n_assignments=3, unitaries_per_assignment=5,
-                                       dim_s=d, dim_e=d_e, seed=seed)
-            assert sweep == ref_sweep(3, 5, d, d_e, seed)
+            sweep = classical_cp_sweep(n_assignments=3, dim_s=d, dim_e=d_e, seed=seed)
+            assert sweep == ref_sweep(3, d, d_e, seed)
             assert sweep.maps_checked == 15 and sweep.all_cp
 
-    def test_empty_sweeps(self):
-        for n, per in ((0, 5), (3, 0), (-1, -1)):
-            assert classical_cp_sweep(n, per, 2, 2, seed=1) == ref_sweep(n, per, 2, 2, 1)
+    def test_empty_sweeps(self, monkeypatch):
+        for n in (0, -1):
+            assert classical_cp_sweep(n, 2, 2, seed=1) == ref_sweep(n, 2, 2, 1)
+        monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 0)
+        assert classical_cp_sweep(3, 2, 2, seed=1) == ref_sweep(3, 2, 2, 1)
 
 
 class TestStackedChoi:
     def test_names_offending_map(self):
         flags = orthogonal_flag_assignment(canonical_basis(2))
-        good = induced_map(flags, random_unitary(8, np.random.default_rng(0))).mat
+        good = induced_map(flags, random_unitary(8, np.random.default_rng(0)))
         bad = good.copy()
         bad[0, 1] += 1e-3  # no longer Hermiticity preserving
         with pytest.raises(ValueError, match=r"Choi matrix 1 is not Hermitian"):

@@ -12,6 +12,7 @@ from assignlab.assignments import (
 )
 from assignlab.dynamics import (
     EXPECTED_CONDITIONS,
+    SWEEP_COUPLINGS,
     assignment_condition_table,
     choi_matrix,
     classical_cp_sweep,
@@ -37,12 +38,18 @@ SWAP = np.array(
 )
 
 
+def apply_map(m, x):
+    """The superoperator matrix ``m`` acting on the operator ``x``."""
+    return (m @ x.reshape(-1)).reshape(x.shape)
+
+
 class TestInducedMap:
     def test_product_with_identity_is_identity(self):
         rng = np.random.default_rng(0)
         a = product_assignment(BASIS, random_density(2, rng))
         m = induced_map(a, np.eye(4))
-        assert np.max(np.abs(m.mat - np.eye(4))) < 1e-12
+        assert not m.flags.writeable
+        assert np.max(np.abs(m - np.eye(4))) < 1e-12
 
     def test_product_with_swap_is_constant(self):
         rng = np.random.default_rng(1)
@@ -51,7 +58,7 @@ class TestInducedMap:
         m = induced_map(a, SWAP)
         for _ in range(10):
             eta = random_density(2, rng)
-            assert np.max(np.abs(m.apply(eta) - t)) < 1e-12
+            assert np.max(np.abs(apply_map(m, eta) - t)) < 1e-12
 
     def test_composition_consistency(self):
         rng = np.random.default_rng(2)
@@ -61,7 +68,7 @@ class TestInducedMap:
             m = induced_map(a, u)
             eta = random_density(2, rng)
             direct = partial_trace(u @ a.apply(eta) @ u.conj().T, 2, 2, "E")
-            assert np.max(np.abs(m.apply(eta) - direct)) < 1e-9
+            assert np.max(np.abs(apply_map(m, eta) - direct)) < 1e-9
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(3)
@@ -70,7 +77,7 @@ class TestInducedMap:
             u = random_unitary(6, rng)
             m = induced_map(z, u)
             eta = random_density(2, rng)
-            out = m.apply(eta)
+            out = apply_map(m, eta)
             assert abs(np.trace(out).real - 1.0) < 1e-9
             assert hermiticity_defect(out) < 1e-9
 
@@ -79,8 +86,8 @@ class TestInducedMap:
         a = product_assignment(BASIS, random_density(2, rng))
         m = induced_map(a, random_unitary(4, rng))
         r1, r2 = random_density(2, rng), random_density(2, rng)
-        mixed = m.apply(0.3 * r1 + 0.7 * r2)
-        assert np.max(np.abs(mixed - 0.3 * m.apply(r1) - 0.7 * m.apply(r2))) < 1e-10
+        mixed = apply_map(m, 0.3 * r1 + 0.7 * r2)
+        assert np.max(np.abs(mixed - 0.3 * apply_map(m, r1) - 0.7 * apply_map(m, r2))) < 1e-10
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
@@ -124,6 +131,11 @@ class TestChoi:
             choi = choi_matrix(induced_map(z, random_unitary(4, rng)))
             assert abs(np.trace(choi.mat).real - 2.0) < 1e-8
 
+    def test_refuses_a_side_that_is_not_a_square(self):
+        for check in (choi_matrix, cp_certificate):
+            with pytest.raises(ValueError, match=r"superoperator matrix, got shape \(5, 5\)"):
+                check(np.eye(5))
+
 
 class TestCPCertificate:
     def test_identity_is_cptp(self):
@@ -159,10 +171,8 @@ class TestCPCertificate:
 
 class TestClassicalSweep:
     def test_small_sweep_all_cp(self):
-        sweep = classical_cp_sweep(
-            n_assignments=20, unitaries_per_assignment=5, dim_s=2, dim_e=2, seed=13
-        )
-        assert sweep.maps_checked == 100
+        sweep = classical_cp_sweep(n_assignments=20, dim_s=2, dim_e=2, seed=13)
+        assert sweep.maps_checked == 20 * SWEEP_COUPLINGS
         assert sweep.all_cp
         assert sweep.min_lambda >= -1e-9
 
@@ -222,7 +232,7 @@ class TestBitIdentity:
                 u = random_unitary(assignment.dim_s * assignment.dim_e, rng)
                 superop = induced_map(assignment, u)
                 ref = reference_map(assignment, u)
-                assert np.array_equal(superop.mat, ref)
+                assert np.array_equal(superop, ref)
                 ref_spectrum = reference_choi_spectrum(ref, d)
                 assert np.array_equal(choi_matrix(superop).spectrum, ref_spectrum)
                 assert cp_certificate(superop).lambda_min_choi == ref_spectrum[0]
@@ -240,14 +250,12 @@ class TestBitIdentity:
             assert reference_choi_spectrum(reference_map(flags, u), d)[0] == lam
 
     def test_sweep_matches_per_unit_loop(self):
-        sweep = classical_cp_sweep(
-            n_assignments=3, unitaries_per_assignment=4, dim_s=3, dim_e=2, seed=21
-        )
+        sweep = classical_cp_sweep(n_assignments=3, dim_s=3, dim_e=2, seed=21)
         rng = np.random.default_rng(21)
         lams = []
         for _ in range(3):
             z = random_zero_discord_assignment(3, 2, rng)
-            for _ in range(4):
+            for _ in range(SWEEP_COUPLINGS):
                 u = random_unitary(6, rng)
                 lams.append(reference_choi_spectrum(reference_map(z, u), 3)[0])
         assert sweep.min_lambda == min(lams)
@@ -255,7 +263,7 @@ class TestBitIdentity:
 
 class TestConditionTable:
     def test_matches_expected_pattern(self):
-        table = assignment_condition_table(seed=1)
+        table = assignment_condition_table(seed=1, samples=200)
         assert table.matches_expected
         by_family = {row.family: row for row in table.rows}
         assert by_family["none"].conditions == (True, True, True)
@@ -263,7 +271,7 @@ class TestConditionTable:
         assert by_family["quantum"].conditions == (True, True, False)
 
     def test_recorded_defects(self):
-        table = assignment_condition_table(seed=2)
+        table = assignment_condition_table(seed=2, samples=200)
         by_family = {row.family: row for row in table.rows}
         # classical family: consistency fails by the dephasing distance on some probe
         assert by_family["classical"].max_consistency_defect > 0.1
@@ -271,8 +279,8 @@ class TestConditionTable:
         assert by_family["quantum"].min_output_eigenvalue == pytest.approx(-1.0, abs=1e-9)
 
     def test_deterministic(self):
-        t1 = assignment_condition_table(seed=5)
-        t2 = assignment_condition_table(seed=5)
+        t1 = assignment_condition_table(seed=5, samples=200)
+        t2 = assignment_condition_table(seed=5, samples=200)
         for r1, r2 in zip(t1.rows, t2.rows):
             assert r1.family == r2.family
             assert r1.conditions == r2.conditions

@@ -11,7 +11,6 @@ from assignlab.operators import (
     bloch_state,
     canonical_basis,
     decompose,
-    eigvals_hermitian,
     hermiticity_defect,
     hs_inner,
     partial_trace,
@@ -90,27 +89,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), 2, 3, "E")
-
-
-class TestEigvals:
-    def test_pauli_z(self):
-        assert np.allclose(eigvals_hermitian(PAULI_Z), [-1, 1], atol=1e-14)
-
-    def test_rank_one(self):
-        eta1 = qubit_states()[0]
-        assert np.allclose(eigvals_hermitian(eta1), [0, 1], atol=1e-12)
-
-    def test_maximally_mixed(self):
-        assert np.allclose(eigvals_hermitian(I2 / 2), [0.5, 0.5], atol=0)
-
-    def test_sum_is_trace(self):
-        rng = np.random.default_rng(6)
-        h = random_hermitian(5, rng)
-        assert abs(eigvals_hermitian(h).sum() - np.trace(h).real) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigvals_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestHsInner:
@@ -230,17 +208,18 @@ class TestDecompose:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rejects_nan(self, d):
-        state = np.eye(d, dtype=complex) / (d - 1)
-        state[0, 0] = np.nan
         basis = canonical_basis(d)
-        with pytest.raises(ValueError, match="imaginary residue nan"):
-            decompose(state, basis)
         env = np.eye(2, dtype=complex) / 2
-        with pytest.raises(ValueError, match="imaginary residue nan"):
-            product_assignment(basis, env).apply(state)
         measured = LinearAssignment(OrthogonalProjectorSet.computational(d), np.stack([env] * d))
-        with pytest.raises(ValueError, match="state has non-finite entries"):
-            measured.apply(state)
+        for bad in (np.nan, np.inf, -np.inf):
+            state = np.eye(d, dtype=complex) / (d - 1)
+            state[0, 0] = bad
+            with pytest.raises(ValueError, match="operator has non-finite entries"):
+                decompose(state, basis)
+            with pytest.raises(ValueError, match="operator has non-finite entries"):
+                product_assignment(basis, env).apply(state)
+            with pytest.raises(ValueError, match="state has non-finite entries"):
+                measured.apply(state)
 
 
 class TestBlochCoeffs:

@@ -150,7 +150,7 @@ def test_product_assignment_induces_its_kraus_map(d_s, d_e, seed):
     kraus = [np.sqrt(p[b]) * blocks[:, a, :, b] for a in range(d_e) for b in range(d_e)]
     # row-major vec(K X K^dag) = (K (x) conj(K)) vec(X)
     oracle = sum(np.kron(k, k.conj()) for k in kraus)
-    assert np.max(np.abs(superop.mat - oracle)) <= 1e-12
+    assert np.max(np.abs(superop - oracle)) <= 1e-12
     # sum_jk E_jk (x) K E_jk K^dag = |v><v| with v = vec(K^T): a Gram sum, PSD
     gram = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in kraus)
     assert np.max(np.abs(choi_matrix(superop).mat - gram)) <= 1e-12
