@@ -46,16 +46,13 @@ from assignlab.operators import (
     bloch_coeffs,
     bloch_state,
     canonical_basis,
-    decompose,
     ginibre_densities,
     haar_unitaries,
-    hs_inner,
     partial_trace,
     qubit_states,
     random_density,
     random_pure,
     random_unitary,
-    recompose,
     tensor,
     trace_norm,
 )

@@ -123,6 +123,8 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; an invalid one raises ``UsageError`` when built."""
+
     experiment: str
     seed: int = 0
     samples: int = 500
@@ -131,7 +133,7 @@ class ExperimentConfig:
     tol: float = 1e-10
     out_path: str | None = None
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise UsageError(f"unknown experiment {self.experiment!r}")
         for key, value in (("seed", self.seed), ("samples", self.samples),
@@ -157,7 +159,6 @@ class ExperimentConfig:
                 f"dim-e {self.dim_e} needs a {stack_bytes / 2**20:.0f} MiB operator "
                 f"stack, over the {_MAX_STACK_BYTES // 2**20} MiB limit"
             )
-        return self
 
     def echo(self) -> dict:
         return {key: getattr(self, field) for key, field in _CONFIG_KEYS.items() if key != "out"}
@@ -370,18 +371,14 @@ def _run_lemma1(config, rng):
 
 def _run_appendix(config, rng):
     basis = canonical_basis(config.dim_s)
-    max_herm = 0.0
-    max_trace = 0.0
-    corrupted_herm = corrupted_trace = None
-    n_assignments = max(1, config.samples // 10)
-    for i in range(n_assignments):
+    audits = []
+    for _ in range(max(1, config.samples // 10)):
         taus = random_density(config.dim_e, rng, basis.size)
-        audit = hermiticity_trace_audit(LinearAssignment(basis, taus), rng)
-        max_herm = max(max_herm, audit.max_hermiticity_defect)
-        max_trace = max(max_trace, audit.max_trace_defect)
-        if i == 0:
-            corrupted_herm = audit.corrupted_hermiticity_defect
-            corrupted_trace = audit.corrupted_trace_defect
+        audits.append(hermiticity_trace_audit(LinearAssignment(basis, taus), rng))
+    max_herm = max(audit.max_hermiticity_defect for audit in audits)
+    max_trace = max(audit.max_trace_defect for audit in audits)
+    corrupted_herm = audits[0].corrupted_hermiticity_defect
+    corrupted_trace = audits[0].corrupted_trace_defect
     passed = (
         max_herm <= 1e-10
         and max_trace <= 1e-10
@@ -540,7 +537,6 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute one experiment; deterministic under (experiment, seed, samples,
     dims, tol)."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     passed, metrics, witnesses = _RUNNERS[config.experiment](config, rng)
@@ -663,11 +659,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if "experiment" not in values:
         raise UsageError("an experiment must be named via --experiment or --config")
     try:
-        config = ExperimentConfig(**values)
+        return ExperimentConfig(**values)
     except TypeError as exc:
         raise UsageError(str(exc)) from exc
-    config.validate()
-    return config
 
 
 def main(argv=None) -> int:

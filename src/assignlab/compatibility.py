@@ -1,11 +1,12 @@
 """Compatibility domain of an assignment: the system states it maps to
 valid system-environment density operators.
 
-``domain_verdict`` decides membership by the smallest output eigenvalue;
-bisection along affine rays locates the boundary with the same verdict, and
-the volume is estimated by Monte Carlo sampling under the Hilbert-Schmidt
-measure. The Monte Carlo checks draw and assign their states as byte-bounded
-stacks (``probe_chunks``), with the same draws and counts as one state at a time.
+``domain_verdict`` decides membership by the smallest output eigenvalue, for
+one state or a stack; bisection along affine rays locates the boundary with
+the same verdict, and the volume is estimated by Monte Carlo sampling under
+the Hilbert-Schmidt measure. The Monte Carlo checks draw their states as
+byte-bounded stacks (``probe_chunks``) and hand each stack to
+``domain_verdict``, with the same draws and counts as one state at a time.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class CompatibilityVerdict:
-    lambda_min: float
+    lambda_min: float  # arrays of one per state for a stack of states
     in_domain: bool
 
 
 def domain_verdict(assignment, state: np.ndarray, tol: float = PSD_TOL) -> CompatibilityVerdict:
-    """Is ``state`` mapped to a positive semidefinite operator?"""
+    """Is ``state`` mapped to a positive semidefinite operator? A stack of
+    states gets one smallest eigenvalue and one verdict per state."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     lam = min_eigenvalue(assignment.apply(state))
@@ -128,7 +130,7 @@ def domain_volume(
     hits = 0
     for lo, hi in probe_chunks(assignment, samples):
         states = random_density(assignment.dim_s, rng, hi - lo)
-        hits += int(np.count_nonzero(min_eigenvalue(assignment.apply(states)) >= -tol))
+        hits += int(np.count_nonzero(domain_verdict(assignment, states, tol).in_domain))
     return DomainEstimate(
         samples=samples,
         hits=hits,
@@ -155,16 +157,17 @@ def simplex_domain_check(
     output spectrum is the weight vector ``basis.coefficients`` padded with
     zeros, so domain membership is equivalent to all weights being
     nonnegative. Verify that equivalence on random probes."""
+    chunks = probe_chunks(assignment, samples)  # refuses a stacked assignment first
     taus = assignment.env_ops
     overlaps = np.einsum("iab,jba->ij", taus, taus)
     if np.max(np.abs(overlaps - np.eye(len(taus)))) > 1e-10:
         raise ValueError("environment operators are not orthonormal projectors")
     agreements = 0
     max_gap = 0.0
-    for lo, hi in probe_chunks(assignment, samples):
+    for lo, hi in chunks:
         states = random_density(assignment.dim_s, rng, hi - lo)
         q_min = assignment.basis.coefficients(states).min(axis=-1)
-        lam = min_eigenvalue(assignment.apply(states))
-        agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
-        max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))
+        verdict = domain_verdict(assignment, states, tol)
+        agreements += int(np.count_nonzero(verdict.in_domain == (q_min >= -tol)))
+        max_gap = max(max_gap, float(np.max(np.abs(verdict.lambda_min - np.minimum(0.0, q_min)))))
     return SimplexDomainReport(probes=samples, agreements=agreements, max_gap=max_gap)

@@ -10,7 +10,8 @@ linearity/consistency/positivity per correlation family.
 Induced maps are built from a stack of d_s^2 assigned unit images: the
 images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
 K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
-inputs. A search or sweep assigns them once per assignment, then takes its
+inputs, listed with the slots each E_jk reads in one cached table per d_s.
+A search or sweep assigns them once per assignment, then takes its
 couplings as stacks: one Haar draw (one stacked QR) per chunk of couplings
 (a chunk is sized by its couplings' normals and unitaries, in the search and
 the sweep alike), one stacked unitarity check, every (coupling, image) pair
@@ -86,37 +87,36 @@ NONCP_THRESHOLD = -1e-6
 SWEEP_COUPLINGS = 10  # Haar couplings per assignment in the classical sweep
 
 
-def _unit_images(assignment) -> np.ndarray:
-    """Assigned images of the d_s^2 distinct Hermitian parts of the matrix units.
-
-    E_jk = H_jk + i K_jk with H = (E + E^dag)/2 and K = (E - E^dag)/2i. Slot
-    j*d_s + k holds the image of H_jk for j <= k and of K_kj for j > k; the
-    rest follow from H_kj = H_jk, K_kj = -K_jk and K_jj = 0. The images come
-    from one stacked call of the family's own ``apply``.
-    """
-    d = assignment.dim_s
-    inputs = []
-    for j in range(d):
-        for k in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[min(j, k), max(j, k)] = 1.0
-            if j <= k:
-                inputs.append((unit + unit.conj().T) / 2)
-            else:
-                inputs.append((unit - unit.conj().T) / 2j)
-    return assignment.apply(np.stack(inputs))
-
-
 @cache
-def _unit_slots(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each matrix unit E_jk, row-major: the image slot of H_jk, the slot
-    of K_jk up to sign, and that sign (0 on the diagonal)."""
-    j, k = np.divmod(np.arange(d * d), d)
+def _unit_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The d^2 distinct Hermitian parts of the matrix units, and where each
+    matrix unit finds its own; all read-only.
+
+    E_jk = H_jk + i K_jk with H = (E + E^dag)/2 and K = (E - E^dag)/2i. Input
+    slot j*d + k holds H_jk for j <= k and K_kj for j > k; the rest follow
+    from H_kj = H_jk, K_kj = -K_jk and K_jj = 0. Then, for each E_jk in
+    row-major order: the slot of H_jk, the slot of K_jk up to sign, and that
+    sign (0 on the diagonal). The entries carry the bits, signed zeros
+    included, of forming each H and K from its matrix unit.
+    """
+    slot = np.arange(d * d)
+    j, k = np.divmod(slot, d)
     lo, hi = np.minimum(j, k), np.maximum(j, k)
-    slots = (lo * d + hi, hi * d + lo, np.sign(k - j))
-    for a in slots:
+    herm, skew, sign = lo * d + hi, hi * d + lo, np.sign(k - j)
+    half = np.where(j == k, 1.0, 0.5)
+    inputs = np.zeros((d * d, d, d), dtype=complex)
+    inputs[slot, lo, hi] = np.where(j > k, complex(0.0, -0.5), half)
+    inputs[slot, hi, lo] = np.where(j > k, complex(0.0, 0.5), half)
+    table = (inputs, herm, skew, sign)
+    for a in table:
         a.setflags(write=False)
-    return slots
+    return table
+
+
+def _unit_images(assignment) -> np.ndarray:
+    """Assigned images of the unit inputs, from one stacked call of the
+    family's own ``apply``."""
+    return assignment.apply(_unit_inputs(assignment.dim_s)[0])
 
 
 def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
@@ -144,7 +144,7 @@ def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
             joint = u[c:c_end] @ images[i:i_end] @ u_dag[c:c_end]
             traced[c:c_end, i:i_end] = np.einsum(
                 "kniaja->knij", joint.reshape(joint.shape[:2] + (d_s, d_e, d_s, d_e)))
-    herm, skew, sign = _unit_slots(d_s)
+    _, herm, skew, sign = _unit_inputs(d_s)
     columns = traced[:, herm] + 1j * (sign[:, None, None] * traced[:, skew])
     return np.ascontiguousarray(columns.reshape(k, d_s * d_s, d_s * d_s).swapaxes(-1, -2))
 

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small quantum systems.
 
 Tensor products, partial traces, Hermitian spectra, rank-1 projector bases
-with dual frames for coefficient extraction, and seeded random sampling of
-states and unitaries. Everything operates on plain complex ndarrays; the
-composite index convention is system-major (s * dim_e + e).
+that check their projectors and derive their dual frames when built, and
+seeded random sampling of states and unitaries. Everything operates on
+plain complex ndarrays; the composite index convention is system-major
+(s * dim_e + e).
 
 The operator functions also take stacks (..., d, d) and act on each matrix
 of the stack; ``random_density``, ``random_pure`` and ``random_unitary``
@@ -23,7 +24,7 @@ Callers that build stacks bound them with ``chunk_ranges``: at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
     "tensor",
     "partial_trace",
     "min_eigenvalue",
-    "hs_inner",
     "trace_norm",
     "expectations",
     "weighted_sum",
@@ -54,8 +54,6 @@ __all__ = [
     "bloch_coeffs",
     "ProjectorBasis",
     "canonical_basis",
-    "decompose",
-    "recompose",
     "random_density",
     "ginibre_densities",
     "random_pure",
@@ -201,15 +199,6 @@ def min_eigenvalue(h: np.ndarray):
     return np.linalg.eigvalsh(_hermitian_part(h))[..., 0]
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def trace_norm(h: np.ndarray):
     """Sum of absolute eigenvalues of the Hermitian part of ``h``, one per matrix."""
     return np.abs(np.linalg.eigvalsh(_hermitian_part(h))).sum(axis=-1)
@@ -282,30 +271,22 @@ def bloch_coeffs(a) -> np.ndarray:
 class ProjectorBasis:
     """A spanning set of dim^2 rank-1 projectors with its dual frame.
 
-    ``projectors`` is stacked (dim^2, dim, dim); ``dual_frame`` holds the
-    Hermitian operators D_i with Tr[D_i P_j] = delta_ij, obtained by solving
-    the Gram system of Hilbert-Schmidt overlaps.
+    ``projectors`` is stacked (dim^2, dim, dim) and checked on construction:
+    Hermitian, unit trace, idempotent and linearly independent. ``gram``
+    holds their Hilbert-Schmidt overlaps and ``dual_frame`` the Hermitian
+    operators D_i with Tr[D_i P_j] = delta_ij, obtained by solving the Gram
+    system; all three are read-only.
     """
 
-    dim: int
     projectors: np.ndarray
-    gram: np.ndarray
-    dual_frame: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
+    dual_frame: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def size(self) -> int:
-        return self.dim * self.dim
-
-    def coefficients(self, h: np.ndarray) -> np.ndarray:
-        """``decompose(h, self)``: the coefficients a linear assignment reads."""
-        return decompose(h, self)
-
-    @classmethod
-    def from_projectors(cls, projectors) -> "ProjectorBasis":
-        stack = np.stack([np.asarray(p, dtype=complex) for p in projectors])
-        n, d, d2 = stack.shape[0], stack.shape[1], stack.shape[2]
-        if d != d2:
-            raise ValueError("projectors must be square")
+    def __post_init__(self):
+        stack = np.array(self.projectors, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"projectors must stack square matrices, got shape {stack.shape}")
+        n, d = stack.shape[:2]
         if n != d * d:
             raise ValueError(f"need {d * d} projectors to span dim {d}, got {n}")
         require_hermitian(stack, name="projector")
@@ -321,9 +302,34 @@ class ProjectorBasis:
                 f"(smallest Gram singular value {smallest:.3e})"
             )
         dual = np.tensordot(np.linalg.inv(gram), stack, axes=1)
-        basis = cls(dim=d, projectors=_frozen(stack), gram=_frozen(gram).real,
-                    dual_frame=_frozen(dual))
-        return basis
+        stack.setflags(write=False)
+        object.__setattr__(self, "projectors", stack)
+        object.__setattr__(self, "gram", _frozen(gram).real)
+        object.__setattr__(self, "dual_frame", _frozen(dual))
+
+    @property
+    def dim(self) -> int:
+        return self.projectors.shape[-1]
+
+    @property
+    def size(self) -> int:
+        return self.dim * self.dim
+
+    def coefficients(self, h: np.ndarray) -> np.ndarray:
+        """Real coefficients q with h = sum_i q_i P_i, read through the dual
+        frame; a stack (..., d, d) gives coefficients (..., d^2)."""
+        h = np.asarray(h, dtype=complex)
+        if h.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"operator shape {h.shape} does not match basis dim {self.dim}")
+        q = expectations(self.dual_frame, h)
+        residue = np.max(np.abs(q.imag))
+        if not np.isfinite(residue):
+            raise ValueError("operator has non-finite entries")
+        if residue > IMAG_RESIDUE_TOL:
+            raise ValueError(
+                f"coefficients have imaginary residue {residue:.3e}; input is not Hermitian"
+            )
+        return q.real
 
 
 @cache
@@ -332,52 +338,21 @@ def canonical_basis(d: int) -> ProjectorBasis:
 
     For d = 2 this is the axis basis (x+, y+, z+, x-); for d >= 3 it is the
     tomography-style set |j><j| together with the projectors onto
-    (|j> + |k>)/sqrt2 and (|j> + i|k>)/sqrt2 for j < k.
+    (|j> + |k>)/sqrt2 and (|j> + i|k>)/sqrt2 for j < k, pairs in row-major order.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if d == 2:
-        eta = qubit_states()
-        return ProjectorBasis.from_projectors([eta[0], eta[1], eta[2], eta[3]])
-    projs = []
-    for j in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        projs.append(np.outer(v, v.conj()))
-    for j in range(d):
-        for k in range(j + 1, d):
-            for amp in (1.0, 1.0j):
-                v = np.zeros(d, dtype=complex)
-                v[j] = 1.0
-                v[k] = amp
-                v /= np.sqrt(2.0)
-                projs.append(np.outer(v, v.conj()))
-    return ProjectorBasis.from_projectors(projs)
-
-
-def decompose(h: np.ndarray, basis: ProjectorBasis) -> np.ndarray:
-    """Real coefficients q with h = sum_i q_i P_i, extracted via the dual frame;
-    a stack (..., d, d) gives coefficients (..., d^2)."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape[-2:] != (basis.dim, basis.dim):
-        raise ValueError(f"operator shape {h.shape} does not match basis dim {basis.dim}")
-    q = expectations(basis.dual_frame, h)
-    residue = np.max(np.abs(q.imag))
-    if not np.isfinite(residue):
-        raise ValueError("operator has non-finite entries")
-    if residue > IMAG_RESIDUE_TOL:
-        raise ValueError(
-            f"coefficients have imaginary residue {residue:.3e}; input is not Hermitian"
-        )
-    return q.real
-
-
-def recompose(q, basis: ProjectorBasis) -> np.ndarray:
-    """Weighted projector sum sum_i q_i P_i."""
-    q = np.asarray(q)
-    if q.shape != (basis.size,):
-        raise ValueError(f"expected {basis.size} coefficients, got shape {q.shape}")
-    return np.tensordot(q, basis.projectors, axes=1)
+        return ProjectorBasis(qubit_states()[:4])
+    j, k = np.triu_indices(d, 1)
+    pair = d + 2 * np.arange(len(j))  # row of (|j> + |k>)/sqrt2; (|j> + i|k>)/sqrt2 follows
+    v = np.zeros((d * d, d), dtype=complex)
+    v[np.arange(d), np.arange(d)] = 1.0
+    v[pair, j] = v[pair + 1, j] = v[pair, k] = 1.0
+    v[pair + 1, k] = 1.0j
+    v[d:] /= np.sqrt(2.0)
+    # the product np.outer forms for each vector
+    return ProjectorBasis(v[:, :, None] * v.conj()[:, None, :])
 
 
 def _shape(size: int | None) -> tuple:

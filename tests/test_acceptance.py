@@ -35,7 +35,6 @@ from assignlab.dynamics import (
 )
 from assignlab.operators import (
     canonical_basis,
-    decompose,
     min_eigenvalue,
     partial_trace,
     qubit_states,

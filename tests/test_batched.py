@@ -31,7 +31,6 @@ from assignlab.compatibility import domain_volume, simplex_domain_check
 from assignlab.operators import (
     ProjectorBasis,
     canonical_basis,
-    decompose,
     expectations,
     hermiticity_defect,
     min_eigenvalue,
@@ -106,7 +105,7 @@ def ref_simplex(assignment, samples, rng, tol):
     agreements, max_gap = 0, 0.0
     for _ in range(samples):
         state = old_random_density(assignment.dim_s, rng)
-        q = decompose(state, assignment.basis)
+        q = assignment.basis.coefficients(state)
         lam = min_eigenvalue(assignment.apply(state))
         agreements += (lam >= -tol) == (q.min() >= -tol)
         max_gap = max(max_gap, abs(lam - min(0.0, q.min())))
@@ -125,7 +124,7 @@ def ref_audit_sampling(assignment, samples, rng):
 
 def old_broadcast_apply(basis, state):
     """``apply`` of the broadcast class the factory replaced."""
-    return weighted_sum(decompose(state, basis), tensor(basis.projectors, basis.projectors))
+    return weighted_sum(basis.coefficients(state), tensor(basis.projectors, basis.projectors))
 
 
 def old_zero_discord_apply(measurement, env_states, state):
@@ -154,10 +153,10 @@ def old_audit(assignment, samples, rng, herm_bump=0.1, trace_scale=1.1):
     skew[0, 0], skew[1, 1] = 1.0, -1.0
     bad_herm = np.array(assignment.env_ops)
     bad_herm[0] = bad_herm[0] + 1j * herm_bump * skew
-    herm_out = weighted_sum(decompose(p0, basis), tensor(basis.projectors, bad_herm))
+    herm_out = weighted_sum(basis.coefficients(p0), tensor(basis.projectors, bad_herm))
     bad_trace = np.array(assignment.env_ops)
     bad_trace[0] = trace_scale * bad_trace[0]
-    trace_out = weighted_sum(decompose(p0, basis), tensor(basis.projectors, bad_trace))
+    trace_out = weighted_sum(basis.coefficients(p0), tensor(basis.projectors, bad_trace))
     numbers = (float(max_herm), float(max_trace), float(hermiticity_defect(herm_out)),
                float(abs(np.trace(trace_out).real - np.trace(p0).real)))
     return numbers, herm_out
@@ -219,8 +218,8 @@ class TestStackedOperators:
         rng = np.random.default_rng(d)
         basis = canonical_basis(d)
         states = random_density(d, rng, 25)
-        q = decompose(states, basis)
-        assert np.array_equal(q, np.stack([decompose(s, basis) for s in states]))
+        q = basis.coefficients(states)
+        assert np.array_equal(q, np.stack([basis.coefficients(s) for s in states]))
         reference = np.stack([np.einsum("kab,ba->k", basis.dual_frame, s).real for s in states])
         assert np.array_equal(q, reference)
 
@@ -382,8 +381,9 @@ class TestStackedAssignments:
         lambda a, rng: env_negativity_report(a),
         lambda a, rng: equal_env_certificate(a, 10, rng),
         lambda a, rng: domain_volume(a, 100, rng),
+        lambda a, rng: simplex_domain_check(a, 10, rng),
         hermiticity_trace_audit,
-    ], ids=["positivity", "env-negativity", "equal-env", "domain-volume", "audit"])
+    ], ids=["positivity", "env-negativity", "equal-env", "domain-volume", "simplex", "audit"])
     def test_probing_checkers_refuse_a_stack(self, check):
         rng = np.random.default_rng(4)
         measurement = OrthogonalProjectorSet.from_unitary(random_unitary(2, rng, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -31,15 +32,22 @@ def canonical_payload(text):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(UsageError):
-            ExperimentConfig(experiment="nope").validate()
+            ExperimentConfig(experiment="nope")
         with pytest.raises(UsageError):
-            ExperimentConfig(experiment="table1", samples=0).validate()
+            ExperimentConfig(experiment="table1", samples=0)
         with pytest.raises(UsageError):
-            ExperimentConfig(experiment="table1", dim_s=1).validate()
+            ExperimentConfig(experiment="table1", dim_s=1)
         with pytest.raises(UsageError):
-            ExperimentConfig(experiment="table1", tol=0.0).validate()
+            ExperimentConfig(experiment="table1", tol=0.0)
         with pytest.raises(UsageError):
-            ExperimentConfig(experiment="table1", seed=-1).validate()
+            ExperimentConfig(experiment="table1", seed=-1)
+        # every construction is checked, a replace too
+        config = ExperimentConfig("table1")
+        with pytest.raises(UsageError, match="samples must be at least 1"):
+            dataclasses.replace(config, samples=0)
+        with pytest.raises(UsageError, match="tol must be finite"):
+            dataclasses.replace(config, tol=float("inf"))
+        assert dataclasses.replace(config, samples=3).samples == 3
 
     def test_every_experiment_has_a_runner(self):
         assert set(cli._RUNNERS) == set(EXPERIMENTS)
@@ -227,9 +235,9 @@ class TestResourceGuard:
         def config(d):
             return ExperimentConfig(experiment=experiment, dim_s=d, dim_e=d)
 
-        config(largest_ok).validate()
+        config(largest_ok)
         with pytest.raises(UsageError, match="too large"):
-            config(largest_ok + 1).validate()
+            config(largest_ok + 1)
 
 
 class TestReportShape:

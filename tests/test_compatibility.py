@@ -18,7 +18,6 @@ from assignlab.compatibility import (
 )
 from assignlab.operators import (
     canonical_basis,
-    decompose,
     min_eigenvalue,
     qubit_states,
     random_density,
@@ -169,10 +168,10 @@ class TestSimplexDomain:
         assert report.max_gap < 1e-9
 
     def test_named_probes(self):
-        q_mixed = decompose(I2 / 2, BASIS)
+        q_mixed = BASIS.coefficients(I2 / 2)
         assert q_mixed.min() == pytest.approx(0.0, abs=1e-12)
         assert domain_verdict(FLAG, I2 / 2).in_domain
-        q5 = decompose(ETA[4], BASIS)
+        q5 = BASIS.coefficients(ETA[4])
         assert q5.min() == pytest.approx(-1.0, abs=1e-12)
         assert not domain_verdict(FLAG, ETA[4]).in_domain
 

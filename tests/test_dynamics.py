@@ -237,6 +237,27 @@ class TestBitIdentity:
                 assert np.array_equal(choi_matrix(superop).spectrum, ref_spectrum)
                 assert cp_certificate(superop).lambda_min_choi == ref_spectrum[0]
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_unit_inputs_match_the_per_unit_loop(self, d):
+        # every bit, signed zeros included: the images are taken of these
+        inputs = []
+        for j in range(d):
+            for k in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[min(j, k), max(j, k)] = 1.0
+                if j <= k:
+                    inputs.append((unit + unit.conj().T) / 2)
+                else:
+                    inputs.append((unit - unit.conj().T) / 2j)
+        table = dynamics._unit_inputs(d)
+        assert table[0].tobytes() == np.stack(inputs).tobytes()
+        j, k = np.divmod(np.arange(d * d), d)
+        lo, hi = np.minimum(j, k), np.maximum(j, k)
+        for got, ref in zip(table[1:], (lo * d + hi, hi * d + lo, np.sign(k - j))):
+            assert np.array_equal(got, ref)
+        assert dynamics._unit_inputs(d) is table
+        assert not any(a.flags.writeable for a in table)
+
     @pytest.mark.parametrize("d", [3, 4])
     def test_replay_equals_search(self, d):
         flags = orthogonal_flag_assignment(canonical_basis(d))

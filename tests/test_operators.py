@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,20 +12,18 @@ from assignlab.operators import (
     bloch_coeffs,
     bloch_state,
     canonical_basis,
-    decompose,
     hermiticity_defect,
-    hs_inner,
     partial_trace,
     qubit_states,
     random_density,
     random_pure,
     random_unitary,
-    recompose,
     require_density,
     require_hermitian,
     require_unitary,
     tensor,
     trace_norm,
+    weighted_sum,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -82,31 +82,13 @@ class TestPartialTrace:
         for _ in range(20):
             a = random_hermitian(2, rng)
             x = random_hermitian(6, rng)
-            lhs = hs_inner(a, partial_trace(x, 2, 3, "E"))
-            rhs = hs_inner(tensor(a, np.eye(3)), x)
+            lhs = np.vdot(a, partial_trace(x, 2, 3, "E"))
+            rhs = np.vdot(tensor(a, np.eye(3)), x)
             assert abs(lhs - rhs) < 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), 2, 3, "E")
-
-
-class TestHsInner:
-    def test_pauli_normalization(self):
-        assert hs_inner(PAULI_X, PAULI_X) == pytest.approx(2.0)
-        assert hs_inner(PAULI_X, PAULI_Y) == pytest.approx(0.0)
-
-    def test_axis_state_overlap(self):
-        # (1/4) Tr[(I+sx)(I+sy)] = 1/2
-        eta = qubit_states()
-        assert hs_inner(eta[0], eta[1]) == pytest.approx(0.5)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-        assert hs_inner(a, a).real > 0
 
 
 class TestQubitStates:
@@ -160,35 +142,94 @@ class TestCanonicalBasis:
         rng = np.random.default_rng(8)
         for _ in range(9):
             h = random_hermitian(3, rng)
-            q = decompose(h, basis)
-            assert np.max(np.abs(recompose(q, basis) - h)) < 1e-9
+            q = basis.coefficients(h)
+            assert np.max(np.abs(weighted_sum(q, basis.projectors) - h)) < 1e-9
 
     def test_rejects_dependent_set(self):
         eta = qubit_states()
         # x+ appears twice: rank-deficient Gram
-        with pytest.raises(ValueError):
-            ProjectorBasis.from_projectors([eta[0], eta[0], eta[2], eta[3]])
+        with pytest.raises(ValueError, match="linear dependence"):
+            ProjectorBasis([eta[0], eta[0], eta[2], eta[3]])
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_matches_the_per_vector_loop(self, d):
+        # every bit, signed zeros included, of one np.outer per vector and
+        # the Gram matrix and dual frame derived from their stack
+        projs = []
+        for j in range(d):
+            v = np.zeros(d, dtype=complex)
+            v[j] = 1.0
+            projs.append(np.outer(v, v.conj()))
+        for j in range(d):
+            for k in range(j + 1, d):
+                for amp in (1.0, 1.0j):
+                    v = np.zeros(d, dtype=complex)
+                    v[j] = 1.0
+                    v[k] = amp
+                    v /= np.sqrt(2.0)
+                    projs.append(np.outer(v, v.conj()))
+        stack = np.stack(projs)
+        gram = np.einsum("iab,jba->ij", stack, stack).real
+        dual = np.tensordot(np.linalg.inv(gram), stack, axes=1)
+        basis = canonical_basis(d)
+        assert basis.projectors.tobytes() == stack.tobytes()
+        assert basis.gram.tobytes() == gram.tobytes()
+        assert basis.dual_frame.tobytes() == dual.tobytes()
+
+
+class TestProjectorBasis:
+    """A basis is built from its projectors alone and checks them."""
+
+    def test_projectors_are_the_only_input(self):
+        projectors = np.stack(qubit_states()[:4])
+        assert [f.name for f in dataclasses.fields(ProjectorBasis) if f.init] == ["projectors"]
+        # a caller-supplied frame could make a linear assignment take the
+        # unit-trace eta5 to an operator of trace 1.5
+        with pytest.raises(TypeError):
+            ProjectorBasis(dim=2, projectors=projectors, gram=np.eye(4), dual_frame=projectors)
+        basis = ProjectorBasis(projectors)
+        assert basis.dim == 2 and basis.size == 4
+        assert np.array_equal(basis.dual_frame, canonical_basis(2).dual_frame)
+        out = LinearAssignment(basis, np.stack([I2 / 2] * 4)).apply(qubit_states()[4])
+        assert abs(np.trace(out) - 1.0) < 1e-12
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.dual_frame = projectors
+
+    def test_rejects_invalid_sets(self):
+        eta = qubit_states()
+        # I/2 is Hermitian with unit trace but is not a projector
+        with pytest.raises(ValueError, match="projector 1 is not idempotent"):
+            ProjectorBasis([eta[0], I2 / 2, eta[2], eta[3]])
+        with pytest.raises(ValueError, match="need 4 projectors"):
+            ProjectorBasis(eta[:3])
+        with pytest.raises(ValueError, match="square matrices"):
+            ProjectorBasis(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="square matrices"):
+            ProjectorBasis(eta[0])
+        with pytest.raises(ValueError, match="projector 2 has trace"):
+            ProjectorBasis([eta[0], eta[1], 2 * eta[2], eta[3]])
 
 
 class TestDecompose:
     def test_eta5_coefficients(self):
         basis = canonical_basis(2)
         eta5 = qubit_states()[4]
-        assert np.allclose(decompose(eta5, basis), [1, -1, 0, 1], atol=1e-12)
+        assert np.allclose(basis.coefficients(eta5), [1, -1, 0, 1], atol=1e-12)
 
     def test_basis_element(self):
         basis = canonical_basis(2)
-        q = decompose(basis.projectors[1], basis)
+        q = basis.coefficients(basis.projectors[1])
         assert np.allclose(q, [0, 1, 0, 0], atol=1e-12)
 
     def test_maximally_mixed(self):
         basis = canonical_basis(2)
-        assert np.allclose(decompose(I2 / 2, basis), [0.5, 0, 0, 0.5], atol=1e-12)
+        assert np.allclose(basis.coefficients(I2 / 2), [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_recompose_eta5(self):
         basis = canonical_basis(2)
         eta5 = qubit_states()[4]
-        assert np.allclose(recompose(np.array([1, -1, 0, 1.0]), basis), eta5, atol=1e-12)
+        q = np.array([1, -1, 0, 1.0])
+        assert np.allclose(weighted_sum(q, basis.projectors), eta5, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_round_trip(self, d):
@@ -196,15 +237,15 @@ class TestDecompose:
         rng = np.random.default_rng(d)
         for _ in range(100):
             h = random_hermitian(d, rng)
-            q = decompose(h, basis)
-            assert np.max(np.abs(recompose(q, basis) - h)) < 1e-9
-            assert np.max(np.abs(decompose(recompose(q, basis), basis) - q)) < 1e-9
+            q = basis.coefficients(h)
+            assert np.max(np.abs(weighted_sum(q, basis.projectors) - h)) < 1e-9
+            assert np.max(np.abs(basis.coefficients(weighted_sum(q, basis.projectors)) - q)) < 1e-9
             assert abs(q.sum() - np.trace(h).real) < 1e-10
 
     def test_rejects_non_hermitian(self):
         basis = canonical_basis(2)
         with pytest.raises(ValueError):
-            decompose(np.array([[0, 1], [0, 0]], dtype=complex), basis)
+            basis.coefficients(np.array([[0, 1], [0, 0]], dtype=complex))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rejects_nan(self, d):
@@ -215,7 +256,7 @@ class TestDecompose:
             state = np.eye(d, dtype=complex) / (d - 1)
             state[0, 0] = bad
             with pytest.raises(ValueError, match="operator has non-finite entries"):
-                decompose(state, basis)
+                basis.coefficients(state)
             with pytest.raises(ValueError, match="operator has non-finite entries"):
                 product_assignment(basis, env).apply(state)
             with pytest.raises(ValueError, match="state has non-finite entries"):
@@ -238,7 +279,7 @@ class TestBlochCoeffs:
         for _ in range(100):
             a = rng.standard_normal(3)
             a *= rng.uniform() ** (1 / 3) / np.linalg.norm(a)
-            assert np.max(np.abs(bloch_coeffs(a) - decompose(bloch_state(a), basis))) < 1e-10
+            assert np.max(np.abs(bloch_coeffs(a) - basis.coefficients(bloch_state(a)))) < 1e-10
 
     def test_rejects_outside_ball(self):
         with pytest.raises(ValueError):

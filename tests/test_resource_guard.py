@@ -16,14 +16,14 @@ def stack_bytes(experiment, dim_s, dim_e):
 class TestEffectiveDims:
     @pytest.mark.parametrize("experiment", ["table1", "broadcast"])
     def test_qubit_experiments_ignore_requested_dims(self, experiment):
-        ExperimentConfig(experiment=experiment, dim_s=13, dim_e=13).validate()
+        ExperimentConfig(experiment=experiment, dim_s=13, dim_e=13)
         assert stack_bytes(experiment, 13, 13) == stack_bytes(experiment, 2, 2)
 
     def test_pechukas_sizes_by_dim_e_only(self):
-        ExperimentConfig(experiment="pechukas", dim_s=13, dim_e=2).validate()
+        ExperimentConfig(experiment="pechukas", dim_s=13, dim_e=2)
         assert stack_bytes("pechukas", 13, 5) == stack_bytes("pechukas", 2, 5)
         with pytest.raises(UsageError, match="too large"):
-            ExperimentConfig(experiment="pechukas", dim_s=2, dim_e=600).validate()
+            ExperimentConfig(experiment="pechukas", dim_s=2, dim_e=600)
 
     def test_table1_at_requested_13_runs_on_qubits(self, tmp_path):
         out = tmp_path / "report.json"
