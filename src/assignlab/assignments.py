@@ -13,10 +13,22 @@ preservation.
 ``apply`` (and the basis's ``coefficients`` beneath it) maps one system
 operator or a stack (..., d, d) of them; an assignment on a stacked
 measurement carries the same leading stack axes, one assignment per entry.
-The probing checkers draw and push their probe states through
-``apply`` as stacks of at most ``_CHUNK_BYTES`` of joint operators
-(``probe_chunks``), with the same draws, the same probe order and the same
-first-minimum witness as probing one state at a time.
+The probing checkers draw their probe states as stacks of at most
+``_CHUNK_BYTES`` of joint operators (``probe_chunks``), with the same draws,
+the same probe order and the same first-minimum witness as probing one
+state at a time.
+
+Positivity is decided by ``min_output_eigenvalue``. Every output lies in the
+span of the R vectors v_i (x) e_im, where P_i = |v_i><v_i| and e_im are the
+eigenvectors of tau_i with nonzero eigenvalues t_im: the output is
+W diag(q_i t_im) W^dag for the columns W = [v_i (x) e_im]. When R is below
+D = dim_s * dim_e (flags, measurements with pure or rank-deficient
+environment operators), the assignment keeps the triangle G of W = QG, and
+the smallest output eigenvalue is min(0, lambda_min(G diag(q_i t_im) G^dag)),
+an R x R eigensolve in place of a D x D one; otherwise it eigensolves
+``apply``'s output. ``env_negativity_report`` keeps the full eigensolve,
+since it checks a block-spectrum claim about the assigned operators
+themselves.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import numpy as np
 from assignlab.operators import (
     PSD_TOL,
     ProjectorBasis,
+    _rank1_vectors,
     chunk_ranges,
     expectations,
     hermiticity_defect,
@@ -69,6 +82,10 @@ __all__ = [
 
 ENV_EQUALITY_TOL = 1e-9  # trace-norm threshold for "same environment operator"
 AUDIT_SAMPLES = 10  # random states of the forward Hermiticity/trace audit
+# environment eigenvalues at most this far from zero are the rounding of an
+# exact zero (a pure or rank-deficient tau) and leave the support factor;
+# dropping one moves an output eigenvalue by at most this much
+SUPPORT_EIG_TOL = 1e-14
 
 
 def probe_chunks(assignment, total: int):
@@ -128,10 +145,38 @@ class LinearAssignment:
         # stacked kron(P_i, tau_i), shape (..., n, D, D) with D = dim_s*dim_e
         return tensor(self.basis.projectors, self.env_ops)
 
+    @cached_property
+    def _support(self):
+        """(owner, t, G, G^dag) with every output W diag(q[owner] * t) W^dag,
+        where the R columns of W are v_i (x) e_im over the eigenpairs
+        (t_im, e_im) of tau_i with |t_im| > SUPPORT_EIG_TOL, owner their i,
+        and G the triangle of W = QG; None for a stack of assignments or
+        when R >= D, where the factor saves nothing."""
+        if self.env_ops.ndim != 3:
+            return None
+        t, e = np.linalg.eigh(self.env_ops)
+        owner, m = np.nonzero(np.abs(t) > SUPPORT_EIG_TOL)
+        if len(owner) >= self.dim_s * self.dim_e:
+            return None
+        columns = tensor(self.basis.vectors[owner, :, None], e[owner, :, m][:, :, None])
+        g = np.linalg.qr(columns[..., 0].T, mode="r")
+        return owner, t[owner, m], g, g.conj().T
+
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Map a Hermitian system operator, or a stack of them, to
         sum_i q_i P_i (x) env_ops[i]."""
         return weighted_sum(self.basis.coefficients(state), self._terms)
+
+    def min_output_eigenvalue(self, state: np.ndarray):
+        """Smallest eigenvalue of ``apply(state)``, one per state of a stack:
+        on the support factor when there is one, since W = QG with
+        orthonormal Q leaves the output the spectrum of G diag(w) G^dag and
+        D - R zeros; otherwise from the full output, bit for bit."""
+        if self._support is None:
+            return min_eigenvalue(self.apply(state))
+        owner, t, g, g_dag = self._support
+        w = self.basis.coefficients(state)[..., owner] * t
+        return np.minimum(min_eigenvalue((g * w[..., None, :]) @ g_dag), 0.0)
 
 
 def product_assignment(basis: ProjectorBasis, env_state: np.ndarray) -> LinearAssignment:
@@ -184,6 +229,11 @@ class OrthogonalProjectorSet:
     @property
     def dim(self) -> int:
         return self.projectors.shape[-1]
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Unit vectors v_i with Pi_i = |v_i><v_i|, stacked (..., d, d)."""
+        return _rank1_vectors(self.projectors)
 
     def coefficients(self, state: np.ndarray) -> np.ndarray:
         """Measurement weights Tr[state Pi_i], (..., dim) for a stack."""
@@ -279,7 +329,7 @@ def positivity_certificate(assignment, samples: int, rng: np.random.Generator) -
     count = 0
     for label, first, states in _probe_states(assignment, samples, rng):
         count += len(states)
-        lams = min_eigenvalue(assignment.apply(states))
+        lams = assignment.min_output_eigenvalue(states)
         i = int(np.argmin(lams))
         if lams[i] < best:
             best, witness_label, witness_state = lams[i], f"{label} {first + i}", states[i]

@@ -425,6 +425,8 @@ def _run_compat_domain(config, rng):
         passed = passed and abs(ray_in.t_star - 1.0) <= 1e-8 and ray_out.t_star <= 1e-8
         grid = [round(0.1 * k, 1) for k in range(11)]
         t = np.array(grid)[:, None, None]
+        # the full eigensolve, not the support factor the rays bisect with:
+        # the profile is their independent check
         profile = min_eigenvalue(flags.apply((1 - t) * center + t * eta[4])).tolist()
         witnesses.append({
             "description": "ray profile from maximally mixed state toward axis state 5",

@@ -1,12 +1,16 @@
 """Compatibility domain of an assignment: the system states it maps to
 valid system-environment density operators.
 
-``domain_verdict`` decides membership by the smallest output eigenvalue, for
-one state or a stack; bisection along affine rays locates the boundary with
-the same verdict, and the volume is estimated by Monte Carlo sampling under
-the Hilbert-Schmidt measure. The Monte Carlo checks draw their states as
-byte-bounded stacks (``probe_chunks``) and hand each stack to
-``domain_verdict``, with the same draws and counts as one state at a time.
+``domain_verdict`` decides membership by the smallest output eigenvalue
+(``min_output_eigenvalue``, on the assignment's support factor when it has
+one), for one state or a stack; bisection along affine rays locates the
+boundary with the same verdict, and the volume is estimated by Monte Carlo
+sampling under the Hilbert-Schmidt measure, handing each byte-bounded stack
+of draws (``probe_chunks``) to ``domain_verdict``. ``simplex_domain_check``
+eigensolves the full assigned operators itself: it is the independent check
+that the flag assignment's output spectrum is its weights padded with zeros,
+which the factor, built from those weights, would take for granted. All of
+them refuse a tolerance that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -47,12 +51,17 @@ class CompatibilityVerdict:
     in_domain: bool
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite positive number (NaN is neither)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def domain_verdict(assignment, state: np.ndarray, tol: float = PSD_TOL) -> CompatibilityVerdict:
     """Is ``state`` mapped to a positive semidefinite operator? A stack of
     states gets one smallest eigenvalue and one verdict per state."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lam = min_eigenvalue(assignment.apply(state))
+    _require_tol(tol)
+    lam = assignment.min_output_eigenvalue(state)
     return CompatibilityVerdict(lambda_min=lam, in_domain=lam >= -tol)
 
 
@@ -77,7 +86,8 @@ def boundary_along_ray(
     inputs, so the in-domain set on the ray is an interval containing t = 0;
     bisection on the exit point is therefore valid.
     """
-    center = np.asarray(center, dtype=complex)
+    _require_tol(tol)
+    center = require_density(np.asarray(center, dtype=complex), name="center")
     target = require_density(np.asarray(target, dtype=complex), name="target")
     if not domain_verdict(assignment, center, tol).in_domain:
         raise ValueError("center state is not in the compatibility domain")
@@ -127,6 +137,7 @@ def domain_volume(
     """Fraction of Hilbert-Schmidt-random states inside the compatibility domain."""
     if samples < 100:
         raise ValueError("need at least 100 samples for a volume estimate")
+    _require_tol(tol)
     hits = 0
     for lo, hi in probe_chunks(assignment, samples):
         states = random_density(assignment.dim_s, rng, hi - lo)
@@ -156,7 +167,9 @@ def simplex_domain_check(
     """For an assignment with mutually orthonormal environment flags, the
     output spectrum is the weight vector ``basis.coefficients`` padded with
     zeros, so domain membership is equivalent to all weights being
-    nonnegative. Verify that equivalence on random probes."""
+    nonnegative. Verify that equivalence on random probes, eigensolving the
+    full assigned operators."""
+    _require_tol(tol)
     chunks = probe_chunks(assignment, samples)  # refuses a stacked assignment first
     taus = assignment.env_ops
     overlaps = np.einsum("iab,jba->ij", taus, taus)
@@ -167,7 +180,7 @@ def simplex_domain_check(
     for lo, hi in chunks:
         states = random_density(assignment.dim_s, rng, hi - lo)
         q_min = assignment.basis.coefficients(states).min(axis=-1)
-        verdict = domain_verdict(assignment, states, tol)
-        agreements += int(np.count_nonzero(verdict.in_domain == (q_min >= -tol)))
-        max_gap = max(max_gap, float(np.max(np.abs(verdict.lambda_min - np.minimum(0.0, q_min)))))
+        lam = min_eigenvalue(assignment.apply(states))
+        agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
+        max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))
     return SimplexDomainReport(probes=samples, agreements=agreements, max_gap=max_gap)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small quantum systems.
 
 Tensor products, partial traces, Hermitian spectra, rank-1 projector bases
-that check their projectors and derive their dual frames when built, and
-seeded random sampling of states and unitaries. Everything operates on
-plain complex ndarrays; the composite index convention is system-major
-(s * dim_e + e).
+that check their projectors and derive their dual frames when built (and
+their unit vectors on first use), and seeded random sampling of states and
+unitaries. Everything operates on plain complex ndarrays; the composite
+index convention is system-major (s * dim_e + e).
 
 The operator functions also take stacks (..., d, d) and act on each matrix
 of the stack; ``random_density``, ``random_pure`` and ``random_unitary``
@@ -25,7 +25,7 @@ Callers that build stacks bound them with ``chunk_ranges``: at most
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -275,7 +275,8 @@ class ProjectorBasis:
     Hermitian, unit trace, idempotent and linearly independent. ``gram``
     holds their Hilbert-Schmidt overlaps and ``dual_frame`` the Hermitian
     operators D_i with Tr[D_i P_j] = delta_ij, obtained by solving the Gram
-    system; all three are read-only.
+    system; all three are read-only, as is ``vectors``, the unit vectors of
+    the projectors, derived on first use.
     """
 
     projectors: np.ndarray
@@ -315,6 +316,11 @@ class ProjectorBasis:
     def size(self) -> int:
         return self.dim * self.dim
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Unit vectors v_i with P_i = |v_i><v_i|, stacked (dim^2, dim)."""
+        return _rank1_vectors(self.projectors)
+
     def coefficients(self, h: np.ndarray) -> np.ndarray:
         """Real coefficients q with h = sum_i q_i P_i, read through the dual
         frame; a stack (..., d, d) gives coefficients (..., d^2)."""
@@ -353,6 +359,18 @@ def canonical_basis(d: int) -> ProjectorBasis:
     v[d:] /= np.sqrt(2.0)
     # the product np.outer forms for each vector
     return ProjectorBasis(v[:, :, None] * v.conj()[:, None, :])
+
+
+def _rank1_vectors(projectors: np.ndarray) -> np.ndarray:
+    """Unit vectors v with P = |v><v| for a stack (..., d, d) of rank-1
+    projectors: the column j of largest diagonal entry, P[:, j] / sqrt(P[j, j]),
+    which is v up to a phase."""
+    diagonal = np.diagonal(projectors, axis1=-2, axis2=-1).real
+    j = np.argmax(diagonal, axis=-1)[..., None]
+    column = np.take_along_axis(projectors, j[..., None, :], axis=-1)[..., 0]
+    out = column / np.sqrt(np.take_along_axis(diagonal, j, axis=-1))
+    out.setflags(write=False)
+    return out
 
 
 def _shape(size: int | None) -> tuple:

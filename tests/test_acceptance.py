@@ -24,7 +24,7 @@ from assignlab.assignments import (
     product_assignment,
     random_zero_discord_assignment,
 )
-from assignlab.compatibility import boundary_along_ray, simplex_domain_check
+from assignlab.compatibility import boundary_along_ray, domain_volume, simplex_domain_check
 from assignlab.dynamics import (
     assignment_condition_table,
     classical_cp_sweep,
@@ -34,6 +34,7 @@ from assignlab.dynamics import (
     replay_unitary,
 )
 from assignlab.operators import (
+    bloch_state,
     canonical_basis,
     min_eigenvalue,
     partial_trace,
@@ -348,4 +349,63 @@ def test_criterion_11_condition_table_reproduction():
         ok,
         ", ".join(f"{fam}: {''.join('y' if v else 'n' for v in conds)}"
                   for fam, conds in rows.items()),
+    )
+
+
+def test_criterion_12_qubit_flag_domain_volume():
+    """The qubit flag domain has Hilbert-Schmidt volume 1/(4 pi).
+
+    The Hilbert-Schmidt measure on qubits is uniform on the Bloch ball. With
+    a = (a1, a2, a3) the weights on (x+, y+, z+, x-) are
+    q = ((1 + a1 - a2 - a3)/2, a2, a3, (1 - a1 - a2 - a3)/2), so the domain
+    {q >= 0} is {a2, a3 >= 0, |a1| + a2 + a3 <= 1}: a quarter of the
+    inscribed octahedron, of volume 1/3 against the ball's 4 pi/3. Each of
+    three fixed seeds must land within 5 binomial standard deviations.
+    """
+    flags = orthogonal_flag_assignment(canonical_basis(2))
+    n, p = 20_000, 1.0 / (4.0 * np.pi)
+    sigma = np.sqrt(p * (1.0 - p) / n)
+    fractions = [domain_volume(flags, n, np.random.default_rng(seed)).fraction
+                 for seed in (0, 1, 2)]
+    worst = max(abs(f - p) for f in fractions) / sigma
+    _report(
+        "criterion 12 (qubit flag domain volume is 1/(4 pi))",
+        worst <= 5.0,
+        f"fractions {fractions} vs {p:.5f}, worst {worst:.2f} sigma",
+    )
+
+
+def test_criterion_13_qubit_broadcast_minimum():
+    """The smallest output eigenvalue of the qubit broadcast assignment over
+    all states is -(2 + sqrt2)/4, at the Bloch vector a = (0, -s, -s), s = 1/sqrt2.
+
+    On (x+, y+, z+, x-) the weights are q = ((1 + a1 - a2 - a3)/2, a2, a3,
+    (1 - a1 - a2 - a3)/2), so at that point q = ((1 + sqrt2)/2, -s, -s,
+    (1 + sqrt2)/2). With P (x) P = (I + n.sigma) (x) (I + n.sigma)/4 the
+    output is [I (x) I + a.sigma (x) I + I (x) a.sigma + sum_k T_k sigma_k (x)
+    sigma_k]/4 with T = (q1 + q4, q2, q3) = (1 + sqrt2, -s, -s). It vanishes
+    on the singlet; on the triplet, in the Cartesian basis that makes every
+    sigma_k (x) sigma_k diagonal, it is [diag(1 - T) + i [a]x]/2 with [a]x the
+    cross-product matrix of a. (0, 1, 1)/sqrt2 is an eigenvector, eigenvalue
+    (1 + s)/2, and the rest is [[-sqrt2, i], [-i, 1 + s]]/2, with eigenvalues
+    1 and -(1 + s)/2 = -(2 + sqrt2)/4. The smallest eigenvalue is concave in
+    the state, so its minimum lies on the sphere: a grid of polar and
+    azimuthal angles in steps of pi/16, which holds that point, must reach
+    the closed form and never go below it.
+    """
+    broadcast = broadcast_assignment(canonical_basis(2))
+    closed_form = -(2.0 + np.sqrt(2.0)) / 4.0
+    polar, azimuth = np.meshgrid(np.arange(17) * np.pi / 16, np.arange(32) * np.pi / 16,
+                                 indexing="ij")
+    bloch = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                      np.cos(polar)], axis=-1).reshape(-1, 3)
+    lams = broadcast.min_output_eigenvalue(np.stack([bloch_state(a) for a in bloch]))
+    s = 1.0 / np.sqrt(2.0)
+    at_point = lams[np.argmin(np.sum((bloch - [0.0, -s, -s]) ** 2, axis=-1))]
+    ok = abs(at_point - closed_form) <= 1e-12 and lams.min() >= closed_form - 1e-12
+    _report(
+        "criterion 13 (qubit broadcast minimum is -(2 + sqrt2)/4)",
+        ok,
+        f"at (0, -s, -s): {float(at_point)!r}, grid min {float(lams.min())!r}, "
+        f"closed form {closed_form!r}",
     )

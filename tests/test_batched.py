@@ -29,6 +29,7 @@ from assignlab.assignments import (
 )
 from assignlab.compatibility import domain_volume, simplex_domain_check
 from assignlab.operators import (
+    PSD_TOL,
     ProjectorBasis,
     canonical_basis,
     expectations,
@@ -438,3 +439,74 @@ class TestOneAssignmentClass:
             label, first, states = next(_probe_states(assignment, 4, rng))
             assert (label, first) == (f"{kind} projector", 0)
             assert np.array_equal(states, assignment.basis.projectors)
+
+
+def support_families(d, rng):
+    """(assignment, takes the support factor) for ``families`` and for the
+    families whose environment operators leave R = sum_i rank tau_i below D."""
+    cases = [(a, i == 0) for i, a in enumerate(families(d, rng))]  # flags come first
+    z = random_zero_discord_assignment(d, 4, rng)
+    negative = np.array(z.env_ops)
+    u = random_unitary(4, rng)
+    negative[0] = (u * [-0.25, 1.25, 0.0, 0.0]) @ u.conj().T  # rank 2, as theorem3 builds it
+    measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
+    return cases + [
+        (orthogonal_flag_assignment(canonical_basis(d)), True),
+        (LinearAssignment(z.basis, negative), True),
+        (product_assignment(canonical_basis(d), random_pure(d + 1, rng)), True),
+        (broadcast_assignment(measurement), True),
+    ]
+
+
+class TestSupportFactor:
+    """``min_output_eigenvalue`` against the full eigensolve of ``apply``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_full_eigensolve(self, d):
+        rng = np.random.default_rng(70 + d)
+        for assignment, factored in support_families(d, rng):
+            rank = np.count_nonzero(np.abs(np.linalg.eigvalsh(assignment.env_ops)) > 1e-14)
+            assert factored == (rank < assignment.dim_s * assignment.dim_e)
+            assert (assignment._support is not None) == factored
+            states = np.concatenate([assignment.basis.projectors, random_pure(d, rng, 10),
+                                     random_density(d, rng, 10)])
+            lams = assignment.min_output_eigenvalue(states)
+            full = min_eigenvalue(assignment.apply(states))
+            assert np.max(np.abs(lams - full)) <= FLOAT_TOL
+            for threshold in (-PSD_TOL, PSD_TOL):
+                assert np.array_equal(lams >= threshold, full >= threshold)
+            if not factored:
+                assert np.array_equal(lams, full)
+            singles = [assignment.min_output_eigenvalue(state) for state in states]
+            assert np.array_equal(lams, singles)
+
+    def test_a_stacked_assignment_takes_the_full_path(self):
+        rng = np.random.default_rng(8)
+        measurement = OrthogonalProjectorSet.from_unitary(random_unitary(3, rng, 4))
+        stacked = broadcast_assignment(measurement)
+        assert stacked._support is None
+        states = random_density(3, rng, 4)
+        assert np.array_equal(stacked.min_output_eigenvalue(states),
+                              min_eigenvalue(stacked.apply(states)))
+
+    def test_block_spectrum_checks_keep_the_full_eigensolve(self, monkeypatch):
+        def refuse(assignment, state):
+            raise AssertionError("a block-spectrum check went through the support factor")
+
+        flags = orthogonal_flag_assignment(canonical_basis(3))
+        monkeypatch.setattr(LinearAssignment, "min_output_eigenvalue", refuse)
+        assert simplex_domain_check(flags, 20, np.random.default_rng(0)).all_agree
+        assert env_negativity_report(flags).holds
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_vectors_span_the_projectors(self, d):
+        rng = np.random.default_rng(d)
+        for projectors, vectors in (
+            (canonical_basis(d).projectors, canonical_basis(d).vectors),
+            *((m.projectors, m.vectors) for m in (
+                OrthogonalProjectorSet.from_unitary(random_unitary(d, rng)),
+                OrthogonalProjectorSet.from_unitary(random_unitary(d, rng, 3))))):
+            assert np.allclose(np.linalg.norm(vectors, axis=-1), 1.0, rtol=0, atol=1e-14)
+            outer = vectors[..., :, None] * vectors.conj()[..., None, :]
+            assert np.max(np.abs(outer - projectors)) <= 1e-14
+            assert not vectors.flags.writeable

@@ -89,6 +89,12 @@ class TestBoundaryAlongRay:
         with pytest.raises(ValueError):
             boundary_along_ray(FLAG, ETA[4], I2 / 2)
 
+    def test_rejects_a_center_that_is_not_a_state(self):
+        with pytest.raises(ValueError, match="center has trace 2.0"):
+            boundary_along_ray(FLAG, np.eye(2), ETA[4])
+        with pytest.raises(ValueError, match="center has negative eigenvalue"):
+            boundary_along_ray(FLAG, np.diag([1.5, -0.5]), ETA[4])
+
     def test_interval_property_on_random_rays(self):
         # in-domain set along each ray is a prefix interval: no -,+ pattern
         # (dense scan at 1e-3 resolution on 100 random rays; the outputs along
@@ -138,6 +144,18 @@ class TestDomainVolume:
     def test_rejects_small_sample(self):
         with pytest.raises(ValueError):
             domain_volume(FLAG, 50, np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+@pytest.mark.parametrize("check", [
+    lambda tol: domain_verdict(FLAG, I2 / 2, tol),
+    lambda tol: boundary_along_ray(FLAG, I2 / 2, ETA[4], tol),
+    lambda tol: domain_volume(FLAG, 100, np.random.default_rng(0), tol),
+    lambda tol: simplex_domain_check(FLAG, 10, np.random.default_rng(0), tol),
+], ids=["verdict", "ray", "volume", "simplex"])
+def test_tolerance_must_be_finite_and_positive(check, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check(tol)
 
 
 class TestWilson:
