@@ -466,6 +466,9 @@ class AuditReport:
 
 def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generator) -> AuditReport:
     """Audit both directions of the Hermiticity/trace preservation conditions."""
+    d_e = assignment.dim_e
+    if d_e < 2:
+        raise ValueError(f"the audit's trace-free bump needs dim_e >= 2, got {d_e}")
     max_herm = 0.0
     max_trace = 0.0
     for lo, hi in probe_chunks(assignment, AUDIT_SAMPLES):
@@ -477,17 +480,18 @@ def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generat
 
     basis = assignment.basis
     p0 = basis.projectors[0]
-    d_e = assignment.dim_e
+    coefficients = basis.coefficients(p0)
     skew = np.zeros((d_e, d_e), dtype=complex)
     skew[0, 0], skew[1, 1] = 1.0, -1.0  # trace-free bump, trace norm 2
 
-    # both corrupted operator sets map P_0 with ``apply``'s own arithmetic;
-    # P_0 (x) tau_0' alone would differ in the last bits at d >= 3
-    bad = np.array([assignment.env_ops, assignment.env_ops])
-    bad[0, 0] += 1j * 0.1 * skew
-    bad[1, 0] *= 1.1
-    herm_out, trace_out = weighted_sum(basis.coefficients(p0), tensor(basis.projectors, bad))
-    corrupted_herm = hermiticity_defect(herm_out)
+    # each corrupted set maps P_0 with ``apply``'s arithmetic (P_0 (x) tau_0'
+    # alone differs in the last bits at d >= 3), one set at a time
+    bad = np.array(assignment.env_ops)
+    bad[0] += 1j * 0.1 * skew
+    corrupted_herm = hermiticity_defect(weighted_sum(coefficients, tensor(basis.projectors, bad)))
+    bad = np.array(assignment.env_ops)
+    bad[0] *= 1.1
+    trace_out = weighted_sum(coefficients, tensor(basis.projectors, bad))
     corrupted_trace = abs(np.trace(trace_out).real - np.trace(p0).real)
 
     return AuditReport(

@@ -77,32 +77,29 @@ __all__ = [
 
 SEED_ENV_VAR = "ASSIGNLAB_SEED"
 
-# experiments that build the orthogonal-flag assignment, whose environment
-# has dimension dim_s^2 whatever dim-e says
-_FLAG_EXPERIMENTS = ("lemma1", "compat-domain", "dynamics-cp")
+_MAX_STACK_BYTES = 64 * 2**20  # refuse a config whose stacks exceed this many bytes
 
-# refuse a config whose largest operator stack exceeds this many bytes
-_MAX_STACK_BYTES = 64 * 2**20
-
-
-def _effective_dims(config) -> tuple[int, int]:
-    """(dim_s, dim_e) of the assignments the experiment really builds."""
-    if config.experiment in ("table1", "broadcast"):
-        return 2, 2
-    if config.experiment == "pechukas":
-        return 2, config.dim_e
-    if config.experiment in _FLAG_EXPERIMENTS:
-        return config.dim_s, config.dim_s**2
-    return config.dim_s, config.dim_e
+# per experiment: the term-sized stacks (d_s^2 complex joint operators) held at
+# once, and the (dim_s, dim_e) of every assignment built (flags: dim_e = dim_s^2)
+_HOLDS = {
+    "pechukas": (1, lambda s, e: [(2, e)]),
+    "theorem1": (1, lambda s, e: [(s, e)]),
+    "theorem2": (1, lambda s, e: [(s, e)]),
+    "theorem3": (1, lambda s, e: [(s, e)]),
+    "lemma1": (1, lambda s, e: [(s, e), (s, s * s)]),  # the negative tau, the flags
+    "appendix": (2, lambda s, e: [(s, e)]),  # the terms, one corrupted set
+    "compat-domain": (1, lambda s, e: [(s, s * s)]),
+    "broadcast": (1, lambda s, e: [(2, 2)]),
+    # terms and their unit images, in the classical sweep and on the flags
+    "dynamics-cp": (2, lambda s, e: [(s, e), (s, s * s)]),
+    "table1": (1, lambda s, e: [(2, 2)]),
+}
 
 
 def _largest_stack_bytes(config) -> int:
-    """Bytes of dim_s^2 complex joint operators, as in a linear assignment's
-    terms, at the effective dims; dynamics-cp holds two such stacks at once
-    (the flag assignment's terms and their induced-map unit images)."""
-    dim_s, dim_e = _effective_dims(config)
-    copies = 2 if config.experiment == "dynamics-cp" else 1
-    return copies * 16 * dim_s**2 * (dim_s * dim_e) ** 2
+    """Bytes of the stacks the experiment holds at once, at its largest dims."""
+    stacks, dims = _HOLDS[config.experiment]
+    return stacks * max(16 * s**2 * (s * e) ** 2 for s, e in dims(config.dim_s, config.dim_e))
 
 
 class UsageError(ValueError):
@@ -479,8 +476,7 @@ def _run_broadcast(config, rng):
 
 
 def _run_dynamics_cp(config, rng):
-    sweep = classical_cp_sweep(n_assignments=max(1, config.samples // 10),
-                               dim_s=config.dim_s, dim_e=config.dim_e, seed=config.seed)
+    sweep = classical_cp_sweep(max(1, config.samples // 10), config.dim_s, config.dim_e, rng)
     flags = orthogonal_flag_assignment(canonical_basis(config.dim_s))
     search = find_noncp_unitary(flags, attempts=config.samples, seed=config.seed)
 
@@ -510,7 +506,7 @@ def _run_dynamics_cp(config, rng):
 
 
 def _run_table1(config, rng):
-    table = assignment_condition_table(config.seed, config.samples)
+    table = assignment_condition_table(config.samples, rng)
     metrics = []
     for row in table.rows:
         for label, value in zip(("linear", "consistent", "positive"), row.conditions):

@@ -278,10 +278,10 @@ class CPSweep:
     all_cp: bool
 
 
-def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int, seed: int) -> CPSweep:
+def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
+                       rng: np.random.Generator) -> CPSweep:
     """Check that random zero-discord assignments with positive environment
     states always induce CP maps, under ``SWEEP_COUPLINGS`` Haar couplings each."""
-    rng = np.random.default_rng(seed)
     dim = dim_s * dim_e
     min_lambda = np.inf
     maps_checked = 0
@@ -360,11 +360,10 @@ def _consistency_defect_max(assignment, samples: int, rng: np.random.Generator) 
     return worst
 
 
-def assignment_condition_table(seed: int, samples: int) -> ConditionTable:
+def assignment_condition_table(samples: int, rng: np.random.Generator) -> ConditionTable:
     """Linearity / consistency / positivity verdicts for the three qubit
     assignment families: uncorrelated product, classically correlated
     zero-discord, and quantum-correlated orthogonal flags."""
-    rng = np.random.default_rng(seed)
     basis = canonical_basis(2)
     families = (
         ("none", product_assignment(basis, random_density(2, rng))),

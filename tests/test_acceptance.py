@@ -246,7 +246,7 @@ def test_criterion_7_classical_correlations_give_cp_maps():
     """1000 induced maps from random zero-discord assignments with positive
     env states all have positive Choi spectra, within the time budget."""
     start = time.perf_counter()
-    sweep = classical_cp_sweep(n_assignments=100, dim_s=2, dim_e=2, seed=701)
+    sweep = classical_cp_sweep(n_assignments=100, dim_s=2, dim_e=2, rng=np.random.default_rng(701))
     elapsed = time.perf_counter() - start
     ok = sweep.maps_checked == 1000 and sweep.min_lambda >= -1e-9 and elapsed <= 60.0
     _report(
@@ -336,7 +336,7 @@ def test_criterion_10_hermiticity_and_trace_preservation():
 def test_criterion_11_condition_table_reproduction():
     """Product / zero-discord / flag families give exactly the expected
     (linear, consistent, positive) pattern."""
-    table = assignment_condition_table(seed=1101, samples=500)
+    table = assignment_condition_table(samples=500, rng=np.random.default_rng(1101))
     rows = {row.family: row.conditions for row in table.rows}
     expected = {
         "none": (True, True, True),

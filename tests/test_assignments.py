@@ -379,3 +379,11 @@ class TestAudit:
         report = hermiticity_trace_audit(a, rng)
         assert report.corrupted_hermiticity_defect == pytest.approx(0.2, abs=1e-10)
         assert report.corrupted_trace_defect == pytest.approx(0.1, abs=1e-10)
+
+    def test_refuses_a_one_level_environment(self):
+        # the trace-free bump needs two environment levels
+        rng = np.random.default_rng(30)
+        drawn = rng.bit_generator.state
+        with pytest.raises(ValueError, match="dim_e >= 2, got 1"):
+            hermiticity_trace_audit(LinearAssignment(BASIS, np.ones((4, 1, 1))), rng)
+        assert rng.bit_generator.state == drawn  # refused before any draw

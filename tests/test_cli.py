@@ -230,6 +230,7 @@ class TestResourceGuard:
 
     @pytest.mark.parametrize("experiment,largest_ok", [
         ("dynamics-cp", 6), ("compat-domain", 6), ("lemma1", 6), ("theorem2", 12),
+        ("appendix", 11),
     ])
     def test_bound(self, experiment, largest_ok):
         def config(d):

@@ -225,15 +225,16 @@ class TestStackedSweep:
         # an odd count: the straddling chunks leave a ragged last one
         monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 5)
         for seed in (0, 21):
-            sweep = classical_cp_sweep(n_assignments=3, dim_s=d, dim_e=d_e, seed=seed)
+            sweep = classical_cp_sweep(n_assignments=3, dim_s=d, dim_e=d_e,
+                                       rng=np.random.default_rng(seed))
             assert sweep == ref_sweep(3, d, d_e, seed)
             assert sweep.maps_checked == 15 and sweep.all_cp
 
     def test_empty_sweeps(self, monkeypatch):
         for n in (0, -1):
-            assert classical_cp_sweep(n, 2, 2, seed=1) == ref_sweep(n, 2, 2, 1)
+            assert classical_cp_sweep(n, 2, 2, np.random.default_rng(1)) == ref_sweep(n, 2, 2, 1)
         monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 0)
-        assert classical_cp_sweep(3, 2, 2, seed=1) == ref_sweep(3, 2, 2, 1)
+        assert classical_cp_sweep(3, 2, 2, np.random.default_rng(1)) == ref_sweep(3, 2, 2, 1)
 
 
 class TestStackedChoi:

@@ -171,7 +171,8 @@ class TestCPCertificate:
 
 class TestClassicalSweep:
     def test_small_sweep_all_cp(self):
-        sweep = classical_cp_sweep(n_assignments=20, dim_s=2, dim_e=2, seed=13)
+        sweep = classical_cp_sweep(n_assignments=20, dim_s=2, dim_e=2,
+                                   rng=np.random.default_rng(13))
         assert sweep.maps_checked == 20 * SWEEP_COUPLINGS
         assert sweep.all_cp
         assert sweep.min_lambda >= -1e-9
@@ -271,7 +272,8 @@ class TestBitIdentity:
             assert reference_choi_spectrum(reference_map(flags, u), d)[0] == lam
 
     def test_sweep_matches_per_unit_loop(self):
-        sweep = classical_cp_sweep(n_assignments=3, dim_s=3, dim_e=2, seed=21)
+        sweep = classical_cp_sweep(n_assignments=3, dim_s=3, dim_e=2,
+                                   rng=np.random.default_rng(21))
         rng = np.random.default_rng(21)
         lams = []
         for _ in range(3):
@@ -284,7 +286,7 @@ class TestBitIdentity:
 
 class TestConditionTable:
     def test_matches_expected_pattern(self):
-        table = assignment_condition_table(seed=1, samples=200)
+        table = assignment_condition_table(samples=200, rng=np.random.default_rng(1))
         assert table.matches_expected
         by_family = {row.family: row for row in table.rows}
         assert by_family["none"].conditions == (True, True, True)
@@ -292,7 +294,7 @@ class TestConditionTable:
         assert by_family["quantum"].conditions == (True, True, False)
 
     def test_recorded_defects(self):
-        table = assignment_condition_table(seed=2, samples=200)
+        table = assignment_condition_table(samples=200, rng=np.random.default_rng(2))
         by_family = {row.family: row for row in table.rows}
         # classical family: consistency fails by the dephasing distance on some probe
         assert by_family["classical"].max_consistency_defect > 0.1
@@ -300,8 +302,8 @@ class TestConditionTable:
         assert by_family["quantum"].min_output_eigenvalue == pytest.approx(-1.0, abs=1e-9)
 
     def test_deterministic(self):
-        t1 = assignment_condition_table(seed=5, samples=200)
-        t2 = assignment_condition_table(seed=5, samples=200)
+        t1 = assignment_condition_table(samples=200, rng=np.random.default_rng(5))
+        t2 = assignment_condition_table(samples=200, rng=np.random.default_rng(5))
         for r1, r2 in zip(t1.rows, t2.rows):
             assert r1.family == r2.family
             assert r1.conditions == r2.conditions

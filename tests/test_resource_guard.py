@@ -1,11 +1,25 @@
-"""The config guard sizes the operator stacks an experiment really builds."""
+"""The config guard counts the term-sized operator stacks each experiment
+holds at once, at all the dims it builds, and a traced run stays within that
+count: at samples 1 its peak is at most 2.5 counts plus 8 MiB. The factor
+2.5 covers an assigned output stack and its eigensolve beside the terms
+(lemma1 and theorem1 at (2, 512) peak at 2.3 counts); the 8 MiB covers what
+does not grow with the dims."""
 
+import importlib.util
 import json
+import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import assignlab.cli as cli
-from assignlab.cli import ExperimentConfig, UsageError, main
+from assignlab.assignments import LinearAssignment, hermiticity_trace_audit
+from assignlab.cli import ExperimentConfig, UsageError, main, run
+from assignlab.operators import canonical_basis, random_density
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MIB = 2**20
 
 
 def stack_bytes(experiment, dim_s, dim_e):
@@ -40,3 +54,71 @@ class TestEffectiveDims:
         assert stack_bytes("dynamics-cp", d, 2) == 2 * one_stack
         assert stack_bytes("compat-domain", d, 2) == one_stack
         assert stack_bytes("lemma1", d, 2) == one_stack
+
+
+class TestRequestedDims:
+    @pytest.mark.parametrize("experiment,dim_s,dim_e,mib", [
+        # the negative-tau assignment at the requested dims
+        ("lemma1", 2, 600, 88),
+        # the classical sweep's terms and unit images at the requested dims
+        ("dynamics-cp", 2, 600, 176),
+        # the audit's terms and one corrupted set
+        ("appendix", 12, 12, 91),
+    ])
+    def test_refused(self, experiment, dim_s, dim_e, mib):
+        with pytest.raises(UsageError, match=f"too large.*needs a {mib} MiB"):
+            ExperimentConfig(experiment=experiment, dim_s=dim_s, dim_e=dim_e)
+
+    @pytest.mark.parametrize("experiment,largest_dim_e", [("lemma1", 512), ("dynamics-cp", 362)])
+    def test_qubit_bound_in_dim_e(self, experiment, largest_dim_e):
+        ExperimentConfig(experiment=experiment, dim_s=2, dim_e=largest_dim_e)
+        with pytest.raises(UsageError, match="too large"):
+            ExperimentConfig(experiment=experiment, dim_s=2, dim_e=largest_dim_e + 1)
+
+    def test_benchmark_configs_are_accepted(self):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        for workload in benchmark["workloads"]:
+            assert workloads.build_configs(ExperimentConfig, workload["name"], 0)
+
+
+class TestMemoryOracle:
+    @pytest.mark.parametrize("experiment,dim_s,dim_e", [
+        ("lemma1", 2, 200),
+        ("dynamics-cp", 2, 150),
+        ("appendix", 11, 11),
+        # controls: dims that a count of the flags or of one stack covers too
+        ("theorem1", 9, 9),
+        ("compat-domain", 5, 5),
+        ("dynamics-cp", 5, 5),
+        ("pechukas", 2, 181),
+    ])
+    def test_traced_peak_within_count(self, experiment, dim_s, dim_e):
+        config = ExperimentConfig(experiment=experiment, samples=1, dim_s=dim_s, dim_e=dim_e)
+        assert traced_peak(run, config) <= 2.5 * cli._largest_stack_bytes(config) + 8 * MIB
+
+    def test_audit_holds_one_corrupted_set_beside_the_terms(self):
+        d = 8
+        rng = np.random.default_rng(0)
+        assignment = LinearAssignment(canonical_basis(d), random_density(d, rng, d * d))
+        one_stack = 16 * d**2 * (d * d) ** 2
+        # the terms (built by the audit's own apply) and one corrupted set
+        # peak at 2.1 stacks; both corrupted sets at once peak at 3.1
+        assert traced_peak(hermiticity_trace_audit, assignment, rng) <= 2.5 * one_stack
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
