@@ -11,12 +11,17 @@ linearity, consistency, and positivity, and audit Hermiticity/trace
 preservation.
 
 ``apply`` (and the basis's ``coefficients`` beneath it) maps one system
-operator or a stack (..., d, d) of them; an assignment on a stacked
-measurement carries the same leading stack axes, one assignment per entry.
-The probing checkers draw their probe states as stacks of at most
-``_CHUNK_BYTES`` of joint operators (``probe_chunks``), with the same draws,
-the same probe order and the same first-minimum witness as probing one
-state at a time.
+operator or a stack (..., d, d) of them. Environment operators stacked over
+leading axes make a stack of assignments, one per entry, on one shared basis
+or measurement or on a measurement stacked over the same axes. The probing
+checkers draw their probe states as stacks with the same draws, the same
+probe order and the same first-minimum witness as probing one state at a
+time, each chunk within ``_CHUNK_BYTES`` of the matrices a probe holds:
+``probe_chunks`` for outputs mapped through ``apply`` (D x D), and
+``eigen_chunks`` for ``min_output_eigenvalue`` (R x R on the support factor
+below). The Hermiticity/trace audit is drawn, then mapped: ``audit_outputs``
+takes caller-drawn states, for one assignment or a stack, and
+``audit_corruption`` corrupts one assignment.
 
 Positivity is decided by ``min_output_eigenvalue``. Every output lies in the
 span of the R vectors v_i (x) e_im, where P_i = |v_i><v_i| and e_im are the
@@ -33,6 +38,7 @@ themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,8 +82,11 @@ __all__ = [
     "PechukasResiduals",
     "pechukas_constraints",
     "AuditReport",
+    "audit_outputs",
+    "audit_corruption",
     "hermiticity_trace_audit",
     "probe_chunks",
+    "eigen_chunks",
 ]
 
 ENV_EQUALITY_TOL = 1e-9  # trace-norm threshold for "same environment operator"
@@ -88,12 +97,26 @@ AUDIT_SAMPLES = 10  # random states of the forward Hermiticity/trace audit
 SUPPORT_EIG_TOL = 1e-14
 
 
-def probe_chunks(assignment, total: int):
-    """``chunk_ranges`` over ``total`` probe states of ``assignment``: each
-    chunk's assigned joint operators fit in ``_CHUNK_BYTES``."""
+def _one(assignment):
     if assignment.env_ops.ndim != 3:
         raise ValueError(f"expected one assignment, got a stack {assignment.env_ops.shape[:-3]}")
-    n = assignment.dim_s * assignment.dim_e
+    return assignment
+
+
+def probe_chunks(assignment, total: int):
+    """``chunk_ranges`` over ``total`` probe states of ``assignment`` mapped
+    through ``apply``: each chunk's assigned joint operators fit in
+    ``_CHUNK_BYTES``."""
+    n = _one(assignment).dim_s * assignment.dim_e
+    return chunk_ranges(total, 16 * n * n)
+
+
+def eigen_chunks(assignment, total: int):
+    """``chunk_ranges`` over ``total`` probe states of ``assignment`` handed to
+    ``min_output_eigenvalue``: each chunk's matrices, R x R on the support
+    factor and D x D without it, fit in ``_CHUNK_BYTES``."""
+    support = _one(assignment)._support
+    n = assignment.dim_s * assignment.dim_e if support is None else len(support[0])
     return chunk_ranges(total, 16 * n * n)
 
 
@@ -106,10 +129,11 @@ class LinearAssignment:
     the state on the basis, so each P_i goes to P_i (x) env_ops[i]. On an
     ``OrthogonalProjectorSet`` (dim_s projectors Pi_i) q_i = Tr[Pi_i state]:
     the zero-discord family, whose output is classically correlated and
-    which is positive iff every environment operator is. A stacked
-    measurement with environment operators stacked over the same leading
-    axes makes a stack of assignments, which maps a stack of states entry
-    by entry; a projector basis takes one stack of environment operators.
+    which is positive iff every environment operator is. Environment
+    operators stacked over leading axes make a stack of assignments, one per
+    entry, which maps a stack of states entry by entry: on one basis or
+    measurement shared by every entry, or on a stacked measurement with the
+    same leading axes.
 
     Environment operators must be Hermitian and unit trace (that keeps the
     map Hermiticity and trace preserving); they are *not* required to be
@@ -126,7 +150,7 @@ class LinearAssignment:
             raise ValueError(f"need {count} environment operators, got shape {stack.shape}")
         require_hermitian(stack, name="environment operator")
         require_unit_trace(stack, name="environment operator")
-        if stack.shape[:-3] != lead:
+        if lead and stack.shape[:-3] != lead:
             raise ValueError(f"environment operators must be stacked as the basis {lead}, "
                              f"got shape {stack.shape}")
         stack.setflags(write=False)
@@ -306,12 +330,12 @@ def _probe_states(assignment, samples: int, rng: np.random.Generator):
     if d == 2:
         fixed.append(("axis state", 1, np.stack(qubit_states())))
     for label, first, stack in fixed:
-        for lo, hi in probe_chunks(assignment, len(stack)):
+        for lo, hi in eigen_chunks(assignment, len(stack)):
             yield label, first + lo, stack[lo:hi]
     n_pure = (samples + 1) // 2
     for label, draw, count in (("random pure", random_pure, n_pure),
                                ("random mixed", random_density, samples - n_pure)):
-        for lo, hi in probe_chunks(assignment, count):
+        for lo, hi in eigen_chunks(assignment, count):
             yield label, lo, draw(d, rng, hi - lo)
 
 
@@ -464,24 +488,37 @@ class AuditReport:
     detects_corruption: bool
 
 
-def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generator) -> AuditReport:
-    """Audit both directions of the Hermiticity/trace preservation conditions."""
-    d_e = assignment.dim_e
-    if d_e < 2:
-        raise ValueError(f"the audit's trace-free bump needs dim_e >= 2, got {d_e}")
-    max_herm = 0.0
-    max_trace = 0.0
-    for lo, hi in probe_chunks(assignment, AUDIT_SAMPLES):
-        states = random_density(assignment.dim_s, rng, hi - lo)
-        out = assignment.apply(states)
-        trace_gap = np.trace(out, axis1=-2, axis2=-1) - np.trace(states, axis1=-2, axis2=-1)
+def _require_two_levels(assignment) -> None:
+    if assignment.dim_e < 2:
+        raise ValueError(f"the audit's trace-free bump needs dim_e >= 2, got {assignment.dim_e}")
+
+
+def audit_outputs(assignment, states: np.ndarray) -> tuple[float, float]:
+    """Forward audit: the largest Hermiticity defect and the largest trace
+    gap |Tr out - Tr state| of the outputs on ``states`` (..., k, d, d), the
+    k states of each assignment of a stack (or of one assignment), mapped k
+    at a time in chunks of at most ``_CHUNK_BYTES`` of outputs."""
+    states = np.moveaxis(np.asarray(states, dtype=complex), -3, 0)
+    n = assignment.dim_s * assignment.dim_e
+    per_state = 16 * n * n * math.prod(states.shape[1:-2])
+    max_herm = max_trace = 0.0
+    for lo, hi in chunk_ranges(len(states), per_state):
+        out = assignment.apply(states[lo:hi])
+        trace_gap = np.trace(out, axis1=-2, axis2=-1) - np.trace(states[lo:hi], axis1=-2, axis2=-1)
         max_herm = max(max_herm, np.max(hermiticity_defect(out)))
         max_trace = max(max_trace, np.max(np.abs(trace_gap.real)))
+    return float(max_herm), float(max_trace)
 
+
+def audit_corruption(assignment: LinearAssignment) -> tuple[float, float]:
+    """Reverse audit of one assignment: the Hermiticity defect and the trace
+    gap of the output on P_0 after corrupting tau_0, unvalidated, by a
+    trace-free anti-Hermitian bump (trace norm 0.2) and by a 1.1 scale."""
+    _require_two_levels(_one(assignment))
     basis = assignment.basis
     p0 = basis.projectors[0]
     coefficients = basis.coefficients(p0)
-    skew = np.zeros((d_e, d_e), dtype=complex)
+    skew = np.zeros((assignment.dim_e, assignment.dim_e), dtype=complex)
     skew[0, 0], skew[1, 1] = 1.0, -1.0  # trace-free bump, trace norm 2
 
     # each corrupted set maps P_0 with ``apply``'s arithmetic (P_0 (x) tau_0'
@@ -492,12 +529,21 @@ def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generat
     bad = np.array(assignment.env_ops)
     bad[0] *= 1.1
     trace_out = weighted_sum(coefficients, tensor(basis.projectors, bad))
-    corrupted_trace = abs(np.trace(trace_out).real - np.trace(p0).real)
+    return float(corrupted_herm), float(abs(np.trace(trace_out).real - np.trace(p0).real))
 
+
+def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generator) -> AuditReport:
+    """Audit both directions of the Hermiticity/trace preservation conditions:
+    draw ``AUDIT_SAMPLES`` Hilbert-Schmidt-random states, map them
+    (``audit_outputs``), then corrupt (``audit_corruption``)."""
+    _require_two_levels(_one(assignment))
+    states = random_density(assignment.dim_s, rng, AUDIT_SAMPLES)
+    max_herm, max_trace = audit_outputs(assignment, states)
+    corrupted_herm, corrupted_trace = audit_corruption(assignment)
     return AuditReport(
-        max_hermiticity_defect=float(max_herm),
-        max_trace_defect=float(max_trace),
-        corrupted_hermiticity_defect=float(corrupted_herm),
-        corrupted_trace_defect=float(corrupted_trace),
-        detects_corruption=bool(corrupted_herm > 1e-6 and corrupted_trace > 1e-6),
+        max_hermiticity_defect=max_herm,
+        max_trace_defect=max_trace,
+        corrupted_hermiticity_defect=corrupted_herm,
+        corrupted_trace_defect=corrupted_trace,
+        detects_corruption=corrupted_herm > 1e-6 and corrupted_trace > 1e-6,
     )

@@ -20,14 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from assignlab.assignments import (
+    AUDIT_SAMPLES,
     LinearAssignment,
     OrthogonalProjectorSet,
+    audit_corruption,
+    audit_outputs,
     broadcast_assignment,
     consistency_defect,
     dephase,
     env_negativity_report,
     equal_env_certificate,
-    hermiticity_trace_audit,
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,
@@ -79,27 +81,36 @@ SEED_ENV_VAR = "ASSIGNLAB_SEED"
 
 _MAX_STACK_BYTES = 64 * 2**20  # refuse a config whose stacks exceed this many bytes
 
-# per experiment: the term-sized stacks (d_s^2 complex joint operators) held at
-# once, and the (dim_s, dim_e) of every assignment built (flags: dim_e = dim_s^2)
+# per experiment: the term-sized stacks held at once, and the (terms, dim_s,
+# dim_e) of every assignment built: dim_s^2 terms on a projector basis, dim_s
+# on a measurement (theorem2, theorem3); the flags have dim_e = dim_s^2
 _HOLDS = {
-    "pechukas": (1, lambda s, e: [(2, e)]),
-    "theorem1": (1, lambda s, e: [(s, e)]),
-    "theorem2": (1, lambda s, e: [(s, e)]),
-    "theorem3": (1, lambda s, e: [(s, e)]),
-    "lemma1": (1, lambda s, e: [(s, e), (s, s * s)]),  # the negative tau, the flags
-    "appendix": (2, lambda s, e: [(s, e)]),  # the terms, one corrupted set
-    "compat-domain": (1, lambda s, e: [(s, s * s)]),
-    "broadcast": (1, lambda s, e: [(2, 2)]),
+    "pechukas": (1, lambda s, e: [(4, 2, e)]),
+    "theorem1": (1, lambda s, e: [(s * s, s, e)]),
+    "theorem2": (1, lambda s, e: [(s, s, e)]),
+    "theorem3": (1, lambda s, e: [(s, s, e)]),
+    "lemma1": (1, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),  # the negative tau, the flags
+    "appendix": (2, lambda s, e: [(s * s, s, e)]),  # the terms, one corrupted set
+    "compat-domain": (1, lambda s, e: [(s * s, s, s * s)]),
+    "broadcast": (1, lambda s, e: [(4, 2, 2)]),
     # terms and their unit images, in the classical sweep and on the flags
-    "dynamics-cp": (2, lambda s, e: [(s, e), (s, s * s)]),
-    "table1": (1, lambda s, e: [(2, 2)]),
+    "dynamics-cp": (2, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),
+    "table1": (1, lambda s, e: [(4, 2, 2)]),
 }
+
+
+# a probe's full eigensolve holds three joint operators beside the terms (its
+# output, the output's Hermitian part and the eigensolver's copy), which 2.5
+# counts cover only when a count is at least three of them: it decides only
+# for a qubit measurement's two terms
+_PROBE_OPERATORS = 3
 
 
 def _largest_stack_bytes(config) -> int:
     """Bytes of the stacks the experiment holds at once, at its largest dims."""
     stacks, dims = _HOLDS[config.experiment]
-    return stacks * max(16 * s**2 * (s * e) ** 2 for s, e in dims(config.dim_s, config.dim_e))
+    return stacks * max(16 * max(n, _PROBE_OPERATORS) * (s * e) ** 2
+                        for n, s, e in dims(config.dim_s, config.dim_e))
 
 
 class UsageError(ValueError):
@@ -255,7 +266,9 @@ def _run_theorem1(config, rng):
     return passed, metrics, witnesses
 
 
-def _run_theorem2(config, rng):
+def _theorem2_samples(config, rng) -> tuple[float, float]:
+    """The largest formula gap and diagonal defect over the random samples;
+    their assignments are released on return, before the qubit check."""
     d_s, d_e = config.dim_s, config.dim_e
     max_formula_gap = 0.0
     max_diagonal_defect = 0.0
@@ -286,7 +299,11 @@ def _run_theorem2(config, rng):
         max_formula_gap = max(max_formula_gap, float(np.max(gap)))
         max_diagonal_defect = max(max_diagonal_defect,
                                   float(np.max(consistency_defect(z, diagonal))))
+    return max_formula_gap, max_diagonal_defect
 
+
+def _run_theorem2(config, rng):
+    max_formula_gap, max_diagonal_defect = _theorem2_samples(config, rng)
     metrics = [
         _metric("max_formula_gap", max_formula_gap),
         _metric("max_defect_diagonal", max_diagonal_defect),
@@ -368,14 +385,26 @@ def _run_lemma1(config, rng):
 
 def _run_appendix(config, rng):
     basis = canonical_basis(config.dim_s)
-    audits = []
-    for _ in range(max(1, config.samples // 10)):
-        taus = random_density(config.dim_e, rng, basis.size)
-        audits.append(hermiticity_trace_audit(LinearAssignment(basis, taus), rng))
-    max_herm = max(audit.max_hermiticity_defect for audit in audits)
-    max_trace = max(audit.max_trace_defect for audit in audits)
-    corrupted_herm = audits[0].corrupted_hermiticity_defect
-    corrupted_trace = audits[0].corrupted_trace_defect
+    d_s, d_e = config.dim_s, config.dim_e
+    joint = 16 * (d_s * d_e) ** 2
+    # an audit draws its environment states, then its audit states: a chunk
+    # of audits is one normal draw, split in that order; it holds each
+    # audit's terms and its outputs
+    cut = 2 * basis.size * d_e * d_e
+    max_herm = max_trace = 0.0
+    corrupted = None
+    for lo, hi in chunk_ranges(max(1, config.samples // 10), (basis.size + AUDIT_SAMPLES) * joint):
+        n = hi - lo
+        envs, states = np.split(
+            rng.standard_normal((n, cut + 2 * AUDIT_SAMPLES * d_s * d_s)), [cut], axis=1)
+        taus = ginibre_densities(envs.reshape(n, basis.size, 2, d_e, d_e))
+        herm, trace = audit_outputs(
+            LinearAssignment(basis, taus),
+            ginibre_densities(states.reshape(n, AUDIT_SAMPLES, 2, d_s, d_s)))
+        max_herm, max_trace = max(max_herm, herm), max(max_trace, trace)
+        if corrupted is None:  # the report reads the first audit's corrupted sets
+            corrupted = audit_corruption(LinearAssignment(basis, taus[0]))
+    corrupted_herm, corrupted_trace = corrupted
     passed = (
         max_herm <= 1e-10
         and max_trace <= 1e-10

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from assignlab.assignments import probe_chunks
+from assignlab.assignments import eigen_chunks, probe_chunks
 from assignlab.operators import (
     PSD_TOL,
     min_eigenvalue,
@@ -139,7 +139,7 @@ def domain_volume(
         raise ValueError("need at least 100 samples for a volume estimate")
     _require_tol(tol)
     hits = 0
-    for lo, hi in probe_chunks(assignment, samples):
+    for lo, hi in eigen_chunks(assignment, samples):
         states = random_density(assignment.dim_s, rng, hi - lo)
         hits += int(np.count_nonzero(domain_verdict(assignment, states, tol).in_domain))
     return DomainEstimate(

@@ -11,13 +11,16 @@ Induced maps are built from a stack of d_s^2 assigned unit images: the
 images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
 K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
 inputs, listed with the slots each E_jk reads in one cached table per d_s.
-A search or sweep assigns them once per assignment, then takes its
-couplings as stacks: one Haar draw (one stacked QR) per chunk of couplings
-(a chunk is sized by its couplings' normals and unitaries, in the search and
-the sweep alike), one stacked unitarity check, every (coupling, image) pair
+The search assigns them once, then takes its couplings as stacks: one Haar
+draw (one stacked QR) per chunk of couplings, sized by their normals and
+unitaries, one stacked unitarity check, every (coupling, image) pair
 conjugated in byte-bounded blocks, one batched contraction tracing out the
 environment, the columns H + iK assembled, the Choi matrices by reshape and
-their spectra from one stacked eigensolve. ``induced_map``, ``choi_matrix``
+their spectra from one stacked eigensolve. The classical sweep goes one step
+further: per chunk of assignments it makes one normal draw, one stacked
+assignment with one stacked ``apply`` for all their unit images, one QR for
+all their couplings and one Choi eigensolve, conjugating each assignment's
+images in its own byte-bounded blocks. ``induced_map``, ``choi_matrix``
 and ``cp_certificate`` are the same core on a stack of one. Contract: every
 superoperator, Choi matrix and Choi spectrum is bit-identical to mapping
 each E_jk by its own assign-conjugate-trace and summing the Choi blocks
@@ -43,7 +46,6 @@ from assignlab.assignments import (
     positivity_certificate,
     probe_chunks,
     product_assignment,
-    random_zero_discord_assignment,
 )
 from assignlab.operators import (
     _hermitian_part,
@@ -115,8 +117,11 @@ def _unit_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 def _unit_images(assignment) -> np.ndarray:
     """Assigned images of the unit inputs, from one stacked call of the
-    family's own ``apply``."""
-    return assignment.apply(_unit_inputs(assignment.dim_s)[0])
+    family's own ``apply``: (..., d_s^2, D, D) for a stack of assignments."""
+    inputs = _unit_inputs(assignment.dim_s)[0]
+    lead = assignment.env_ops.ndim - 3
+    images = assignment.apply(inputs.reshape(inputs.shape[:1] + (1,) * lead + inputs.shape[1:]))
+    return np.moveaxis(images, 0, lead)
 
 
 def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
@@ -281,18 +286,41 @@ class CPSweep:
 def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
                        rng: np.random.Generator) -> CPSweep:
     """Check that random zero-discord assignments with positive environment
-    states always induce CP maps, under ``SWEEP_COUPLINGS`` Haar couplings each."""
+    states always induce CP maps, under ``SWEEP_COUPLINGS`` Haar couplings each.
+
+    An assignment draws its measurement, its environment states, then its
+    couplings, all standard normals: one draw per chunk of assignments is
+    the same stream. A chunk holds each assignment's d_s terms, d_s^2 unit
+    images and its couplings' normals and unitaries; an assignment whose
+    couplings alone exceed ``_CHUNK_BYTES`` is a chunk of its own and draws
+    its later couplings in chunks of their own.
+    """
     dim = dim_s * dim_e
+    cuts = (2 * dim_s * dim_s, 2 * dim_s * dim_s + 2 * dim_s * dim_e * dim_e)
+    # with no couplings each assignment is still drawn and built
+    couplings = list(chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim)) or [(0, 0)]
+    per_assignment = 16 * dim * dim * (dim_s + dim_s * dim_s + 2 * SWEEP_COUPLINGS)
     min_lambda = np.inf
     maps_checked = 0
-    for _ in range(n_assignments):
-        z = random_zero_discord_assignment(dim_s, dim_e, rng)
-        images = _unit_images(z)
-        # consecutive draws: a stack is the same stream as one draw at a time
-        for lo, hi in chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim):
-            lams = _choi_minima(images, z, random_unitary(dim, rng, hi - lo))
-            min_lambda = min(min_lambda, float(np.min(lams)))
-            maps_checked += hi - lo
+    for lo, hi in chunk_ranges(n_assignments, per_assignment):
+        n = hi - lo
+        for c, c_end in couplings:
+            # the chunk's first couplings share the draw of its assignments
+            head = cuts[1] if c == 0 else 0
+            normals = rng.standard_normal((n, head + (c_end - c) * 2 * dim * dim))
+            if c == 0:
+                measured, envs, normals = np.split(normals, cuts, axis=1)
+                z = LinearAssignment(
+                    OrthogonalProjectorSet.from_unitary(
+                        haar_unitaries(measured.reshape(n, 2, dim_s, dim_s))),
+                    ginibre_densities(envs.reshape(n, dim_s, 2, dim_e, dim_e)))
+                images = _unit_images(z)
+            u = haar_unitaries(normals.reshape(n, c_end - c, 2, dim, dim))
+            # _superoperator bounds each assignment's joint operators on its own
+            mats = [_superoperator(images[j], z, u[j]) for j in range(n)]
+            lams = _choi(np.concatenate(mats), dim_s)[1][:, 0]
+            min_lambda = min(min_lambda, float(np.min(lams, initial=np.inf)))
+            maps_checked += len(lams)
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),
                    all_cp=min_lambda >= -CP_TOL)
 

@@ -17,6 +17,7 @@ from assignlab.assignments import (
     OrthogonalProjectorSet,
     _probe_states,
     broadcast_assignment,
+    eigen_chunks,
     env_negativity_report,
     equal_env_certificate,
     hermiticity_trace_audit,
@@ -27,6 +28,7 @@ from assignlab.assignments import (
     product_assignment,
     random_zero_discord_assignment,
 )
+from assignlab.cli import ExperimentConfig, run
 from assignlab.compatibility import domain_volume, simplex_domain_check
 from assignlab.operators import (
     PSD_TOL,
@@ -163,6 +165,18 @@ def old_audit(assignment, samples, rng, herm_bump=0.1, trace_scale=1.1):
     return numbers, herm_out
 
 
+def ref_appendix(d, samples, seed):
+    """The appendix runner's four metrics as its loop computed them: one
+    freshly drawn assignment and one audit per iteration."""
+    rng = np.random.default_rng(seed)
+    basis = canonical_basis(d)
+    audits = []
+    for _ in range(max(1, samples // 10)):
+        taus = random_density(d, rng, basis.size)
+        audits.append(old_audit(LinearAssignment(basis, taus), AUDIT_SAMPLES, rng)[0])
+    return [max(a[0] for a in audits), max(a[1] for a in audits), audits[0][2], audits[0][3]]
+
+
 def ref_pechukas(taus, states):
     s1, s2, s4, s5 = states
     t1, t2, t4, t5 = taus
@@ -241,11 +255,21 @@ class TestStackedOperators:
 class TestStackedProbing:
     @pytest.mark.parametrize("d", [2, 4])
     def test_probe_chunks_respect_the_budget(self, d, chunking):
+        # outputs mapped through apply are D x D; the flags' eigensolves run
+        # on their support factor, R x R with R = d^2 < D = d^3
         flags = orthogonal_flag_assignment(canonical_basis(d))
-        joint_bytes = 16 * (d * flags.dim_e) ** 2
-        largest = max(1, operators._CHUNK_BYTES // joint_bytes)
+        full = product_assignment(canonical_basis(d), random_density(3, np.random.default_rng(1)))
+
+        def largest(side):
+            return max(1, operators._CHUNK_BYTES // (16 * side * side))
+
+        for chunks_of, assignment, side in ((probe_chunks, flags, d * flags.dim_e),
+                                            (eigen_chunks, flags, d * d),
+                                            (eigen_chunks, full, 3 * d)):
+            chunks = list(chunks_of(assignment, 50))
+            assert max(hi - lo for lo, hi in chunks) == min(largest(side), 50)
         chunks = list(_probe_states(flags, 50, np.random.default_rng(0)))
-        assert max(len(states) for _, _, states in chunks) == min(largest, 25)
+        assert max(len(states) for _, _, states in chunks) == min(largest(d * d), 25)
         assert sum(len(states) for _, _, states in chunks) == d * d + 6 * (d == 2) + 50
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -338,6 +362,14 @@ class TestFactoriesAndAudit:
         # last bits at d >= 3, which the four numbers do not show
         assert np.array_equal(seen[-1], herm_out)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_appendix_matches_per_audit_loop(self, d, chunking):
+        for seed in range(10):
+            report = run(ExperimentConfig(experiment="appendix", seed=seed, samples=40,
+                                          dim_s=d, dim_e=d))
+            assert [m["value"] for m in report.metrics] == ref_appendix(d, 40, seed)
+            assert report.passed
+
 
 class TestStackedAssignments:
     def test_zero_discord_stack_maps_entry_by_entry(self):
@@ -351,6 +383,23 @@ class TestStackedAssignments:
         out = stacked.apply(states)
         for z, state, o in zip(singles, states, out):
             assert np.array_equal(o, z.apply(state))
+
+    @pytest.mark.parametrize("d,d_e", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_basis_stack_maps_entry_by_entry(self, d, d_e):
+        # environment operators stacked (n, d^2, d_e, d_e) over one projector
+        # basis: one assignment per entry, the unit inputs (the sweep's call)
+        # and one state per entry alike
+        rng = np.random.default_rng(20 + d)
+        basis = canonical_basis(d)
+        env_ops = random_density(d_e, rng, 5 * d * d).reshape(5, d * d, d_e, d_e)
+        stacked = LinearAssignment(basis, env_ops)
+        states = random_density(d, rng, 5)
+        out = stacked.apply(states)
+        shared = stacked.apply(states[:, None])  # every state through every entry
+        for j, taus in enumerate(env_ops):
+            single = LinearAssignment(basis, taus)
+            assert np.array_equal(out[j], single.apply(states[j]))
+            assert np.array_equal(shared[:, j], single.apply(states))
 
     def test_from_unitary_stack(self):
         rng = np.random.default_rng(2)
@@ -424,8 +473,6 @@ class TestOneAssignmentClass:
 
     def test_env_stack_must_match_the_basis_stack(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match="stacked as the basis"):
-            LinearAssignment(canonical_basis(2), random_density(2, rng, 8).reshape(2, 4, 2, 2))
         measurement = OrthogonalProjectorSet.from_unitary(random_unitary(2, rng, 3))
         for envs in (random_density(2, rng, 4).reshape(2, 2, 2, 2), random_density(2, rng, 2)):
             with pytest.raises(ValueError, match="stacked as the basis"):

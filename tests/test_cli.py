@@ -229,8 +229,8 @@ class TestResourceGuard:
         assert "too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment,largest_ok", [
-        ("dynamics-cp", 6), ("compat-domain", 6), ("lemma1", 6), ("theorem2", 12),
-        ("appendix", 11),
+        ("dynamics-cp", 6), ("compat-domain", 6), ("lemma1", 6), ("theorem2", 21),
+        ("theorem3", 21), ("appendix", 11),
     ])
     def test_bound(self, experiment, largest_ok):
         def config(d):

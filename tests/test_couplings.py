@@ -217,9 +217,9 @@ class TestStackedSearch:
 
 class TestStackedSweep:
     @pytest.mark.parametrize("chunking", CHUNKINGS)
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_matches_per_coupling_loop(self, d, chunking, monkeypatch):
-        d_e = 2
+    @pytest.mark.parametrize("d,d_e", [(2, 2), (3, 2), (4, 2), (3, 3), (2, 3)],
+                             ids=["2", "3", "4", "3-3", "2-3"])
+    def test_matches_per_coupling_loop(self, d, d_e, chunking, monkeypatch):
         dim = d * d_e
         set_chunking(monkeypatch, chunking, dim)
         # an odd count: the straddling chunks leave a ragged last one
@@ -229,6 +229,17 @@ class TestStackedSweep:
                                        rng=np.random.default_rng(seed))
             assert sweep == ref_sweep(3, d, d_e, seed)
             assert sweep.maps_checked == 15 and sweep.all_cp
+
+    def test_chunks_of_several_assignments(self, monkeypatch):
+        # two whole assignments per chunk: 5 assignments in chunks of 2, 2, 1
+        d, d_e = 3, 2
+        dim = d * d_e
+        monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 3)
+        per_assignment = 16 * dim * dim * (d + d * d + 2 * 3)
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * per_assignment)
+        for seed in (4, 8):
+            sweep = classical_cp_sweep(5, d, d_e, np.random.default_rng(seed))
+            assert sweep == ref_sweep(5, d, d_e, seed)
 
     def test_empty_sweeps(self, monkeypatch):
         for n in (0, -1):

@@ -1,9 +1,10 @@
 """The config guard counts the term-sized operator stacks each experiment
 holds at once, at all the dims it builds, and a traced run stays within that
-count: at samples 1 its peak is at most 2.5 counts plus 8 MiB. The factor
-2.5 covers an assigned output stack and its eigensolve beside the terms
-(lemma1 and theorem1 at (2, 512) peak at 2.3 counts); the 8 MiB covers what
-does not grow with the dims."""
+count: its peak is at most 2.5 counts plus 8 MiB, at samples 1 and, for the
+stacked sweep and audits, at samples 20. The factor 2.5 covers an assigned
+output stack and its eigensolve beside the terms (lemma1 and theorem1 at
+(2, 512) peak at 2.3 counts); the 8 MiB covers what does not grow with the
+dims. The sweep and the appendix hold one chunk of assignments at a time."""
 
 import importlib.util
 import json
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 import assignlab.cli as cli
+import assignlab.operators as operators
 from assignlab.assignments import LinearAssignment, hermiticity_trace_audit
 from assignlab.cli import ExperimentConfig, UsageError, main, run
+from assignlab.dynamics import classical_cp_sweep
 from assignlab.operators import canonical_basis, random_density
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -64,12 +67,16 @@ class TestRequestedDims:
         ("dynamics-cp", 2, 600, 176),
         # the audit's terms and one corrupted set
         ("appendix", 12, 12, 91),
+        # the d_s terms of a measurement
+        ("theorem2", 22, 22, 79),
+        ("theorem3", 22, 22, 79),
     ])
     def test_refused(self, experiment, dim_s, dim_e, mib):
         with pytest.raises(UsageError, match=f"too large.*needs a {mib} MiB"):
             ExperimentConfig(experiment=experiment, dim_s=dim_s, dim_e=dim_e)
 
-    @pytest.mark.parametrize("experiment,largest_dim_e", [("lemma1", 512), ("dynamics-cp", 362)])
+    @pytest.mark.parametrize("experiment,largest_dim_e", [
+        ("lemma1", 512), ("dynamics-cp", 362), ("theorem2", 591), ("theorem3", 591)])
     def test_qubit_bound_in_dim_e(self, experiment, largest_dim_e):
         ExperimentConfig(experiment=experiment, dim_s=2, dim_e=largest_dim_e)
         with pytest.raises(UsageError, match="too large"):
@@ -90,6 +97,9 @@ class TestMemoryOracle:
         ("lemma1", 2, 200),
         ("dynamics-cp", 2, 150),
         ("appendix", 11, 11),
+        # dims the d_s^2 terms of a projector basis would refuse
+        ("theorem2", 13, 13),
+        ("theorem3", 13, 13),
         # controls: dims that a count of the flags or of one stack covers too
         ("theorem1", 9, 9),
         ("compat-domain", 5, 5),
@@ -99,6 +109,31 @@ class TestMemoryOracle:
     def test_traced_peak_within_count(self, experiment, dim_s, dim_e):
         config = ExperimentConfig(experiment=experiment, samples=1, dim_s=dim_s, dim_e=dim_e)
         assert traced_peak(run, config) <= 2.5 * cli._largest_stack_bytes(config) + 8 * MIB
+
+    @pytest.mark.parametrize("experiment,dim_s,dim_e", [
+        ("dynamics-cp", 2, 100),
+        ("appendix", 11, 11),
+    ])
+    def test_two_assignments_within_count(self, experiment, dim_s, dim_e):
+        # samples 20: two sweep assignments, two audits; a sweep that held
+        # all the couplings of an assignment at once would exceed the count
+        config = ExperimentConfig(experiment=experiment, samples=20, dim_s=dim_s, dim_e=dim_e)
+        assert traced_peak(run, config) <= 2.5 * cli._largest_stack_bytes(config) + 8 * MIB
+
+    def test_sweep_holds_one_assignment_per_chunk(self, monkeypatch):
+        # at a one-byte budget a chunk is one assignment and one coupling:
+        # eight assignments at (2, 30) peak at 15 joint operators of
+        # 16 D^2 bytes; a pass holding all eight at once peaks at 114
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
+        joint = 16 * (2 * 30) ** 2
+        assert traced_peak(classical_cp_sweep, 8, 2, 30, np.random.default_rng(0)) <= 24 * joint
+
+    def test_appendix_holds_one_audit_per_chunk(self, monkeypatch):
+        # ten audits at (6, 6), one per chunk, peak at 1.6 term stacks (the
+        # terms and one corrupted set); all ten at once peak at 12.1
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
+        config = ExperimentConfig(experiment="appendix", samples=100, dim_s=6, dim_e=6)
+        assert traced_peak(run, config) <= 2.5 * 16 * 36 * 36**2
 
     def test_audit_holds_one_corrupted_set_beside_the_terms(self):
         d = 8

@@ -1,0 +1,111 @@
+"""Compare the reports of this checkout with those of another checkout.
+
+    python3 tools/report_diff.py BASE_CHECKOUT --seeds 0-9
+
+Renders all ten experiments at samples 100, for this checkout and for
+BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3)
+and (4,4) wherever the experiment honours them (``table1`` and
+``broadcast`` run on qubits whatever the dims, so they run at (2,2) only).
+Each checkout renders in its own interpreter with one BLAS thread, and
+``runtime_ms`` is stripped. Prints the number of byte-different reports and
+every report that fails ``perfbench/oracle.compare`` (pass, witnesses and
+integers exact, floats within 1e-12); exits 1 if any report fails it or the
+two checkouts do not run the same configs.
+
+    python3 tools/report_diff.py --render CHECKOUT --seeds 0-9
+
+prints the stripped reports of one checkout as a JSON list instead.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import oracle  # noqa: E402
+import workloads  # noqa: E402
+
+SAMPLES = 100
+DIMS = ((2, 2), (3, 3), (4, 4))
+QUBIT_ONLY = ("table1", "broadcast")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def seed_range(text: str) -> range:
+    first, sep, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last if sep else first) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected FIRST-LAST, got {text!r}") from None
+    if not seeds or seeds.start < 0:
+        raise argparse.ArgumentTypeError(f"expected 0 <= FIRST <= LAST, got {text!r}")
+    return seeds
+
+
+def render(checkout: str, seeds: range) -> list:
+    """[label, report without runtime_ms] for every config, in a fixed order."""
+    cli = workloads.load_cli(checkout)
+    rendered = []
+    for experiment in cli.EXPERIMENTS:
+        dims = DIMS[:1] if experiment in QUBIT_ONLY else DIMS
+        for seed in seeds:
+            for dim_s, dim_e in dims:
+                config = cli.ExperimentConfig(experiment=experiment, seed=seed,
+                                              samples=SAMPLES, dim_s=dim_s, dim_e=dim_e)
+                body = oracle.without_runtime(cli.render_report(cli.run(config)))
+                rendered.append([f"{experiment}@({dim_s},{dim_e}) seed {seed}", body])
+    return rendered
+
+
+def render_elsewhere(checkout: str, seeds: range) -> list:
+    """``render`` in a fresh interpreter with one BLAS thread."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--render", checkout,
+         "--seeds", f"{seeds.start}-{seeds.stop - 1}"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"rendering {checkout} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?", metavar="BASE_CHECKOUT")
+    parser.add_argument("--render", metavar="CHECKOUT")
+    parser.add_argument("--seeds", type=seed_range, required=True, metavar="FIRST-LAST")
+    args = parser.parse_args(argv)
+    if (args.base is None) == (args.render is None):
+        parser.error("give either BASE_CHECKOUT or --render CHECKOUT")
+    if args.render is not None:
+        json.dump(render(args.render, args.seeds), sys.stdout)
+        return 0
+
+    base = render_elsewhere(args.base, args.seeds)
+    head = render_elsewhere(ROOT, args.seeds)
+    if [label for label, _ in base] != [label for label, _ in head]:
+        print("the two checkouts do not run the same configs")
+        return 1
+    different = failing = 0
+    for (label, old), (_, new) in zip(base, head):
+        if old == new:
+            continue
+        different += 1
+        problems = oracle.compare(json.loads(new + "\n}"), json.loads(old + "\n}"))
+        for problem in problems:
+            print(f"{label}: {problem}")
+        failing += bool(problems)
+    print(f"{len(head)} reports: {different} byte-different, {failing} failing the oracle")
+    return 1 if failing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
