@@ -14,7 +14,6 @@ from assignlab.assignments import (
     dephase,
     env_negativity_report,
     equal_env_certificate,
-    hermiticity_trace_audit,
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,

@@ -5,10 +5,11 @@ sum_i q_i P_i (x) tau_i, reading the weights q from its ``basis``. On a
 spanning ``ProjectorBasis`` (Pechukas) q are the dual-frame coefficients;
 on an orthogonal measurement ``OrthogonalProjectorSet`` (the zero-discord
 family) q_i = Tr[Pi_i state]. The factories ``product_assignment``,
-``orthogonal_flag_assignment``, ``broadcast_assignment`` (tau_i = P_i) and
-``random_zero_discord_assignment`` build the special cases. Checkers certify
-linearity, consistency, and positivity, and audit Hermiticity/trace
-preservation.
+``orthogonal_flag_assignment`` and ``broadcast_assignment`` (tau_i = P_i)
+build the special cases, and ``zero_discord_assignment`` builds zero-discord
+assignments, one or a stack, from standard normals (which
+``random_zero_discord_assignment`` draws). Checkers certify linearity,
+consistency, and positivity, and audit Hermiticity/trace preservation.
 
 ``apply`` (and the basis's ``coefficients`` beneath it) maps one system
 operator or a stack (..., d, d) of them. Environment operators stacked over
@@ -19,9 +20,9 @@ probe order and the same first-minimum witness as probing one state at a
 time, each chunk within ``_CHUNK_BYTES`` of the matrices a probe holds:
 ``probe_chunks`` for outputs mapped through ``apply`` (D x D), and
 ``eigen_chunks`` for ``min_output_eigenvalue`` (R x R on the support factor
-below). The Hermiticity/trace audit is drawn, then mapped: ``audit_outputs``
-takes caller-drawn states, for one assignment or a stack, and
-``audit_corruption`` corrupts one assignment.
+below). The Hermiticity/trace audit has two halves: ``audit_outputs`` maps
+caller-drawn states, for one assignment or a stack, and ``audit_corruption``
+corrupts one assignment.
 
 Positivity is decided by ``min_output_eigenvalue``. Every output lies in the
 span of the R vectors v_i (x) e_im, where P_i = |v_i><v_i| and e_im are the
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,13 +51,14 @@ from assignlab.operators import (
     _rank1_vectors,
     chunk_ranges,
     expectations,
+    ginibre_densities,
+    haar_unitaries,
     hermiticity_defect,
     min_eigenvalue,
     partial_trace,
     qubit_states,
     random_density,
     random_pure,
-    random_unitary,
     require_hermitian,
     require_unit_trace,
     tensor,
@@ -70,6 +72,8 @@ __all__ = [
     "product_assignment",
     "orthogonal_flag_assignment",
     "broadcast_assignment",
+    "zero_discord_size",
+    "zero_discord_assignment",
     "random_zero_discord_assignment",
     "consistency_defect",
     "dephase",
@@ -81,10 +85,8 @@ __all__ = [
     "equal_env_certificate",
     "PechukasResiduals",
     "pechukas_constraints",
-    "AuditReport",
     "audit_outputs",
     "audit_corruption",
-    "hermiticity_trace_audit",
     "probe_chunks",
     "eigen_chunks",
 ]
@@ -267,7 +269,9 @@ class OrthogonalProjectorSet:
         return expectations(self.projectors, state).real
 
     @classmethod
+    @cache
     def computational(cls, d: int) -> "OrthogonalProjectorSet":
+        """The projectors |i><i|, built once per d and shared."""
         stack = np.zeros((d, d, d), dtype=complex)
         i = np.arange(d)
         stack[i, i, i] = 1.0
@@ -281,13 +285,31 @@ class OrthogonalProjectorSet:
         return cls(columns[..., :, :, None] * columns.conj()[..., :, None, :])
 
 
+def zero_discord_size(dim_s: int, dim_e: int) -> int:
+    """Standard normals one zero-discord assignment is built from."""
+    return 2 * dim_s * (dim_s + dim_e * dim_e)
+
+
+def zero_discord_assignment(normals: np.ndarray, dim_s: int, dim_e: int) -> LinearAssignment:
+    """Zero-discord assignment from ``zero_discord_size`` standard normals,
+    or a stack of them from normals (..., zero_discord_size): the first
+    Ginibre pair makes a Haar-random measurement, the next dim_s pairs its
+    Hilbert-Schmidt-random (hence positive) environment states, as
+    ``random_unitary`` and ``random_density`` would draw them back to back."""
+    lead = normals.shape[:-1]
+    measured, envs = np.split(normals, [2 * dim_s * dim_s], axis=-1)
+    u = haar_unitaries(measured.reshape(lead + (2, dim_s, dim_s)))
+    return LinearAssignment(OrthogonalProjectorSet.from_unitary(u),
+                            ginibre_densities(envs.reshape(lead + (dim_s, 2, dim_e, dim_e))))
+
+
 def random_zero_discord_assignment(
     dim_s: int, dim_e: int, rng: np.random.Generator
 ) -> LinearAssignment:
     """Haar-random measurement basis with Hilbert-Schmidt-random (hence
-    positive) environment states."""
-    measurement = OrthogonalProjectorSet.from_unitary(random_unitary(dim_s, rng))
-    return LinearAssignment(measurement, random_density(dim_e, rng, dim_s))
+    positive) environment states, from one normal draw."""
+    normals = rng.standard_normal(zero_discord_size(dim_s, dim_e))
+    return zero_discord_assignment(normals, dim_s, dim_e)
 
 
 def consistency_defect(assignment, state: np.ndarray):
@@ -471,28 +493,6 @@ def pechukas_constraints(taus, states=None) -> PechukasResiduals:
     return PechukasResiduals(mixture_residual=mixture, expectation_residuals=tuple(residuals))
 
 
-@dataclass(frozen=True, eq=False)
-class AuditReport:
-    """Hermiticity/trace preservation audit of a linear assignment.
-
-    Forward direction: valid environment operators give Hermitian,
-    trace-preserving outputs on random states. Reverse direction: corrupting
-    one environment operator, unvalidated, produces a detectable defect on
-    the matching basis projector.
-    """
-
-    max_hermiticity_defect: float
-    max_trace_defect: float
-    corrupted_hermiticity_defect: float
-    corrupted_trace_defect: float
-    detects_corruption: bool
-
-
-def _require_two_levels(assignment) -> None:
-    if assignment.dim_e < 2:
-        raise ValueError(f"the audit's trace-free bump needs dim_e >= 2, got {assignment.dim_e}")
-
-
 def audit_outputs(assignment, states: np.ndarray) -> tuple[float, float]:
     """Forward audit: the largest Hermiticity defect and the largest trace
     gap |Tr out - Tr state| of the outputs on ``states`` (..., k, d, d), the
@@ -513,8 +513,10 @@ def audit_outputs(assignment, states: np.ndarray) -> tuple[float, float]:
 def audit_corruption(assignment: LinearAssignment) -> tuple[float, float]:
     """Reverse audit of one assignment: the Hermiticity defect and the trace
     gap of the output on P_0 after corrupting tau_0, unvalidated, by a
-    trace-free anti-Hermitian bump (trace norm 0.2) and by a 1.1 scale."""
-    _require_two_levels(_one(assignment))
+    trace-free anti-Hermitian bump (trace norm 0.2) and by a 1.1 scale; the
+    bump needs dim_e >= 2."""
+    if _one(assignment).dim_e < 2:
+        raise ValueError(f"the audit's trace-free bump needs dim_e >= 2, got {assignment.dim_e}")
     basis = assignment.basis
     p0 = basis.projectors[0]
     coefficients = basis.coefficients(p0)
@@ -530,20 +532,3 @@ def audit_corruption(assignment: LinearAssignment) -> tuple[float, float]:
     bad[0] *= 1.1
     trace_out = weighted_sum(coefficients, tensor(basis.projectors, bad))
     return float(corrupted_herm), float(abs(np.trace(trace_out).real - np.trace(p0).real))
-
-
-def hermiticity_trace_audit(assignment: LinearAssignment, rng: np.random.Generator) -> AuditReport:
-    """Audit both directions of the Hermiticity/trace preservation conditions:
-    draw ``AUDIT_SAMPLES`` Hilbert-Schmidt-random states, map them
-    (``audit_outputs``), then corrupt (``audit_corruption``)."""
-    _require_two_levels(_one(assignment))
-    states = random_density(assignment.dim_s, rng, AUDIT_SAMPLES)
-    max_herm, max_trace = audit_outputs(assignment, states)
-    corrupted_herm, corrupted_trace = audit_corruption(assignment)
-    return AuditReport(
-        max_hermiticity_defect=max_herm,
-        max_trace_defect=max_trace,
-        corrupted_hermiticity_defect=corrupted_herm,
-        corrupted_trace_defect=corrupted_trace,
-        detects_corruption=corrupted_herm > 1e-6 and corrupted_trace > 1e-6,
-    )

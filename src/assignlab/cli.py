@@ -2,9 +2,11 @@
 
 Each experiment drives one family of library checks and emits a JSON report
 with a fixed key order (experiment, config, pass, metrics, witnesses,
-runtime_ms). Reports are byte-identical across runs of the same
-configuration, runtime_ms aside. The runners' random samples are drawn and
-checked as stacks, in chunks of at most ``_CHUNK_BYTES``.
+runtime_ms); ``_EXPERIMENTS`` declares each one once, with its runner and
+the operator stacks the config guard counts for it. Reports are
+byte-identical across runs of the same configuration, runtime_ms aside. The
+runners' random samples are drawn and checked as stacks, in chunks of at
+most ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from assignlab.assignments import (
     probe_chunks,
     product_assignment,
     random_zero_discord_assignment,
+    zero_discord_assignment,
+    zero_discord_size,
 )
 from assignlab.compatibility import (
     boundary_along_ray,
@@ -55,7 +59,6 @@ from assignlab.operators import (
     canonical_basis,
     chunk_ranges,
     ginibre_densities,
-    haar_unitaries,
     min_eigenvalue,
     partial_trace,
     qubit_states,
@@ -81,24 +84,6 @@ SEED_ENV_VAR = "ASSIGNLAB_SEED"
 
 _MAX_STACK_BYTES = 64 * 2**20  # refuse a config whose stacks exceed this many bytes
 
-# per experiment: the term-sized stacks held at once, and the (terms, dim_s,
-# dim_e) of every assignment built: dim_s^2 terms on a projector basis, dim_s
-# on a measurement (theorem2, theorem3); the flags have dim_e = dim_s^2
-_HOLDS = {
-    "pechukas": (1, lambda s, e: [(4, 2, e)]),
-    "theorem1": (1, lambda s, e: [(s * s, s, e)]),
-    "theorem2": (1, lambda s, e: [(s, s, e)]),
-    "theorem3": (1, lambda s, e: [(s, s, e)]),
-    "lemma1": (1, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),  # the negative tau, the flags
-    "appendix": (2, lambda s, e: [(s * s, s, e)]),  # the terms, one corrupted set
-    "compat-domain": (1, lambda s, e: [(s * s, s, s * s)]),
-    "broadcast": (1, lambda s, e: [(4, 2, 2)]),
-    # terms and their unit images, in the classical sweep and on the flags
-    "dynamics-cp": (2, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),
-    "table1": (1, lambda s, e: [(4, 2, 2)]),
-}
-
-
 # a probe's full eigensolve holds three joint operators beside the terms (its
 # output, the output's Hermitian part and the eigensolver's copy), which 2.5
 # counts cover only when a count is at least three of them: it decides only
@@ -108,7 +93,7 @@ _PROBE_OPERATORS = 3
 
 def _largest_stack_bytes(config) -> int:
     """Bytes of the stacks the experiment holds at once, at its largest dims."""
-    stacks, dims = _HOLDS[config.experiment]
+    _, stacks, dims = _EXPERIMENTS[config.experiment]
     return stacks * max(16 * max(n, _PROBE_OPERATORS) * (s * e) ** 2
                         for n, s, e in dims(config.dim_s, config.dim_e))
 
@@ -272,27 +257,22 @@ def _theorem2_samples(config, rng) -> tuple[float, float]:
     d_s, d_e = config.dim_s, config.dim_e
     max_formula_gap = 0.0
     max_diagonal_defect = 0.0
-    # a sample draws the Ginibre pairs of its measurement, of its d_s
-    # environment states and of its state as one normal draw (the draws
-    # random_unitary and random_density would make, back to back), then its
-    # Dirichlet weights
-    cuts = (2 * d_s * d_s, 2 * d_s * d_s + 2 * d_s * d_e * d_e)
+    # a sample draws its zero-discord assignment's normals and the Ginibre
+    # pair of its state as one normal draw, then its Dirichlet weights
+    size = zero_discord_size(d_s, d_e)
     alpha = np.ones(d_s)
     # a sample's assignment terms: d_s joint operators
     for lo, hi in chunk_ranges(config.samples, 16 * d_s * (d_s * d_e) ** 2):
         # the draws stay per sample, in stream order; each kind is then built
         # as one stack, which the stacked assignment checks and maps at once
         n = hi - lo
-        normals = np.empty((n, cuts[1] + 2 * d_s * d_s))
+        normals = np.empty((n, size + 2 * d_s * d_s))
         weights = np.empty((n, d_s))
         for i in range(n):
             rng.standard_normal(out=normals[i])
             weights[i] = rng.dirichlet(alpha)
-        measured, envs, etas = np.split(normals, cuts, axis=1)
-        z = LinearAssignment(
-            OrthogonalProjectorSet.from_unitary(haar_unitaries(measured.reshape(n, 2, d_s, d_s))),
-            ginibre_densities(envs.reshape(n, d_s, 2, d_e, d_e)))
-        eta = ginibre_densities(etas.reshape(n, 2, d_s, d_s))
+        z = zero_discord_assignment(normals[:, :size], d_s, d_e)
+        eta = ginibre_densities(normals[:, size:].reshape(n, 2, d_s, d_s))
         defect = consistency_defect(z, eta)
         gap = np.abs(defect - trace_norm(eta - dephase(eta, z.basis)))
         diagonal = weighted_sum(weights, z.basis.projectors)
@@ -545,20 +525,27 @@ def _run_table1(config, rng):
     return table.matches_expected, metrics, []
 
 
-_RUNNERS = {
-    "pechukas": _run_pechukas,
-    "theorem1": _run_theorem1,
-    "theorem2": _run_theorem2,
-    "theorem3": _run_theorem3,
-    "lemma1": _run_lemma1,
-    "appendix": _run_appendix,
-    "compat-domain": _run_compat_domain,
-    "broadcast": _run_broadcast,
-    "dynamics-cp": _run_dynamics_cp,
-    "table1": _run_table1,
+# per experiment: its runner, the term-sized stacks it holds at once, and
+# the (terms, dim_s, dim_e) of every assignment it builds: dim_s^2 terms on a
+# projector basis, dim_s on a measurement (theorem2, theorem3); the flags
+# have dim_e = dim_s^2
+_EXPERIMENTS = {
+    "pechukas": (_run_pechukas, 1, lambda s, e: [(4, 2, e)]),
+    "theorem1": (_run_theorem1, 1, lambda s, e: [(s * s, s, e)]),
+    "theorem2": (_run_theorem2, 1, lambda s, e: [(s, s, e)]),
+    "theorem3": (_run_theorem3, 1, lambda s, e: [(s, s, e)]),
+    # the negative tau, the flags
+    "lemma1": (_run_lemma1, 1, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),
+    # the terms, one corrupted set
+    "appendix": (_run_appendix, 2, lambda s, e: [(s * s, s, e)]),
+    "compat-domain": (_run_compat_domain, 1, lambda s, e: [(s * s, s, s * s)]),
+    "broadcast": (_run_broadcast, 1, lambda s, e: [(4, 2, 2)]),
+    # terms and their unit images, in the classical sweep and on the flags
+    "dynamics-cp": (_run_dynamics_cp, 2, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),
+    "table1": (_run_table1, 1, lambda s, e: [(4, 2, 2)]),
 }
 
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
@@ -566,7 +553,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     dims, tol)."""
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
-    passed, metrics, witnesses = _RUNNERS[config.experiment](config, rng)
+    passed, metrics, witnesses = _EXPERIMENTS[config.experiment][0](config, rng)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(
         experiment=config.experiment,

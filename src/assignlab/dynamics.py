@@ -18,16 +18,17 @@ conjugated in byte-bounded blocks, one batched contraction tracing out the
 environment, the columns H + iK assembled, the Choi matrices by reshape and
 their spectra from one stacked eigensolve. The classical sweep goes one step
 further: per chunk of assignments it makes one normal draw, one stacked
-assignment with one stacked ``apply`` for all their unit images, one QR for
-all their couplings and one Choi eigensolve, conjugating each assignment's
-images in its own byte-bounded blocks. ``induced_map``, ``choi_matrix``
-and ``cp_certificate`` are the same core on a stack of one. Contract: every
-superoperator, Choi matrix and Choi spectrum is bit-identical to mapping
-each E_jk by its own assign-conjugate-trace and summing the Choi blocks
-E_jk (x) M[E_jk], one coupling at a time, which is why the images are not
-combined before the conjugation and the kept blocks are not computed alone;
-both save flops but round differently. A search or sweep reports the same
-draws, minima and first witnesses as one coupling at a time.
+assignment from it (``zero_discord_assignment``) with one stacked ``apply``
+for all their unit images, one QR for all their couplings and one Choi
+eigensolve, conjugating each assignment's images in its own byte-bounded
+blocks. ``induced_map``, ``choi_matrix`` and ``cp_certificate`` are the same
+core on a stack of one. Contract: every superoperator, Choi matrix and Choi
+spectrum is bit-identical to mapping each E_jk by its own
+assign-conjugate-trace and summing the Choi blocks E_jk (x) M[E_jk], one
+coupling at a time, which is why the images are not combined before the
+conjugation and the kept blocks are not computed alone; both save flops but
+round differently. A search or sweep reports the same draws, minima and
+first witnesses as one coupling at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from assignlab.assignments import (
     positivity_certificate,
     probe_chunks,
     product_assignment,
+    zero_discord_assignment,
+    zero_discord_size,
 )
 from assignlab.operators import (
     _hermitian_part,
@@ -288,15 +291,15 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
     """Check that random zero-discord assignments with positive environment
     states always induce CP maps, under ``SWEEP_COUPLINGS`` Haar couplings each.
 
-    An assignment draws its measurement, its environment states, then its
-    couplings, all standard normals: one draw per chunk of assignments is
+    An assignment draws the normals ``zero_discord_assignment`` builds it
+    from, then its couplings' normals: one draw per chunk of assignments is
     the same stream. A chunk holds each assignment's d_s terms, d_s^2 unit
     images and its couplings' normals and unitaries; an assignment whose
     couplings alone exceed ``_CHUNK_BYTES`` is a chunk of its own and draws
     its later couplings in chunks of their own.
     """
     dim = dim_s * dim_e
-    cuts = (2 * dim_s * dim_s, 2 * dim_s * dim_s + 2 * dim_s * dim_e * dim_e)
+    size = zero_discord_size(dim_s, dim_e)
     # with no couplings each assignment is still drawn and built
     couplings = list(chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim)) or [(0, 0)]
     per_assignment = 16 * dim * dim * (dim_s + dim_s * dim_s + 2 * SWEEP_COUPLINGS)
@@ -306,16 +309,12 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
         n = hi - lo
         for c, c_end in couplings:
             # the chunk's first couplings share the draw of its assignments
-            head = cuts[1] if c == 0 else 0
+            head = size if c == 0 else 0
             normals = rng.standard_normal((n, head + (c_end - c) * 2 * dim * dim))
             if c == 0:
-                measured, envs, normals = np.split(normals, cuts, axis=1)
-                z = LinearAssignment(
-                    OrthogonalProjectorSet.from_unitary(
-                        haar_unitaries(measured.reshape(n, 2, dim_s, dim_s))),
-                    ginibre_densities(envs.reshape(n, dim_s, 2, dim_e, dim_e)))
+                z = zero_discord_assignment(normals[:, :size], dim_s, dim_e)
                 images = _unit_images(z)
-            u = haar_unitaries(normals.reshape(n, c_end - c, 2, dim, dim))
+            u = haar_unitaries(normals[:, head:].reshape(n, c_end - c, 2, dim, dim))
             # _superoperator bounds each assignment's joint operators on its own
             mats = [_superoperator(images[j], z, u[j]) for j in range(n)]
             lams = _choi(np.concatenate(mats), dim_s)[1][:, 0]

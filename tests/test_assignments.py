@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from assignlab.assignments import (
+    AUDIT_SAMPLES,
     LinearAssignment,
     OrthogonalProjectorSet,
+    audit_corruption,
+    audit_outputs,
     broadcast_assignment,
     consistency_defect,
     dephase,
     env_negativity_report,
     equal_env_certificate,
-    hermiticity_trace_audit,
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,
@@ -368,22 +370,21 @@ class TestAudit:
         rng = np.random.default_rng(28)
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
         for _ in range(5):  # 5 * AUDIT_SAMPLES random states
-            report = hermiticity_trace_audit(a, rng)
-            assert report.max_hermiticity_defect <= 1e-10
-            assert report.max_trace_defect <= 1e-10
-            assert report.detects_corruption
+            max_herm, max_trace = audit_outputs(a, random_density(2, rng, AUDIT_SAMPLES))
+            assert max_herm <= 1e-10
+            assert max_trace <= 1e-10
+            corrupted_herm, corrupted_trace = audit_corruption(a)
+            assert abs(corrupted_herm - 0.2) <= 1e-10
+            assert abs(corrupted_trace - 0.1) <= 1e-10
 
     def test_corruption_magnitudes(self):
         rng = np.random.default_rng(29)
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
-        report = hermiticity_trace_audit(a, rng)
-        assert report.corrupted_hermiticity_defect == pytest.approx(0.2, abs=1e-10)
-        assert report.corrupted_trace_defect == pytest.approx(0.1, abs=1e-10)
+        corrupted_herm, corrupted_trace = audit_corruption(a)
+        assert corrupted_herm == pytest.approx(0.2, abs=1e-10)
+        assert corrupted_trace == pytest.approx(0.1, abs=1e-10)
 
     def test_refuses_a_one_level_environment(self):
         # the trace-free bump needs two environment levels
-        rng = np.random.default_rng(30)
-        drawn = rng.bit_generator.state
         with pytest.raises(ValueError, match="dim_e >= 2, got 1"):
-            hermiticity_trace_audit(LinearAssignment(BASIS, np.ones((4, 1, 1))), rng)
-        assert rng.bit_generator.state == drawn  # refused before any draw
+            audit_corruption(LinearAssignment(BASIS, np.ones((4, 1, 1))))

@@ -16,17 +16,20 @@ from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
     _probe_states,
+    audit_corruption,
+    audit_outputs,
     broadcast_assignment,
     eigen_chunks,
     env_negativity_report,
     equal_env_certificate,
-    hermiticity_trace_audit,
     orthogonal_flag_assignment,
     pechukas_constraints,
     positivity_certificate,
     probe_chunks,
     product_assignment,
     random_zero_discord_assignment,
+    zero_discord_assignment,
+    zero_discord_size,
 )
 from assignlab.cli import ExperimentConfig, run
 from assignlab.compatibility import domain_volume, simplex_domain_check
@@ -302,11 +305,12 @@ class TestStackedProbing:
         rng = np.random.default_rng(9)
         assignment = LinearAssignment(
             canonical_basis(d), np.stack([random_density(3, rng) for _ in range(d * d)]))
-        audit = hermiticity_trace_audit(assignment, np.random.default_rng(3))
+        herm, trace = audit_outputs(
+            assignment, random_density(d, np.random.default_rng(3), AUDIT_SAMPLES))
         max_herm, max_trace = ref_audit_sampling(assignment, AUDIT_SAMPLES,
                                                  np.random.default_rng(3))
-        assert abs(audit.max_hermiticity_defect - max_herm) <= FLOAT_TOL
-        assert abs(audit.max_trace_defect - max_trace) <= FLOAT_TOL
+        assert abs(herm - max_herm) <= FLOAT_TOL
+        assert abs(trace - max_trace) <= FLOAT_TOL
 
     @pytest.mark.parametrize("dim_e", [2, 3])
     def test_pechukas_constraints_broadcast(self, dim_e):
@@ -353,11 +357,11 @@ class TestFactoriesAndAudit:
         monkeypatch.setattr(assignments, "hermiticity_defect", spy)
         rng = np.random.default_rng(seed)
         assignment = LinearAssignment(canonical_basis(d), random_density(3, rng, d * d))
-        audit = hermiticity_trace_audit(assignment, np.random.default_rng(seed + 1))
+        states = random_density(d, np.random.default_rng(seed + 1), AUDIT_SAMPLES)
+        audit = audit_outputs(assignment, states) + audit_corruption(assignment)
         numbers, herm_out = old_audit(assignment, AUDIT_SAMPLES, np.random.default_rng(seed + 1))
-        assert (audit.max_hermiticity_defect, audit.max_trace_defect,
-                audit.corrupted_hermiticity_defect, audit.corrupted_trace_defect) == numbers
-        assert audit.detects_corruption
+        assert audit == numbers
+        assert abs(audit[2] - 0.2) <= 1e-10 and abs(audit[3] - 0.1) <= 1e-10
         # the corrupted output itself: P_0 (x) tau_0' alone is off in the
         # last bits at d >= 3, which the four numbers do not show
         assert np.array_equal(seen[-1], herm_out)
@@ -373,16 +377,27 @@ class TestFactoriesAndAudit:
 
 class TestStackedAssignments:
     def test_zero_discord_stack_maps_entry_by_entry(self):
-        rng = np.random.default_rng(12)
-        singles = [random_zero_discord_assignment(3, 2, rng) for _ in range(4)]
-        stacked = LinearAssignment(
-            OrthogonalProjectorSet(np.stack([z.basis.projectors for z in singles])),
-            np.stack([z.env_ops for z in singles]),
-        )
-        states = random_density(3, rng, 4)
-        out = stacked.apply(states)
-        for z, state, o in zip(singles, states, out):
-            assert np.array_equal(o, z.apply(state))
+        # one (n, zero_discord_size) normal draw builds the same n assignments
+        # as n draws of one, which draw as the unitary and the states did
+        for d_s, d_e in ((3, 2), (2, 3), (2, 2)):
+            rng, stacked_rng, old_rng = (np.random.default_rng(12) for _ in range(3))
+            singles = [random_zero_discord_assignment(d_s, d_e, rng) for _ in range(4)]
+            normals = stacked_rng.standard_normal((4, zero_discord_size(d_s, d_e)))
+            stacked = zero_discord_assignment(normals, d_s, d_e)
+            assert rng.bit_generator.state == stacked_rng.bit_generator.state
+            for z, projectors, env_ops in zip(singles, stacked.basis.projectors, stacked.env_ops):
+                assert np.array_equal(z.basis.projectors, projectors)
+                assert np.array_equal(z.env_ops, env_ops)
+                u = random_unitary(d_s, old_rng)
+                assert np.array_equal(z.basis.projectors,
+                                      OrthogonalProjectorSet.from_unitary(u).projectors)
+                assert np.array_equal(z.env_ops, random_density(d_e, old_rng, d_s))
+            square = zero_discord_assignment(normals.reshape(2, 2, -1), d_s, d_e)
+            assert np.array_equal(square.env_ops, stacked.env_ops.reshape(square.env_ops.shape))
+            states = random_density(d_s, rng, 4)
+            out = stacked.apply(states)
+            for z, state, o in zip(singles, states, out):
+                assert np.array_equal(o, z.apply(state))
 
     @pytest.mark.parametrize("d,d_e", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_basis_stack_maps_entry_by_entry(self, d, d_e):
@@ -432,7 +447,7 @@ class TestStackedAssignments:
         lambda a, rng: equal_env_certificate(a, 10, rng),
         lambda a, rng: domain_volume(a, 100, rng),
         lambda a, rng: simplex_domain_check(a, 10, rng),
-        hermiticity_trace_audit,
+        lambda a, rng: audit_corruption(a),
     ], ids=["positivity", "env-negativity", "equal-env", "domain-volume", "simplex", "audit"])
     def test_probing_checkers_refuse_a_stack(self, check):
         rng = np.random.default_rng(4)

@@ -16,7 +16,12 @@ import pytest
 
 import assignlab.cli as cli
 import assignlab.operators as operators
-from assignlab.assignments import LinearAssignment, hermiticity_trace_audit
+from assignlab.assignments import (
+    AUDIT_SAMPLES,
+    LinearAssignment,
+    audit_corruption,
+    audit_outputs,
+)
 from assignlab.cli import ExperimentConfig, UsageError, main, run
 from assignlab.dynamics import classical_cp_sweep
 from assignlab.operators import canonical_basis, random_density
@@ -140,9 +145,15 @@ class TestMemoryOracle:
         rng = np.random.default_rng(0)
         assignment = LinearAssignment(canonical_basis(d), random_density(d, rng, d * d))
         one_stack = 16 * d**2 * (d * d) ** 2
+        states = random_density(d, rng, AUDIT_SAMPLES)
+
+        def audit():
+            audit_outputs(assignment, states)
+            audit_corruption(assignment)
+
         # the terms (built by the audit's own apply) and one corrupted set
         # peak at 2.1 stacks; both corrupted sets at once peak at 3.1
-        assert traced_peak(hermiticity_trace_audit, assignment, rng) <= 2.5 * one_stack
+        assert traced_peak(audit) <= 2.5 * one_stack
 
 
 def traced_peak(fn, *args):

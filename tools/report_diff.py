@@ -3,8 +3,8 @@
     python3 tools/report_diff.py BASE_CHECKOUT --seeds 0-9
 
 Renders all ten experiments at samples 100, for this checkout and for
-BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3)
-and (4,4) wherever the experiment honours them (``table1`` and
+BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3),
+(4,4), (2,3) and (3,2) wherever the experiment honours them (``table1`` and
 ``broadcast`` run on qubits whatever the dims, so they run at (2,2) only).
 Each checkout renders in its own interpreter with one BLAS thread, and
 ``runtime_ms`` is stripped. Prints the number of byte-different reports and
@@ -33,7 +33,7 @@ import oracle  # noqa: E402
 import workloads  # noqa: E402
 
 SAMPLES = 100
-DIMS = ((2, 2), (3, 3), (4, 4))
+DIMS = ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))
 QUBIT_ONLY = ("table1", "broadcast")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
