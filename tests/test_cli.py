@@ -49,6 +49,16 @@ class TestConfig:
             dataclasses.replace(config, tol=float("inf"))
         assert dataclasses.replace(config, samples=3).samples == 3
 
+    def test_every_experiment_has_a_runner(self):
+        assert set(cli._EXPERIMENTS) == set(EXPERIMENTS)
+        for experiment, (runner, stacks, dims) in cli._EXPERIMENTS.items():
+            assert callable(runner), experiment
+            assert isinstance(stacks, int) and stacks >= 1, experiment
+            sizes = dims(3, 2)
+            assert sizes, experiment
+            for terms, s, e in sizes:
+                assert terms >= 2 and s >= 2 and e >= 2, experiment
+
 
 class TestRun:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
