@@ -32,7 +32,9 @@ D = dim_s * dim_e (flags, measurements with pure or rank-deficient
 environment operators), the assignment keeps the triangle G of W = QG, and
 the smallest output eigenvalue is min(0, lambda_min(G diag(q_i t_im) G^dag)),
 an R x R eigensolve in place of a D x D one; otherwise it eigensolves
-``apply``'s output. ``env_negativity_report`` keeps the full eigensolve,
+``apply``'s output. One eigendecomposition of the tau_i per assignment gives
+W, its weights and their owners, which the non-CP search's factored induced
+map reads too. ``env_negativity_report`` keeps the full eigensolve,
 since it checks a block-spectrum claim about the assigned operators
 themselves.
 """
@@ -172,21 +174,28 @@ class LinearAssignment:
         return tensor(self.basis.projectors, self.env_ops)
 
     @cached_property
+    def _columns(self):
+        """(owner, t, W) of one assignment, with every output
+        W diag(q[owner] * t) W^dag: the R columns of W (D x R) are
+        v_i (x) e_im over the eigenpairs (t_im, e_im) of tau_i with
+        |t_im| > SUPPORT_EIG_TOL, and owner holds their i."""
+        t, e = np.linalg.eigh(_one(self).env_ops)
+        owner, m = np.nonzero(np.abs(t) > SUPPORT_EIG_TOL)
+        columns = tensor(self.basis.vectors[owner, :, None], e[owner, :, m][:, :, None])
+        return owner, t[owner, m], columns[..., 0].T
+
+    @cached_property
     def _support(self):
-        """(owner, t, G, G^dag) with every output W diag(q[owner] * t) W^dag,
-        where the R columns of W are v_i (x) e_im over the eigenpairs
-        (t_im, e_im) of tau_i with |t_im| > SUPPORT_EIG_TOL, owner their i,
-        and G the triangle of W = QG; None for a stack of assignments or
-        when R >= D, where the factor saves nothing."""
+        """(owner, t, G, G^dag) with G the triangle of ``_columns``' W = QG;
+        None for a stack of assignments or when R >= D, where the factor
+        saves nothing."""
         if self.env_ops.ndim != 3:
             return None
-        t, e = np.linalg.eigh(self.env_ops)
-        owner, m = np.nonzero(np.abs(t) > SUPPORT_EIG_TOL)
+        owner, t, w = self._columns
         if len(owner) >= self.dim_s * self.dim_e:
             return None
-        columns = tensor(self.basis.vectors[owner, :, None], e[owner, :, m][:, :, None])
-        g = np.linalg.qr(columns[..., 0].T, mode="r")
-        return owner, t[owner, m], g, g.conj().T
+        g = np.linalg.qr(w, mode="r")
+        return owner, t, g, g.conj().T
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Map a Hermitian system operator, or a stack of them, to

@@ -11,24 +11,37 @@ Induced maps are built from a stack of d_s^2 assigned unit images: the
 images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
 K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
 inputs, listed with the slots each E_jk reads in one cached table per d_s.
-The search assigns them once, then takes its couplings as stacks: one Haar
-draw (one stacked QR) per chunk of couplings, sized by their normals and
-unitaries, one stacked unitarity check, every (coupling, image) pair
-conjugated in byte-bounded blocks, one batched contraction tracing out the
-environment, the columns H + iK assembled, the Choi matrices by reshape and
-their spectra from one stacked eigensolve. The classical sweep goes one step
-further: per chunk of assignments it makes one normal draw, one stacked
-assignment from it (``zero_discord_assignment``) with one stacked ``apply``
-for all their unit images, one QR for all their couplings and one Choi
-eigensolve, conjugating each assignment's images in its own byte-bounded
-blocks. ``induced_map``, ``choi_matrix`` and ``cp_certificate`` are the same
-core on a stack of one. Contract: every superoperator, Choi matrix and Choi
-spectrum is bit-identical to mapping each E_jk by its own
-assign-conjugate-trace and summing the Choi blocks E_jk (x) M[E_jk], one
-coupling at a time, which is why the images are not combined before the
-conjugation and the kept blocks are not computed alone; both save flops but
-round differently. A search or sweep reports the same draws, minima and
-first witnesses as one coupling at a time.
+This full path conjugates a stack of couplings: one stacked unitarity check,
+every (coupling, image) pair conjugated in byte-bounded blocks, one batched
+contraction tracing out the environment, the columns H + iK assembled, the
+Choi matrices by reshape and their spectra from one stacked eigensolve. The
+classical sweep runs it per chunk of assignments: one normal draw, one
+stacked assignment from it (``zero_discord_assignment``) with one stacked
+``apply`` for all their unit images, one QR for all their couplings and one
+Choi eigensolve, conjugating each assignment's images in its own
+byte-bounded blocks. ``induced_map``, ``choi_matrix`` and ``cp_certificate``
+are the same core on a stack of one.
+
+The non-CP search draws one Haar stack (one stacked QR) per chunk of
+couplings, sized by their normals and unitaries, and ranks them on the
+factored map: with the support columns W = [v_i (x) e_im] of the assignment
+and X = U W, each map is vec(Tr_E x_r x_r^dag) T for the columns x_r of X and
+T[r, jk] = t_im q_i(E_jk), D^2 R flops per coupling for R = sum rank tau_i,
+in place of the full path's 2 d_s^2 D^3 (the dynamical-map construction of
+Jordan, Shaji and Sudarshan, PRA 70, 052110 (2004)). Only the couplings that
+can still decide a reported number, within ``SCREEN_TOL`` of the lowest
+value or of ``NONCP_THRESHOLD``, run on the full path, and every value the
+search reports is a full-path one.
+
+Contract: every superoperator, Choi matrix and Choi spectrum is
+bit-identical to mapping each E_jk by its own assign-conjugate-trace and
+summing the Choi blocks E_jk (x) M[E_jk], one coupling at a time, which is
+why the images are not combined before the conjugation and the kept blocks
+are not computed alone; both save flops but round differently. A search or
+sweep reports the same draws, minima and first witnesses as one coupling at
+a time. The factored map's values are never reported, so the contract does
+not cover them; the search only needs them within ``SCREEN_TOL`` / 2 of the
+full path's.
 """
 
 from __future__ import annotations
@@ -89,6 +102,9 @@ __all__ = [
 # the stricter -1e-6 to stay clear of numerical noise.
 CP_TOL = 1e-9
 NONCP_THRESHOLD = -1e-6
+# the non-CP search confirms on the full path every coupling whose value on
+# the factored map lies this close to deciding a reported number
+SCREEN_TOL = 1e-10
 SWEEP_COUPLINGS = 10  # Haar couplings per assignment in the classical sweep
 
 
@@ -243,39 +259,119 @@ class NonCPSearch:
     best_lambda: float
 
 
+def _factor(assignment) -> tuple[np.ndarray, np.ndarray]:
+    """The induced map's factors (W, T) of one assignment: coupling U induces
+    the superoperator vec(A) T, with A_r = Tr_E[U w_r w_r^dag U^dag] over the
+    columns w_r of the assignment's ``_columns`` W and T[r, jk] =
+    t_r q_owner(r)(E_jk), q extended complex-linearly through the unit inputs
+    E_jk = H_jk + i K_jk."""
+    owner, t, w = assignment._columns
+    inputs, herm, skew, sign = _unit_inputs(assignment.dim_s)
+    q = assignment.basis.coefficients(inputs)[:, owner] * t
+    return w, (q[herm] + 1j * (sign[:, None] * q[skew])).T
+
+
+def _screen_minima(factor, assignment, u: np.ndarray) -> np.ndarray:
+    """``_choi_minima`` on the factored map, up to rounding: D^2 R flops per
+    coupling of ``u`` for U W, against 2 d_s^2 D^3 on the full path."""
+    d_s, d_e = assignment.dim_s, assignment.dim_e
+    w, coeffs = factor
+    # row r of (U W)^T, reshaped to (d_s, d_e), is X_r with A_r = X_r X_r^dag
+    x = (w.T @ u.swapaxes(-1, -2)).reshape(len(u), -1, d_s, d_e)
+    a = (x @ x.conj().swapaxes(-1, -2)).reshape(len(u), -1, d_s * d_s)
+    return _choi(a.swapaxes(-1, -2) @ coeffs, d_s)[1][:, 0]
+
+
+def _confirm(images, assignment, index, u: np.ndarray, screened: np.ndarray) -> np.ndarray:
+    """Full-path Choi minima of the couplings ``u`` at search indices
+    ``index``; RuntimeError when one lies further than SCREEN_TOL from its
+    screened value."""
+    exact = _choi_minima(images, assignment, u)
+    off = np.flatnonzero(~(np.abs(exact - screened) <= SCREEN_TOL))
+    if off.size:
+        i = off[0]
+        raise RuntimeError(f"coupling {index[i]}: the factored map's Choi minimum "
+                           f"{screened[i]!r} is off the full path's {exact[i]!r} "
+                           f"by more than {SCREEN_TOL:.0e}")
+    return exact
+
+
+def _first_witness(images, assignment, u: np.ndarray, screened: np.ndarray, lo: int):
+    """(index, lambda) of the first coupling of a chunk starting at ``lo``
+    whose full-path minimum is below NONCP_THRESHOLD, or None: couplings
+    screened at or above NONCP_THRESHOLD + SCREEN_TOL are skipped, the rest
+    confirmed in order."""
+    for i in np.flatnonzero(screened < NONCP_THRESHOLD + SCREEN_TOL):
+        lam = _confirm(images, assignment, [lo + i], u[i:i + 1], screened[i:i + 1])[0]
+        if lam < NONCP_THRESHOLD:
+            return lo + int(i), float(lam)
+    return None
+
+
+def _settle(images, assignment, held, best):
+    """The first full-path minimum among the held (index, screened, unitary)
+    triples, in index order, if below ``best`` (index, lambda), else ``best``,
+    whose index precedes every held one."""
+    index, screened, u = zip(*held)
+    exact = _confirm(images, assignment, index, np.stack(u), np.array(screened))
+    i = int(np.argmin(exact))
+    return (index[i], exact[i]) if exact[i] < best[1] else best
+
+
 def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     """Search seeded Haar unitaries for one whose induced map is not CP.
 
     Draw ``i`` uses the stream keyed by (seed, i), so any witness is
     replayable with :func:`replay_unitary` independently of the scan order.
+
+    Each chunk of couplings is ranked on the factored map
+    (``_screen_minima``); only couplings that can still decide a reported
+    number run on the full path (``_choi_minima``), and every reported value
+    is a full-path one. For the best index: the couplings screened within
+    SCREEN_TOL of the lowest screened value so far are held, with a copy of
+    their unitaries, and confirmed together at the end (or once more than a
+    chunk of them are held). For the first witness: the couplings screened
+    below NONCP_THRESHOLD + SCREEN_TOL are confirmed in order, up to the
+    first one confirmed below NONCP_THRESHOLD. While the screen stays within
+    SCREEN_TOL / 2 of the full path, the search reports what scanning every
+    coupling on the full path reports; a confirmed value further than
+    SCREEN_TOL from its screened one raises RuntimeError.
     """
     dim = assignment.dim_s * assignment.dim_e
-    first_index = None
-    first_lambda = None
-    best_index = -1
-    best_lambda = np.inf
+    first = None
+    best = (-1, np.inf)
+    low = np.inf  # the lowest screened value so far
+    held = []
     images = _unit_images(assignment)
-    # a chunk of couplings is bounded by their normals and unitaries;
-    # _superoperator bounds their joint operators on its own
+    factor = _factor(assignment)
+    # a chunk of couplings is bounded by their normals and unitaries (the
+    # screen's U W is R/D of the unitaries); _superoperator bounds the joint
+    # operators of the couplings it confirms on its own
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
         # the normals replay_unitary(seed, i) draws, one stream per index
         normals = np.stack([np.random.default_rng([seed, i]).standard_normal((2, dim, dim))
                             for i in range(lo, hi)])
-        lams = _choi_minima(images, assignment, haar_unitaries(normals))
-        i = int(np.argmin(lams))  # the first minimum, as a strict < scan keeps
-        if lams[i] < best_lambda:
-            best_index, best_lambda = lo + i, lams[i]
-        below = np.flatnonzero(lams < NONCP_THRESHOLD)
-        if first_index is None and below.size:
-            first_index, first_lambda = lo + int(below[0]), float(lams[below[0]])
+        u = haar_unitaries(normals)
+        screened = _screen_minima(factor, assignment, u)
+        if first is None:
+            first = _first_witness(images, assignment, u, screened, lo)
+        low = min(low, float(np.min(screened)))
+        held = [h for h in held if h[1] <= low + SCREEN_TOL]
+        held += [(lo + int(i), screened[i], u[i].copy())
+                 for i in np.flatnonzero(screened <= low + SCREEN_TOL)]
+        if len(held) > hi - lo:
+            best, held = _settle(images, assignment, held, best), []
+    if held:
+        best = _settle(images, assignment, held, best)
+    first_index, first_lambda = first or (None, None)
     return NonCPSearch(
-        found=first_index is not None,
+        found=first is not None,
         seed=seed,
         attempts=attempts,
         first_index=first_index,
         first_lambda=first_lambda,
-        best_index=best_index,
-        best_lambda=float(best_lambda),
+        best_index=best[0],
+        best_lambda=float(best[1]),
     )
 
 

@@ -376,6 +376,16 @@ def test_criterion_12_qubit_flag_domain_volume():
     )
 
 
+def bloch_grid():
+    """Bloch vectors on the sphere at polar and azimuthal angles in steps of
+    pi/16 (17 x 32 points, the six axis states among them), and their states."""
+    polar, azimuth = np.meshgrid(np.arange(17) * np.pi / 16, np.arange(32) * np.pi / 16,
+                                 indexing="ij")
+    bloch = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                      np.cos(polar)], axis=-1).reshape(-1, 3)
+    return bloch, np.stack([bloch_state(a) for a in bloch])
+
+
 def test_criterion_13_qubit_broadcast_minimum():
     """The smallest output eigenvalue of the qubit broadcast assignment over
     all states is -(2 + sqrt2)/4, at the Bloch vector a = (0, -s, -s), s = 1/sqrt2.
@@ -396,11 +406,8 @@ def test_criterion_13_qubit_broadcast_minimum():
     """
     broadcast = broadcast_assignment(canonical_basis(2))
     closed_form = -(2.0 + np.sqrt(2.0)) / 4.0
-    polar, azimuth = np.meshgrid(np.arange(17) * np.pi / 16, np.arange(32) * np.pi / 16,
-                                 indexing="ij")
-    bloch = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
-                      np.cos(polar)], axis=-1).reshape(-1, 3)
-    lams = broadcast.min_output_eigenvalue(np.stack([bloch_state(a) for a in bloch]))
+    bloch, states = bloch_grid()
+    lams = broadcast.min_output_eigenvalue(states)
     s = 1.0 / np.sqrt(2.0)
     at_point = lams[np.argmin(np.sum((bloch - [0.0, -s, -s]) ** 2, axis=-1))]
     ok = abs(at_point - closed_form) <= 1e-12 and lams.min() >= closed_form - 1e-12
@@ -409,4 +416,30 @@ def test_criterion_13_qubit_broadcast_minimum():
         ok,
         f"at (0, -s, -s): {float(at_point)!r}, grid min {float(lams.min())!r}, "
         f"closed form {closed_form!r}",
+    )
+
+
+def test_criterion_14_qubit_flag_minimum():
+    """The smallest output eigenvalue of the qubit flag assignment over all
+    states is -1, at y- (eta5).
+
+    The output sum_i q_i P_i (x) |i><i| is block diagonal in the flag, block
+    i being q_i P_i with spectrum {q_i, 0}, so its smallest eigenvalue is
+    min(0, min_i q_i). On (x+, y+, z+, x-) the weights are
+    q = ((1 + a1 - a2 - a3)/2, a2, a3, (1 - a1 - a2 - a3)/2). On the unit
+    sphere q_{y+} = a2 >= -1, with equality at y- = (0, -1, 0) (and q_{z+} = a3
+    likewise at z-), while |a1 +- (a2 + a3)| <= sqrt3 keeps the x weights at or
+    above (1 - sqrt3)/2 > -1. The smallest eigenvalue is concave in the state,
+    so criterion 13's grid, which holds y-, must reach -1 there and never go
+    below it; the outputs are eigensolved in full, not on the support factor.
+    """
+    flags = orthogonal_flag_assignment(canonical_basis(2))
+    bloch, states = bloch_grid()
+    lams = np.linalg.eigvalsh(flags.apply(states))[:, 0]
+    at_point = lams[np.argmin(np.sum((bloch - [0.0, -1.0, 0.0]) ** 2, axis=-1))]
+    ok = abs(at_point + 1.0) <= 1e-12 and lams.min() >= -1.0 - 1e-12
+    _report(
+        "criterion 14 (qubit flag minimum is -1)",
+        ok,
+        f"at y-: {float(at_point)!r}, grid min {float(lams.min())!r}, closed form -1.0",
     )

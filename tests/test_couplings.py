@@ -13,6 +13,7 @@ import pytest
 import assignlab.dynamics as dynamics
 import assignlab.operators as operators
 from assignlab.assignments import (
+    LinearAssignment,
     orthogonal_flag_assignment,
     product_assignment,
     random_zero_discord_assignment,
@@ -20,6 +21,7 @@ from assignlab.assignments import (
 from assignlab.dynamics import (
     CP_TOL,
     NONCP_THRESHOLD,
+    SCREEN_TOL,
     CPSweep,
     NonCPSearch,
     classical_cp_sweep,
@@ -213,6 +215,127 @@ class TestStackedSearch:
         search = find_noncp_unitary(flags, attempts=0, seed=1)
         assert search == ref_find_noncp(flags, 0, 1)
         assert (search.found, search.best_index, search.best_lambda) == (False, -1, np.inf)
+
+
+def screen_families(d, rng):
+    """Flags, zero-discord, product, lemma1's assignment with one negative
+    environment operator, and a generic one; d_e is d^2, 2, 3, 3 and 2."""
+    basis = canonical_basis(d)
+    neg = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    return [
+        orthogonal_flag_assignment(basis),
+        random_zero_discord_assignment(d, 2, rng),
+        product_assignment(basis, random_density(3, rng)),
+        LinearAssignment(basis, np.concatenate([neg[None], random_density(3, rng, d * d - 1)])),
+        LinearAssignment(basis, random_density(2, rng, d * d)),
+    ]
+
+
+def count_full_path(monkeypatch):
+    """Couplings run through ``_superoperator`` from now on, in a one-item list."""
+    count = [0]
+    full = dynamics._superoperator
+
+    def counted(images, assignment, u):
+        count[0] += u.shape[0]
+        return full(images, assignment, u)
+
+    monkeypatch.setattr(dynamics, "_superoperator", counted)
+    return count
+
+
+def noisy_screen(monkeypatch, size):
+    """Move every screened value by ``size``, with a sign fixed by the coupling."""
+    screen = dynamics._screen_minima
+
+    def noisy(factor, assignment, u):
+        return screen(factor, assignment, u) + size * np.where(u[:, 0, 0].real > 0, 1.0, -1.0)
+
+    monkeypatch.setattr(dynamics, "_screen_minima", noisy)
+
+
+class TestScreenedSearch:
+    """The search ranks couplings on the factored map and reports full-path values."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_screen_agrees_with_full_path(self, d):
+        rng = np.random.default_rng(70 + d)
+        for assignment in screen_families(d, rng):
+            u = random_unitary(assignment.dim_s * assignment.dim_e, rng, 3)
+            screened = dynamics._screen_minima(dynamics._factor(assignment), assignment, u)
+            exact = dynamics._choi_minima(dynamics._unit_images(assignment), assignment, u)
+            assert np.max(np.abs(screened - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("family", ["flag", "zero-discord", "product"])
+    def test_noise_within_tolerance_leaves_the_search(self, family, d, chunking, monkeypatch):
+        assignment = search_family(family, d, np.random.default_rng(60 + d))
+        set_chunking(monkeypatch, chunking, assignment.dim_s * assignment.dim_e)
+        noisy_screen(monkeypatch, SCREEN_TOL / 4)
+        for seed in (3, 11):
+            assert find_noncp_unitary(assignment, 9, seed) == ref_find_noncp(assignment, 9, seed)
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("side", [1, -1], ids=["below", "above"])
+    def test_threshold_within_tolerance_is_confirmed(self, side, chunking, monkeypatch):
+        """Couplings from a pool of two, the higher one drawn first at seed 2,
+        with the threshold SCREEN_TOL/8 above (or below) the higher value and
+        that coupling's screened value moved SCREEN_TOL/4 across it: only the
+        full path tells whether the higher coupling is the first witness."""
+        flags = orthogonal_flag_assignment(canonical_basis(2))
+        set_chunking(monkeypatch, chunking, flags.dim_s * flags.dim_e)
+        pool = random_unitary(8, np.random.default_rng(4), 2)
+        lams = [old_lambda(flags, u) for u in pool]
+        high = int(np.argmax(lams))
+        monkeypatch.setattr(dynamics, "haar_unitaries",
+                            lambda normals: pool[(normals[:, 0, 0, 0] > 0).astype(int)])
+        attempts, seed = 12, 2
+        choice = [int(np.random.default_rng([seed, i]).standard_normal() > 0)
+                  for i in range(attempts)]
+        first_low = choice.index(1 - high)
+        assert choice[:first_low] == [high] * first_low and first_low >= 2
+        monkeypatch.setattr(dynamics, "NONCP_THRESHOLD", lams[high] + side * SCREEN_TOL / 8)
+        noisy_screen(monkeypatch, side * np.sign(pool[high][0, 0].real) * SCREEN_TOL / 4)
+        count = count_full_path(monkeypatch)
+        search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
+        first = 0 if side > 0 else first_low
+        assert (search.first_index, search.first_lambda) == (first, lams[choice[first]])
+        assert (search.best_index, search.best_lambda) == (first_low, lams[1 - high])
+        assert count[0] >= first + 1  # every draw up to the witness was confirmed
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    def test_ties_within_tolerance_keep_the_first(self, chunking, monkeypatch):
+        """A pool of U and -U induces one map, bit for bit; screened SCREEN_TOL/4
+        up for U, drawn first, and down for -U, drawn second, the first stays best."""
+        flags = orthogonal_flag_assignment(canonical_basis(2))
+        set_chunking(monkeypatch, chunking, flags.dim_s * flags.dim_e)
+        u = random_unitary(8, np.random.default_rng(4))
+        pool = np.stack([u, -u]) * np.sign(u[0, 0].real)
+        monkeypatch.setattr(dynamics, "haar_unitaries",
+                            lambda normals: pool[(normals[:, 0, 0, 0] > 0).astype(int)])
+        noisy_screen(monkeypatch, SCREEN_TOL / 4)
+        attempts, seed = 12, 5
+        assert [int(np.random.default_rng([seed, i]).standard_normal() > 0)
+                for i in range(2)] == [0, 1]
+        search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
+        lam = old_lambda(flags, pool[0])
+        assert old_lambda(flags, pool[1]) == lam
+        assert (search.best_index, search.best_lambda) == (0, lam)
+        assert (search.first_index, search.first_lambda) == (0, lam)
+
+    def test_noise_beyond_tolerance_raises(self, monkeypatch):
+        flags = orthogonal_flag_assignment(canonical_basis(2))
+        noisy_screen(monkeypatch, 2 * SCREEN_TOL)
+        with pytest.raises(RuntimeError, match=r"^coupling \d+: .* off the full path"):
+            find_noncp_unitary(flags, attempts=9, seed=3)
+
+    def test_full_path_runs_few_couplings(self, monkeypatch):
+        flags = orthogonal_flag_assignment(canonical_basis(3))
+        count = count_full_path(monkeypatch)
+        search = find_noncp_unitary(flags, attempts=30, seed=7)
+        assert search.found
+        assert count[0] <= 2
 
 
 class TestStackedSweep:
