@@ -42,8 +42,6 @@ from assignlab.dynamics import (
 )
 from assignlab.operators import (
     ProjectorBasis,
-    bloch_coeffs,
-    bloch_state,
     canonical_basis,
     ginibre_densities,
     haar_unitaries,

@@ -270,6 +270,11 @@ class OrthogonalProjectorSet:
         """Unit vectors v_i with Pi_i = |v_i><v_i|, stacked (..., d, d)."""
         return _rank1_vectors(self.projectors)
 
+    @property
+    def dual_frame(self) -> np.ndarray:
+        """The projectors themselves: Tr[Pi_i Pi_j] = delta_ij, so q_i = Tr[Pi_i state]."""
+        return self.projectors
+
     def coefficients(self, state: np.ndarray) -> np.ndarray:
         """Measurement weights Tr[state Pi_i], (..., dim) for a stack."""
         state = require_hermitian(state, tol=1e-9, name="state")

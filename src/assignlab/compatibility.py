@@ -7,10 +7,14 @@ one), for one state or a stack; bisection along affine rays locates the
 boundary with the same verdict, and the volume is estimated by Monte Carlo
 sampling under the Hilbert-Schmidt measure, handing each byte-bounded stack
 of draws (``probe_chunks``) to ``domain_verdict``. ``simplex_domain_check``
-eigensolves the full assigned operators itself: it is the independent check
-that the flag assignment's output spectrum is its weights padded with zeros,
-which the factor, built from those weights, would take for granted. All of
-them refuse a tolerance that is not finite and positive.
+is the independent check that the flag assignment's output spectrum is its
+weights padded with zeros, which the factor, built from those weights, would
+take for granted: it maps each probe through ``apply`` with the flags
+rotated onto the computational basis, checks that the off-diagonal
+environment blocks of the full output vanish to ``BLOCK_TOL`` and
+eigensolves the d_e diagonal d_s x d_s blocks, which by Weyl's inequality
+moves the smallest eigenvalue by at most ``BLOCK_TOL``. All of them refuse a
+tolerance that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from assignlab.assignments import eigen_chunks, probe_chunks
+from assignlab.assignments import LinearAssignment, eigen_chunks, probe_chunks
 from assignlab.operators import (
     PSD_TOL,
+    _rank1_vectors,
     min_eigenvalue,
     random_density,
     require_density,
+    require_unitary,
 )
 
 __all__ = [
@@ -40,6 +46,10 @@ __all__ = [
 
 BISECTION_BRACKET = 1e-8
 BISECTION_MAX_ITER = 60
+
+# largest Frobenius norm of a flag output's off-diagonal environment blocks
+# that the block eigensolve drops; it bounds the shift of every eigenvalue
+BLOCK_TOL = 1e-12
 
 # two-sided 95% normal quantile for the Wilson score interval
 Z95 = 1.959963984540054
@@ -161,26 +171,70 @@ class SimplexDomainReport:
         return self.agreements == self.probes
 
 
+def _flag_frame(assignment) -> np.ndarray:
+    """Unitary F whose first columns are the flag vectors f_i of the
+    environment operators tau_i = |f_i><f_i|, completed by an orthonormal
+    complement when there are fewer flags than d_e; exactly the identity for
+    computational flags."""
+    taus = assignment.env_ops
+    not_idempotent = np.max(np.abs(taus @ taus - taus)) > 1e-10
+    overlaps = np.einsum("iab,jba->ij", taus, taus)
+    if not_idempotent or np.max(np.abs(overlaps - np.eye(len(taus)))) > 1e-10:
+        raise ValueError("environment operators are not orthonormal rank-1 projectors")
+    flags = _rank1_vectors(taus)
+    if len(flags) < assignment.dim_e:
+        # the right singular vectors past the flags span their complement
+        flags = np.concatenate([flags, np.linalg.svd(flags.conj())[2][len(flags):].conj()])
+    return require_unitary(flags.T)
+
+
+def _flag_block_minima(rotated, states: np.ndarray, first: int = 0) -> np.ndarray:
+    """Smallest eigenvalue of each output of ``rotated``, an assignment whose
+    flags are the computational basis, on a stack of states: the least over
+    the d_e diagonal d_s x d_s blocks of its ``apply`` output. ValueError,
+    naming the probe (numbered from ``first``), when the off-diagonal
+    environment blocks of an output have Frobenius norm above ``BLOCK_TOL``."""
+    d_s, d_e = rotated.dim_s, rotated.dim_e
+    out = rotated.apply(states).reshape(-1, d_s, d_e, d_s, d_e)
+    off = (out * ~np.eye(d_e, dtype=bool)[:, None, :]).reshape(len(out), -1).view(float)
+    off = np.sqrt(np.einsum("ij,ij->i", off, off))
+    bad = np.flatnonzero(~(off <= BLOCK_TOL))
+    if bad.size:
+        raise ValueError(f"probe {first + bad[0]}: off-diagonal flag blocks have norm "
+                         f"{off[bad[0]]:.3e} > BLOCK_TOL {BLOCK_TOL:.0e}")
+    return min_eigenvalue(np.moveaxis(np.diagonal(out, axis1=2, axis2=4), -1, 1)).min(axis=-1)
+
+
 def simplex_domain_check(
     assignment, samples: int, rng: np.random.Generator, tol: float = PSD_TOL
 ) -> SimplexDomainReport:
-    """For an assignment with mutually orthonormal environment flags, the
-    output spectrum is the weight vector ``basis.coefficients`` padded with
-    zeros, so domain membership is equivalent to all weights being
-    nonnegative. Verify that equivalence on random probes, eigensolving the
-    full assigned operators."""
+    """For an assignment whose environment operators are mutually orthogonal
+    rank-1 projectors tau_i = |f_i><f_i| (flags), the output
+    sum_i q_i P_i (x) tau_i has the weight vector ``basis.coefficients``
+    padded with zeros as its spectrum, so domain membership is equivalent to
+    all weights being nonnegative. Verify that equivalence on random probes,
+    independently of the weights and of the support factor.
+
+    The assignment is rotated once onto its flag frame F (``_flag_frame``),
+    as ``LinearAssignment(basis, F^dag tau_i F)``, whose outputs are the
+    originals conjugated by I (x) F: the same spectra, block diagonal on the
+    environment index. Each probe is mapped through that assignment's
+    ``apply``; a probe whose off-diagonal environment blocks have Frobenius
+    norm above ``BLOCK_TOL`` raises ValueError, and otherwise the smallest
+    eigenvalue is the least over the d_e diagonal d_s x d_s blocks. The
+    dropped blocks have spectral norm at most their Frobenius norm, so by
+    Weyl's inequality that eigenvalue is within ``BLOCK_TOL`` of the full
+    output's."""
     _require_tol(tol)
     chunks = probe_chunks(assignment, samples)  # refuses a stacked assignment first
-    taus = assignment.env_ops
-    overlaps = np.einsum("iab,jba->ij", taus, taus)
-    if np.max(np.abs(overlaps - np.eye(len(taus)))) > 1e-10:
-        raise ValueError("environment operators are not orthonormal projectors")
+    frame = _flag_frame(assignment)
+    rotated = LinearAssignment(assignment.basis, frame.conj().T @ assignment.env_ops @ frame)
     agreements = 0
     max_gap = 0.0
     for lo, hi in chunks:
         states = random_density(assignment.dim_s, rng, hi - lo)
         q_min = assignment.basis.coefficients(states).min(axis=-1)
-        lam = min_eigenvalue(assignment.apply(states))
+        lam = _flag_block_minima(rotated, states, lo)
         agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
         max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))
     return SimplexDomainReport(probes=samples, agreements=agreements, max_gap=max_gap)

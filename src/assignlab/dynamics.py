@@ -14,13 +14,19 @@ inputs, listed with the slots each E_jk reads in one cached table per d_s.
 This full path conjugates a stack of couplings: one stacked unitarity check,
 every (coupling, image) pair conjugated in byte-bounded blocks, one batched
 contraction tracing out the environment, the columns H + iK assembled, the
-Choi matrices by reshape and their spectra from one stacked eigensolve. The
-classical sweep runs it per chunk of assignments: one normal draw, one
-stacked assignment from it (``zero_discord_assignment``) with one stacked
-``apply`` for all their unit images, one QR for all their couplings and one
-Choi eigensolve, conjugating each assignment's images in its own
-byte-bounded blocks. ``induced_map``, ``choi_matrix`` and ``cp_certificate``
-are the same core on a stack of one.
+Choi matrices by reshape and their spectra from one stacked eigensolve.
+``induced_map``, ``choi_matrix`` and ``cp_certificate`` are the same core on
+a stack of one.
+
+The classical sweep takes its assignments in chunks: one normal draw, one
+stacked zero-discord assignment from it (``zero_discord_assignment``) and
+one QR for all their couplings, ranked on the Choi block spectrum
+(``_block_minima``: D^3 flops per coupling in place of the full path's
+2 d_s^2 D^3; the block structure is why classical correlations give CP
+maps, Rodriguez-Rosario et al., J. Phys. A 41, 205301 (2008)). Only the
+couplings within ``SCREEN_TOL`` of the lowest screened value run on the
+full path, from the unit images of their own assignment, and the sweep
+reports the lowest of those full-path values.
 
 The non-CP search draws one Haar stack (one stacked QR) per chunk of
 couplings, sized by their normals and unitaries, and ranks them on the
@@ -39,15 +45,16 @@ summing the Choi blocks E_jk (x) M[E_jk], one coupling at a time, which is
 why the images are not combined before the conjugation and the kept blocks
 are not computed alone; both save flops but round differently. A search or
 sweep reports the same draws, minima and first witnesses as one coupling at
-a time. The factored map's values are never reported, so the contract does
-not cover them; the search only needs them within ``SCREEN_TOL`` / 2 of the
-full path's.
+a time. The screens' values (the factored map's and the block spectrum's)
+are never reported, so the contract does not cover them; the search and the
+sweep only need them within ``SCREEN_TOL`` / 2 of the full path's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import groupby
 from math import isqrt
 
 import numpy as np
@@ -69,6 +76,7 @@ from assignlab.operators import (
     chunk_ranges,
     ginibre_densities,
     haar_unitaries,
+    min_eigenvalue,
     partial_trace,
     qubit_states,
     random_density,
@@ -102,8 +110,8 @@ __all__ = [
 # the stricter -1e-6 to stay clear of numerical noise.
 CP_TOL = 1e-9
 NONCP_THRESHOLD = -1e-6
-# the non-CP search confirms on the full path every coupling whose value on
-# the factored map lies this close to deciding a reported number
+# the non-CP search and the classical sweep confirm on the full path every
+# coupling whose screened value lies this close to deciding a reported number
 SCREEN_TOL = 1e-10
 SWEEP_COUPLINGS = 10  # Haar couplings per assignment in the classical sweep
 
@@ -135,12 +143,9 @@ def _unit_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def _unit_images(assignment) -> np.ndarray:
-    """Assigned images of the unit inputs, from one stacked call of the
-    family's own ``apply``: (..., d_s^2, D, D) for a stack of assignments."""
-    inputs = _unit_inputs(assignment.dim_s)[0]
-    lead = assignment.env_ops.ndim - 3
-    images = assignment.apply(inputs.reshape(inputs.shape[:1] + (1,) * lead + inputs.shape[1:]))
-    return np.moveaxis(images, 0, lead)
+    """Assigned images (d_s^2, D, D) of the unit inputs, from one stacked
+    call of the family's own ``apply``."""
+    return assignment.apply(_unit_inputs(assignment.dim_s)[0])
 
 
 def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
@@ -263,12 +268,11 @@ def _factor(assignment) -> tuple[np.ndarray, np.ndarray]:
     """The induced map's factors (W, T) of one assignment: coupling U induces
     the superoperator vec(A) T, with A_r = Tr_E[U w_r w_r^dag U^dag] over the
     columns w_r of the assignment's ``_columns`` W and T[r, jk] =
-    t_r q_owner(r)(E_jk), q extended complex-linearly through the unit inputs
-    E_jk = H_jk + i K_jk."""
+    t_r q_owner(r)(E_jk) = t_r (F_owner(r))_kj, q extended complex-linearly
+    through the basis's dual frame F, q_i(h) = Tr[F_i h]."""
     owner, t, w = assignment._columns
-    inputs, herm, skew, sign = _unit_inputs(assignment.dim_s)
-    q = assignment.basis.coefficients(inputs)[:, owner] * t
-    return w, (q[herm] + 1j * (sign[:, None] * q[skew])).T
+    frame = assignment.basis.dual_frame[owner].swapaxes(-1, -2)
+    return w, frame.reshape(len(owner), -1) * t[:, None]
 
 
 def _screen_minima(factor, assignment, u: np.ndarray) -> np.ndarray:
@@ -290,7 +294,7 @@ def _confirm(images, assignment, index, u: np.ndarray, screened: np.ndarray) -> 
     off = np.flatnonzero(~(np.abs(exact - screened) <= SCREEN_TOL))
     if off.size:
         i = off[0]
-        raise RuntimeError(f"coupling {index[i]}: the factored map's Choi minimum "
+        raise RuntimeError(f"coupling {index[i]}: the screened Choi minimum "
                            f"{screened[i]!r} is off the full path's {exact[i]!r} "
                            f"by more than {SCREEN_TOL:.0e}")
     return exact
@@ -382,6 +386,44 @@ class CPSweep:
     all_cp: bool
 
 
+def _block_minima(assignment, u: np.ndarray) -> np.ndarray:
+    """``_choi_minima`` of a zero-discord assignment up to rounding, from its
+    Choi block spectrum; couplings (k, D, D), or (n, k, D, D) for a stack of
+    n assignments.
+
+    The map Lambda(rho) = sum_i Tr[Pi_i rho] A_i, A_i = Tr_E[U (Pi_i (x)
+    tau_i) U^dag], has the Choi matrix sum_i conj(Pi_i) (x) A_i, whose
+    spectrum is the union of the spectra of the A_i. With the eigenpairs
+    (t_im, e_im) of tau_i, signed, A_i = sum_m t_im X_im X_im^dag for the
+    columns x_im = U (v_i (x) e_im), reshaped to (d_s, d_e): D^3 flops and
+    d_s eigensolves of d_s x d_s per coupling.
+    """
+    d_s, d_e = assignment.dim_s, assignment.dim_e
+    t, e = np.linalg.eigh(assignment.env_ops)
+    w = np.einsum("...is,...iem->...seim", assignment.basis.vectors, e)
+    x = u @ w.reshape(w.shape[:-4] + (1, d_s * d_e, d_s * d_e))
+    # rows (i, s) of X_im stacked over (e, m): A_i = Y_i diag(t_i) Y_i^dag
+    y = np.moveaxis(x.reshape(x.shape[:-2] + (d_s, d_e, d_s, d_e)), -2, -4)
+    y = y.reshape(y.shape[:-2] + (d_e * d_e,))
+    ty = y * np.tile(t, d_e)[..., None, :, None, :]
+    np.conjugate(ty, out=ty)
+    return min_eigenvalue(y @ ty.swapaxes(-1, -2)).min(axis=-1)
+
+
+def _settle_sweep(held) -> float:
+    """The lowest full-path Choi minimum of the held (index, screened, z, j,
+    unitary) couplings of assignment j of the stack z, in index order: each
+    assignment's unit images are built once, from that assignment alone."""
+    lowest = np.inf
+    for _, group in groupby(held, key=lambda h: h[0] // SWEEP_COUPLINGS):
+        index, screened, z, j, u = zip(*group)
+        one = LinearAssignment(OrthogonalProjectorSet(z[0].basis.projectors[j[0]]),
+                               z[0].env_ops[j[0]])
+        exact = _confirm(_unit_images(one), one, index, np.stack(u), np.array(screened))
+        lowest = min(lowest, float(np.min(exact)))
+    return lowest
+
+
 def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
                        rng: np.random.Generator) -> CPSweep:
     """Check that random zero-discord assignments with positive environment
@@ -390,16 +432,27 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
     An assignment draws the normals ``zero_discord_assignment`` builds it
     from, then its couplings' normals: one draw per chunk of assignments is
     the same stream. A chunk holds each assignment's d_s terms, d_s^2 unit
-    images and its couplings' normals and unitaries; an assignment whose
-    couplings alone exceed ``_CHUNK_BYTES`` is a chunk of its own and draws
-    its later couplings in chunks of their own.
+    images and its couplings' normals, unitaries and screens; an assignment
+    whose couplings alone exceed ``_CHUNK_BYTES`` is a chunk of its own and
+    draws its later couplings in chunks of their own.
+
+    Every coupling is ranked on the Choi block spectrum (``_block_minima``).
+    Those screened within SCREEN_TOL of the lowest screened value so far are
+    held, with a copy of their unitaries, and confirmed on the full path at
+    the end (or once more than a chunk of them are held); the sweep reports
+    the lowest confirmed value. While the screen stays within SCREEN_TOL / 2
+    of the full path, that is the minimum over every coupling on the full
+    path; a confirmed value further than SCREEN_TOL from its screened one
+    raises RuntimeError.
     """
     dim = dim_s * dim_e
     size = zero_discord_size(dim_s, dim_e)
     # with no couplings each assignment is still drawn and built
     couplings = list(chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim)) or [(0, 0)]
-    per_assignment = 16 * dim * dim * (dim_s + dim_s * dim_s + 2 * SWEEP_COUPLINGS)
-    min_lambda = np.inf
+    per_assignment = 16 * dim * dim * (dim_s + dim_s * dim_s + 3 * SWEEP_COUPLINGS)
+    min_lambda = np.inf  # the lowest confirmed value
+    low = np.inf  # the lowest screened value so far
+    held = []
     maps_checked = 0
     for lo, hi in chunk_ranges(n_assignments, per_assignment):
         n = hi - lo
@@ -409,13 +462,17 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
             normals = rng.standard_normal((n, head + (c_end - c) * 2 * dim * dim))
             if c == 0:
                 z = zero_discord_assignment(normals[:, :size], dim_s, dim_e)
-                images = _unit_images(z)
             u = haar_unitaries(normals[:, head:].reshape(n, c_end - c, 2, dim, dim))
-            # _superoperator bounds each assignment's joint operators on its own
-            mats = [_superoperator(images[j], z, u[j]) for j in range(n)]
-            lams = _choi(np.concatenate(mats), dim_s)[1][:, 0]
-            min_lambda = min(min_lambda, float(np.min(lams, initial=np.inf)))
-            maps_checked += len(lams)
+            screened = _block_minima(z, u)
+            maps_checked += screened.size
+            low = min(low, float(np.min(screened, initial=np.inf)))
+            held = [h for h in held if h[1] <= low + SCREEN_TOL]
+            held += [((lo + j) * SWEEP_COUPLINGS + c + m, screened[j, m], z, j, u[j, m].copy())
+                     for j, m in zip(*np.nonzero(screened <= low + SCREEN_TOL))]
+            if len(held) > screened.size:
+                min_lambda, held = min(min_lambda, _settle_sweep(held)), []
+    if held:
+        min_lambda = min(min_lambda, _settle_sweep(held))
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),
                    all_cp=min_lambda >= -CP_TOL)
 

@@ -36,7 +36,6 @@ from assignlab.dynamics import (
     replay_unitary,
 )
 from assignlab.operators import (
-    bloch_state,
     canonical_basis,
     min_eigenvalue,
     partial_trace,
@@ -46,6 +45,8 @@ from assignlab.operators import (
     tensor,
     trace_norm,
 )
+
+from bloch import bloch_state
 
 ETA = qubit_states()
 I2 = np.eye(2, dtype=complex)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import assignlab.compatibility as compatibility
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
@@ -198,3 +199,63 @@ class TestSimplexDomain:
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
         with pytest.raises(ValueError):
             simplex_domain_check(a, 10, rng)
+
+
+def flag_families(d, rng):
+    """Canonical flags, flags on a Haar measurement (tau_i = Pi_i), and a
+    Haar measurement's flags spanning d of d + 3 environment dimensions."""
+    measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
+    few = random_unitary(d + 3, rng)[:, :d].T
+    return [
+        orthogonal_flag_assignment(canonical_basis(d)),
+        broadcast_assignment(measurement),
+        LinearAssignment(measurement, few[:, :, None] * few.conj()[:, None, :]),
+    ]
+
+
+class TestFlagBlocks:
+    """The block eigensolve against the full one, and what it refuses."""
+
+    @pytest.mark.parametrize("d,families", [(2, 3), (3, 3), (4, 1), (5, 1)])
+    def test_blocks_agree_with_the_full_spectrum(self, d, families):
+        rng = np.random.default_rng(30 + d)
+        for assignment in flag_families(d, rng)[:families]:
+            frame = compatibility._flag_frame(assignment)
+            assert np.max(np.abs(frame.conj().T @ frame - np.eye(assignment.dim_e))) <= 1e-12
+            rotated = LinearAssignment(assignment.basis,
+                                       frame.conj().T @ assignment.env_ops @ frame)
+            states = random_density(d, rng, 12)
+            blocks = compatibility._flag_block_minima(rotated, states)
+            full = np.linalg.eigvalsh(assignment.apply(states))[:, 0]
+            assert np.max(np.abs(blocks - full)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_computational_flags_are_their_own_frame(self, d):
+        assert np.array_equal(compatibility._flag_frame(orthogonal_flag_assignment(
+            canonical_basis(d))), np.eye(d * d))
+
+    def test_fewer_flags_than_environment_dimensions(self):
+        rng = np.random.default_rng(12)
+        assignment = flag_families(2, rng)[2]
+        assert (len(assignment.env_ops), assignment.dim_e) == (2, 5)
+        report = simplex_domain_check(assignment, 100, rng)
+        assert report.all_agree and report.max_gap <= 1e-12
+
+    def test_rounded_off_diagonal_blocks_exceed_a_zero_tolerance(self, monkeypatch):
+        monkeypatch.setattr(compatibility, "BLOCK_TOL", 0.0)
+        rng = np.random.default_rng(13)
+        measured = broadcast_assignment(OrthogonalProjectorSet.from_unitary(random_unitary(3, rng)))
+        with pytest.raises(ValueError, match=r"^probe 0: off-diagonal flag blocks have norm"):
+            simplex_domain_check(measured, 20, rng)
+        # computational flags: the rotation is the identity and the zeros exact
+        for d in (2, 3, 4):
+            flags = orthogonal_flag_assignment(canonical_basis(d))
+            assert simplex_domain_check(flags, 20, rng).all_agree
+
+    def test_rejects_a_unit_overlap_pair_that_is_not_projectors(self):
+        # Tr tau_i tau_j = delta_ij, but neither tau is idempotent
+        taus = np.stack([np.diag([2, 2, -1]), np.diag([2, -1, 2])]) / 3
+        assert np.allclose(np.einsum("iab,jba->ij", taus, taus), np.eye(2), rtol=0, atol=1e-15)
+        a = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
+        with pytest.raises(ValueError, match="not orthonormal rank-1 projectors"):
+            simplex_domain_check(a, 10, np.random.default_rng(14))

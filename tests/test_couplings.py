@@ -14,9 +14,12 @@ import assignlab.dynamics as dynamics
 import assignlab.operators as operators
 from assignlab.assignments import (
     LinearAssignment,
+    OrthogonalProjectorSet,
     orthogonal_flag_assignment,
     product_assignment,
     random_zero_discord_assignment,
+    zero_discord_assignment,
+    zero_discord_size,
 )
 from assignlab.dynamics import (
     CP_TOL,
@@ -35,6 +38,7 @@ from assignlab.operators import (
     haar_unitaries,
     min_eigenvalue,
     random_density,
+    random_pure,
     random_unitary,
     require_unitary,
     trace_norm,
@@ -358,7 +362,7 @@ class TestStackedSweep:
         d, d_e = 3, 2
         dim = d * d_e
         monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 3)
-        per_assignment = 16 * dim * dim * (d + d * d + 2 * 3)
+        per_assignment = 16 * dim * dim * (d + d * d + 3 * 3)
         monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * per_assignment)
         for seed in (4, 8):
             sweep = classical_cp_sweep(5, d, d_e, np.random.default_rng(seed))
@@ -369,6 +373,89 @@ class TestStackedSweep:
             assert classical_cp_sweep(n, 2, 2, np.random.default_rng(1)) == ref_sweep(n, 2, 2, 1)
         monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 0)
         assert classical_cp_sweep(3, 2, 2, np.random.default_rng(1)) == ref_sweep(3, 2, 2, 1)
+
+
+def explicit_partial_trace(x, d_s, d_e):
+    """Tr_E of a (d_s d_e)-dimensional operator, one environment index at a time."""
+    out = np.zeros((d_s, d_s), dtype=complex)
+    for e in range(d_e):
+        out += x[e::d_e, e::d_e]
+    return out
+
+
+def noisy_block_screen(monkeypatch, size):
+    """Move every block-screened value by ``size``, with a sign fixed by the coupling."""
+    screen = dynamics._block_minima
+
+    def noisy(assignment, u):
+        return screen(assignment, u) + size * np.where(u[..., 0, 0].real > 0, 1.0, -1.0)
+
+    monkeypatch.setattr(dynamics, "_block_minima", noisy)
+
+
+class TestScreenedSweep:
+    """The sweep ranks couplings on the Choi block spectrum and reports full-path values."""
+
+    @pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (2, 5)])
+    def test_screen_agrees_with_full_path(self, d_s, d_e):
+        rng = np.random.default_rng(80 + 10 * d_s + d_e)
+        pure = LinearAssignment(OrthogonalProjectorSet.from_unitary(random_unitary(d_s, rng)),
+                                random_pure(d_e, rng, d_s))
+        for z in (random_zero_discord_assignment(d_s, d_e, rng), pure):
+            u = random_unitary(d_s * d_e, rng, 3)
+            screened = dynamics._block_minima(z, u)
+            exact = dynamics._choi_minima(dynamics._unit_images(z), z, u)
+            assert np.max(np.abs(screened - exact)) <= 1e-12
+
+    def test_a_stack_screens_each_assignment(self):
+        rng = np.random.default_rng(90)
+        z = zero_discord_assignment(rng.standard_normal((3, zero_discord_size(3, 2))), 3, 2)
+        u = random_unitary(6, rng, 12).reshape(3, 4, 6, 6)
+        stacked = dynamics._block_minima(z, u)
+        for j in range(3):
+            one = LinearAssignment(OrthogonalProjectorSet(z.basis.projectors[j]), z.env_ops[j])
+            assert np.max(np.abs(stacked[j] - dynamics._block_minima(one, u[j]))) <= 1e-15
+
+    @pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 2), (2, 3)])
+    def test_choi_spectrum_is_the_union_of_the_blocks(self, d_s, d_e):
+        """Closed form: for Lambda(rho) = sum_i Tr[Pi_i rho] A_i the Choi
+        matrix sum_jk E_jk (x) Lambda(E_jk) has the spectra of the
+        A_i = Tr_E[U (Pi_i (x) tau_i) U^dag] as its own."""
+        rng = np.random.default_rng(95 + d_s * d_e)
+        z = random_zero_discord_assignment(d_s, d_e, rng)
+        u = random_unitary(d_s * d_e, rng)
+        projectors, taus = z.basis.projectors, z.env_ops
+        blocks = [explicit_partial_trace(u @ np.kron(p, t) @ u.conj().T, d_s, d_e)
+                  for p, t in zip(projectors, taus)]
+        choi = np.zeros((d_s * d_s, d_s * d_s), dtype=complex)
+        for j in range(d_s):
+            for k in range(d_s):
+                unit = np.zeros((d_s, d_s), dtype=complex)
+                unit[j, k] = 1.0
+                joint = sum(np.trace(p @ unit) * np.kron(p, t) for p, t in zip(projectors, taus))
+                choi += np.kron(unit, explicit_partial_trace(u @ joint @ u.conj().T, d_s, d_e))
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(a) for a in blocks]))
+        assert np.max(np.abs(np.linalg.eigvalsh(choi) - union)) <= 1e-12
+        assert abs(dynamics._block_minima(z, u[None])[0] - union[0]) <= 1e-12
+
+    @pytest.mark.parametrize("size", [SCREEN_TOL / 4, -SCREEN_TOL / 4])
+    @pytest.mark.parametrize("d,d_e", [(2, 2), (3, 2), (2, 3)])
+    def test_noise_within_tolerance_leaves_the_sweep(self, d, d_e, size, monkeypatch):
+        noisy_block_screen(monkeypatch, size)
+        for seed in (0, 21):
+            assert classical_cp_sweep(4, d, d_e, np.random.default_rng(seed)) \
+                == ref_sweep(4, d, d_e, seed)
+
+    def test_noise_beyond_tolerance_raises(self, monkeypatch):
+        noisy_block_screen(monkeypatch, 2 * SCREEN_TOL)
+        with pytest.raises(RuntimeError, match=r"^coupling \d+: .* off the full path"):
+            classical_cp_sweep(3, 2, 2, np.random.default_rng(7))
+
+    def test_full_path_runs_few_couplings(self, monkeypatch):
+        ref = ref_sweep(5, 2, 2, 7)
+        count = count_full_path(monkeypatch)
+        assert classical_cp_sweep(5, 2, 2, np.random.default_rng(7)) == ref
+        assert count[0] <= 2  # of the 50 couplings
 
 
 class TestStackedChoi:

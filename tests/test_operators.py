@@ -9,8 +9,6 @@ from assignlab.operators import (
     PAULI_Y,
     PAULI_Z,
     ProjectorBasis,
-    bloch_coeffs,
-    bloch_state,
     canonical_basis,
     hermiticity_defect,
     partial_trace,
@@ -25,6 +23,8 @@ from assignlab.operators import (
     trace_norm,
     weighted_sum,
 )
+
+from bloch import bloch_coeffs, bloch_state
 
 I2 = np.eye(2, dtype=complex)
 

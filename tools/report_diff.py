@@ -10,10 +10,12 @@ BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3),
 (2,2), (3,3) and (4,4) only (their (2,3) and (3,2) reports would repeat those
 apart from the echoed config).
 Each checkout renders in its own interpreter with one BLAS thread, and
-``runtime_ms`` is stripped. Prints the number of byte-different reports and
+``runtime_ms`` is stripped. Prints the number of byte-different reports,
 every report that fails ``perfbench/oracle.compare`` (pass, witnesses and
-integers exact, floats within 1e-12); exits 1 if any report fails it or the
-two checkouts do not run the same configs.
+integers exact, floats within 1e-12), and, for each (experiment, field) that
+differs anywhere, how many reports it differs in and its largest absolute
+change; exits 1 if any report fails the oracle or the two checkouts do not
+run the same configs.
 
     python3 tools/report_diff.py --render CHECKOUT --seeds 0-9
 
@@ -81,6 +83,42 @@ def render_elsewhere(checkout: str, seeds: range) -> list:
     return json.loads(done.stdout)
 
 
+def _gap(new, old):
+    """Largest absolute change between two numbers or two equal-length lists
+    of numbers; None for anything else."""
+    if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        gaps = [_gap(a, b) for a, b in zip(new, old)]
+        return None if None in gaps else max(gaps, default=0.0)
+    numbers = (int, float)
+    if isinstance(new, numbers) and isinstance(old, numbers) \
+            and not isinstance(new, bool) and not isinstance(old, bool):
+        return abs(new - old)
+    return None
+
+
+def changed_fields(new: dict, old: dict) -> dict:
+    """{field: _gap} of every field in which report ``new`` differs from ``old``:
+    ``pass``, ``config``, ``metrics.<name>`` and ``witnesses.<key>``."""
+    fields = {key: None for key in ("config", "pass") if new.get(key) != old.get(key)}
+    metrics_new = {m["name"]: m["value"] for m in new.get("metrics", [])}
+    metrics_old = {m["name"]: m["value"] for m in old.get("metrics", [])}
+    if list(metrics_new) != list(metrics_old):
+        fields["metrics"] = None
+    for name in metrics_new.keys() & metrics_old.keys():
+        if metrics_new[name] != metrics_old[name]:
+            fields[f"metrics.{name}"] = _gap(metrics_new[name], metrics_old[name])
+    witnesses_new, witnesses_old = new.get("witnesses", []), old.get("witnesses", [])
+    if len(witnesses_new) != len(witnesses_old):
+        fields["witnesses"] = None
+    for w_new, w_old in zip(witnesses_new, witnesses_old):
+        for key in w_new.keys() | w_old.keys():
+            if w_new.get(key) != w_old.get(key):
+                gap = _gap(w_new.get(key), w_old.get(key))
+                previous = fields.get(f"witnesses.{key}", 0.0)
+                fields[f"witnesses.{key}"] = None if None in (gap, previous) else max(gap, previous)
+    return fields
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", nargs="?", metavar="BASE_CHECKOUT")
@@ -99,14 +137,23 @@ def main(argv=None) -> int:
         print("the two checkouts do not run the same configs")
         return 1
     different = failing = 0
+    changes = {}  # (experiment, field) -> [reports, largest change or None]
     for (label, old), (_, new) in zip(base, head):
         if old == new:
             continue
         different += 1
-        problems = oracle.compare(json.loads(new + "\n}"), json.loads(old + "\n}"))
+        new_report, old_report = json.loads(new + "\n}"), json.loads(old + "\n}")
+        problems = oracle.compare(new_report, old_report)
         for problem in problems:
             print(f"{label}: {problem}")
         failing += bool(problems)
+        for field, gap in changed_fields(new_report, old_report).items():
+            seen = changes.setdefault((label.partition("@")[0], field), [0, 0.0])
+            seen[0] += 1
+            seen[1] = None if None in (gap, seen[1]) else max(seen[1], gap)
+    for (experiment, field), (count, gap) in sorted(changes.items()):
+        largest = "not numeric" if gap is None else f"largest change {gap:.3g}"
+        print(f"{experiment} {field}: {count} reports differ, {largest}")
     print(f"{len(head)} reports: {different} byte-different, {failing} failing the oracle")
     return 1 if failing else 0
 
