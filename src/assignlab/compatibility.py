@@ -13,8 +13,10 @@ take for granted: it maps each probe through ``apply`` with the flags
 rotated onto the computational basis, checks that the off-diagonal
 environment blocks of the full output vanish to ``BLOCK_TOL`` and
 eigensolves the d_e diagonal d_s x d_s blocks, which by Weyl's inequality
-moves the smallest eigenvalue by at most ``BLOCK_TOL``. All of them refuse a
-tolerance that is not finite and positive.
+moves the smallest eigenvalue by at most ``BLOCK_TOL``. Its probes are drawn,
+weighed and eigensolved in chunks sized by those blocks; only ``apply`` and
+the off-block check run in the smaller D x D-sized ``probe_chunks``. All of
+them refuse a tolerance that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from assignlab.assignments import LinearAssignment, eigen_chunks, probe_chunks
+from assignlab.assignments import LinearAssignment, _one, eigen_chunks, probe_chunks
 from assignlab.operators import (
     PSD_TOL,
     _rank1_vectors,
+    chunk_ranges,
     min_eigenvalue,
     random_density,
     require_density,
@@ -193,16 +196,31 @@ def _flag_block_minima(rotated, states: np.ndarray, first: int = 0) -> np.ndarra
     flags are the computational basis, on a stack of states: the least over
     the d_e diagonal d_s x d_s blocks of its ``apply`` output. ValueError,
     naming the probe (numbered from ``first``), when the off-diagonal
-    environment blocks of an output have Frobenius norm above ``BLOCK_TOL``."""
+    environment blocks of an output have Frobenius norm above ``BLOCK_TOL``
+    or a diagonal block has a non-finite entry.
+
+    ``apply`` runs on ``probe_chunks`` slices of the states, whose D x D
+    outputs bound the memory; the diagonal blocks of each output are copied
+    out and zeroed in place, which leaves the off-diagonal blocks for the
+    norm, and the blocks of all the states go to one stacked eigensolve."""
     d_s, d_e = rotated.dim_s, rotated.dim_e
-    out = rotated.apply(states).reshape(-1, d_s, d_e, d_s, d_e)
-    off = (out * ~np.eye(d_e, dtype=bool)[:, None, :]).reshape(len(out), -1).view(float)
-    off = np.sqrt(np.einsum("ij,ij->i", off, off))
-    bad = np.flatnonzero(~(off <= BLOCK_TOL))
-    if bad.size:
-        raise ValueError(f"probe {first + bad[0]}: off-diagonal flag blocks have norm "
-                         f"{off[bad[0]]:.3e} > BLOCK_TOL {BLOCK_TOL:.0e}")
-    return min_eigenvalue(np.moveaxis(np.diagonal(out, axis1=2, axis2=4), -1, 1)).min(axis=-1)
+    blocks = np.empty((len(states), d_e, d_s, d_s), dtype=complex)
+    for lo, hi in probe_chunks(rotated, len(states)):
+        out = rotated.apply(states[lo:hi]).reshape(-1, d_s, d_e, d_s, d_e)
+        diagonal = np.einsum("iajbj->ijab", out)  # a writable view of out
+        blocks[lo:hi] = diagonal
+        diagonal[...] = 0.0
+        off = out.reshape(hi - lo, -1).view(float)
+        off = np.sqrt(np.einsum("ij,ij->i", off, off))
+        finite = np.isfinite(blocks[lo:hi]).all(axis=(1, 2, 3))
+        bad = np.flatnonzero(~(off <= BLOCK_TOL) | ~finite)
+        if bad.size:
+            i = bad[0]
+            if not finite[i]:
+                raise ValueError(f"probe {first + lo + i}: diagonal flag blocks are not finite")
+            raise ValueError(f"probe {first + lo + i}: off-diagonal flag blocks have norm "
+                             f"{off[i]:.3e} > BLOCK_TOL {BLOCK_TOL:.0e}")
+    return min_eigenvalue(blocks).min(axis=-1)
 
 
 def simplex_domain_check(
@@ -218,21 +236,23 @@ def simplex_domain_check(
     The assignment is rotated once onto its flag frame F (``_flag_frame``),
     as ``LinearAssignment(basis, F^dag tau_i F)``, whose outputs are the
     originals conjugated by I (x) F: the same spectra, block diagonal on the
-    environment index. Each probe is mapped through that assignment's
-    ``apply``; a probe whose off-diagonal environment blocks have Frobenius
-    norm above ``BLOCK_TOL`` raises ValueError, and otherwise the smallest
-    eigenvalue is the least over the d_e diagonal d_s x d_s blocks. The
-    dropped blocks have spectral norm at most their Frobenius norm, so by
-    Weyl's inequality that eigenvalue is within ``BLOCK_TOL`` of the full
-    output's."""
+    environment index. The probes come in chunks sized by their diagonal
+    blocks (16 d_e d_s^2 bytes a probe); each chunk's states are drawn, and
+    their weights read, once, and ``_flag_block_minima`` maps them through
+    that assignment's ``apply``: a probe whose off-diagonal environment
+    blocks have Frobenius norm above ``BLOCK_TOL`` raises ValueError, and
+    otherwise its smallest eigenvalue is the least over the d_e diagonal
+    d_s x d_s blocks. The dropped blocks have spectral norm at most their
+    Frobenius norm, so by Weyl's inequality that eigenvalue is within
+    ``BLOCK_TOL`` of the full output's."""
     _require_tol(tol)
-    chunks = probe_chunks(assignment, samples)  # refuses a stacked assignment first
+    d_s, d_e = _one(assignment).dim_s, assignment.dim_e
     frame = _flag_frame(assignment)
     rotated = LinearAssignment(assignment.basis, frame.conj().T @ assignment.env_ops @ frame)
     agreements = 0
     max_gap = 0.0
-    for lo, hi in chunks:
-        states = random_density(assignment.dim_s, rng, hi - lo)
+    for lo, hi in chunk_ranges(samples, 16 * d_e * d_s * d_s):
+        states = random_density(d_s, rng, hi - lo)
         q_min = assignment.basis.coefficients(states).min(axis=-1)
         lam = _flag_block_minima(rotated, states, lo)
         agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))

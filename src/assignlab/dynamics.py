@@ -52,7 +52,7 @@ sweep only need them within ``SCREEN_TOL`` / 2 of the full path's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby
 from math import isqrt
@@ -253,7 +253,12 @@ def replay_unitary(seed: int, index: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NonCPSearch:
-    """Outcome of a seeded random search for a CP-breaking unitary."""
+    """Outcome of a seeded random search for a CP-breaking unitary.
+
+    ``first_unitary`` is the coupling the search confirmed on the full path
+    as its first witness, read-only, or None when nothing was found; a
+    caller can check a replay of ``first_index`` against its bits. It takes
+    no part in equality or repr, which compare the reported fields only."""
 
     found: bool
     seed: int
@@ -262,6 +267,7 @@ class NonCPSearch:
     first_lambda: float | None
     best_index: int
     best_lambda: float
+    first_unitary: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _factor(assignment) -> tuple[np.ndarray, np.ndarray]:
@@ -301,14 +307,16 @@ def _confirm(images, assignment, index, u: np.ndarray, screened: np.ndarray) -> 
 
 
 def _first_witness(images, assignment, u: np.ndarray, screened: np.ndarray, lo: int):
-    """(index, lambda) of the first coupling of a chunk starting at ``lo``
-    whose full-path minimum is below NONCP_THRESHOLD, or None: couplings
-    screened at or above NONCP_THRESHOLD + SCREEN_TOL are skipped, the rest
-    confirmed in order."""
+    """(index, lambda, read-only copy of the unitary) of the first coupling
+    of a chunk starting at ``lo`` whose full-path minimum is below
+    NONCP_THRESHOLD, or None: couplings screened at or above
+    NONCP_THRESHOLD + SCREEN_TOL are skipped, the rest confirmed in order."""
     for i in np.flatnonzero(screened < NONCP_THRESHOLD + SCREEN_TOL):
         lam = _confirm(images, assignment, [lo + i], u[i:i + 1], screened[i:i + 1])[0]
         if lam < NONCP_THRESHOLD:
-            return lo + int(i), float(lam)
+            witness = u[i].copy()
+            witness.setflags(write=False)
+            return lo + int(i), float(lam), witness
     return None
 
 
@@ -326,7 +334,8 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     """Search seeded Haar unitaries for one whose induced map is not CP.
 
     Draw ``i`` uses the stream keyed by (seed, i), so any witness is
-    replayable with :func:`replay_unitary` independently of the scan order.
+    replayable with :func:`replay_unitary` independently of the scan order;
+    the first witness's coupling is returned too, as ``first_unitary``.
 
     Each chunk of couplings is ranked on the factored map
     (``_screen_minima``); only couplings that can still decide a reported
@@ -367,7 +376,7 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
             best, held = _settle(images, assignment, held, best), []
     if held:
         best = _settle(images, assignment, held, best)
-    first_index, first_lambda = first or (None, None)
+    first_index, first_lambda, first_unitary = first or (None, None, None)
     return NonCPSearch(
         found=first is not None,
         seed=seed,
@@ -376,6 +385,7 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
         first_lambda=first_lambda,
         best_index=best[0],
         best_lambda=float(best[1]),
+        first_unitary=first_unitary,
     )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import assignlab.cli as cli
@@ -144,6 +145,20 @@ class TestMain:
         monkeypatch.setitem(cli._EXPERIMENTS, "table1",
                             (lambda config, rng: (False, [], []), stacks, dims))
         assert main(["--experiment", "table1"]) == 1
+        assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_a_replay_off_by_one_entry_fails(self, monkeypatch, capsys):
+        replay = cli.replay_unitary
+
+        def nudged(seed, index, dim):
+            u = replay(seed, index, dim).copy()
+            u[1, 2] = np.nextafter(u[1, 2].real, np.inf) + 1j * u[1, 2].imag
+            return u
+
+        monkeypatch.setattr(cli, "replay_unitary", nudged)
+        report = run(small_config("dynamics-cp"))
+        assert report.witnesses and report.passed is False
+        assert main(["--experiment", "dynamics-cp", "--samples", "40"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
     def test_unknown_experiment_exit_two(self, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import assignlab.compatibility as compatibility
+import assignlab.operators as operators
 from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
@@ -251,6 +252,42 @@ class TestFlagBlocks:
         for d in (2, 3, 4):
             flags = orthogonal_flag_assignment(canonical_basis(d))
             assert simplex_domain_check(flags, 20, rng).all_agree
+
+    # on qubit flags (D = 8) a budget of 2048 bytes draws and eigensolves 8
+    # probes at a time and applies 2; probe 13 is the second of the 7th apply
+    @pytest.mark.parametrize("entry,problem", [
+        # output entry (a d_e + j, b d_e + k) lies in environment block (j, k)
+        ((1, 5), "diagonal flag blocks are not finite"),  # a, b = 0, 1 and j = k = 1
+        ((1, 6), "off-diagonal flag blocks have norm nan"),  # a, b = 0, 1 and j, k = 1, 2
+    ])
+    def test_a_nan_names_its_probe_across_both_chunk_levels(self, entry, problem, monkeypatch):
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 2048)
+        original = LinearAssignment.apply
+        applied = []
+
+        def poisoned(self, states):
+            out = original(self, states)
+            first = sum(applied)
+            applied.append(len(out))
+            if first <= 13 < first + len(out):
+                out[(13 - first,) + entry] = np.nan
+            return out
+
+        monkeypatch.setattr(LinearAssignment, "apply", poisoned)
+        flags = orthogonal_flag_assignment(canonical_basis(2))
+        with pytest.raises(ValueError, match=rf"^probe 13: {problem}"):
+            simplex_domain_check(flags, 20, np.random.default_rng(3))
+        assert applied == [2] * 7
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_report_is_the_same_at_every_chunk_budget(self, d, monkeypatch):
+        flags = orthogonal_flag_assignment(canonical_basis(d))
+        reports = []
+        for budget in (1, operators._CHUNK_BYTES, 64 * 2**20):
+            monkeypatch.setattr(operators, "_CHUNK_BYTES", budget)
+            reports.append(simplex_domain_check(flags, 100, np.random.default_rng(40 + d)))
+        assert reports[0] == reports[1] == reports[2]
+        assert len({report.max_gap.hex() for report in reports}) == 1
 
     def test_rejects_a_unit_overlap_pair_that_is_not_projectors(self):
         # Tr tau_i tau_j = delta_ij, but neither tau is idempotent

@@ -184,6 +184,7 @@ class TestStackedSearch:
             if search.found:
                 u = replay_unitary(seed, search.first_index, dim)
                 assert old_lambda(assignment, u) == search.first_lambda
+                assert np.array_equal(search.first_unitary, u)
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     def test_first_witnesses_on_ties(self, chunking, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -259,10 +261,11 @@ class TestBitIdentity:
         assert dynamics._unit_inputs(d) is table
         assert not any(a.flags.writeable for a in table)
 
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_replay_equals_search(self, d):
+    # (4, 30) is the search dynamics-cp runs in the wide-d4 benchmark workload
+    @pytest.mark.parametrize("d,attempts", [(2, 12), (3, 12), (4, 12), (4, 30)])
+    def test_replay_equals_search(self, d, attempts):
         flags = orthogonal_flag_assignment(canonical_basis(d))
-        search = find_noncp_unitary(flags, attempts=12, seed=7)
+        search = find_noncp_unitary(flags, attempts=attempts, seed=7)
         assert search.found
         dim = flags.dim_s * flags.dim_e
         for index, lam in ((search.first_index, search.first_lambda),
@@ -270,6 +273,25 @@ class TestBitIdentity:
             u = replay_unitary(search.seed, index, dim)
             assert cp_certificate(induced_map(flags, u)).lambda_min_choi == lam
             assert reference_choi_spectrum(reference_map(flags, u), d)[0] == lam
+        assert np.array_equal(search.first_unitary,
+                              replay_unitary(search.seed, search.first_index, dim))
+
+    def test_first_unitary_is_the_confirmed_witness(self):
+        # qubit flags mixed half and half with the maximally mixed state: at
+        # seed 1 the first witness is draw 6 of a chunk, at seed 0 there is none
+        taus = 0.5 * OrthogonalProjectorSet.computational(4).projectors + np.eye(4) / 8
+        noisy = LinearAssignment(canonical_basis(2), taus)
+        search = find_noncp_unitary(noisy, attempts=12, seed=1)
+        assert search.first_index == 6
+        assert np.array_equal(search.first_unitary, replay_unitary(1, 6, 8))
+        assert not search.first_unitary.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            search.first_unitary[0, 0] = 0.0
+        # the coupling takes no part in equality or repr
+        assert dataclasses.replace(search, first_unitary=None) == search
+        assert "first_unitary" not in repr(search)
+        nothing = find_noncp_unitary(noisy, attempts=12, seed=0)
+        assert not nothing.found and nothing.first_unitary is None
 
     def test_sweep_matches_per_unit_loop(self):
         sweep = classical_cp_sweep(n_assignments=3, dim_s=3, dim_e=2,

@@ -8,7 +8,8 @@ BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3),
 ``broadcast`` run on qubits whatever the dims, so they run at (2,2) only, and
 ``pechukas`` reads only d_e and ``compat-domain`` only d_s, so they run at
 (2,2), (3,3) and (4,4) only (their (2,3) and (3,2) reports would repeat those
-apart from the echoed config).
+apart from the echoed config); ``compat-domain`` also runs at (5,5), its
+only 5 x 5 flag blocks.
 Each checkout renders in its own interpreter with one BLAS thread, and
 ``runtime_ms`` is stripped. Prints the number of byte-different reports,
 every report that fails ``perfbench/oracle.compare`` (pass, witnesses and
@@ -19,7 +20,9 @@ run the same configs.
 
     python3 tools/report_diff.py --render CHECKOUT --seeds 0-9
 
-prints the stripped reports of one checkout as a JSON list instead.
+prints the stripped reports of one checkout as a JSON list of [label, report
+body] pairs instead, one label or body a line; ``tests/golden/reports.json``
+is that list at seeds 0-2.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ SAMPLES = 100
 DIMS = ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))
 # the dims an experiment renders at when it reads fewer than it is given
 FEWER_DIMS = {"table1": DIMS[:1], "broadcast": DIMS[:1],
-              "pechukas": DIMS[:3], "compat-domain": DIMS[:3]}
+              "pechukas": DIMS[:3], "compat-domain": DIMS[:3] + ((5, 5),)}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
     if (args.base is None) == (args.render is None):
         parser.error("give either BASE_CHECKOUT or --render CHECKOUT")
     if args.render is not None:
-        json.dump(render(args.render, args.seeds), sys.stdout)
+        json.dump(render(args.render, args.seeds), sys.stdout, indent=0)
         return 0
 
     base = render_elsewhere(args.base, args.seeds)
