@@ -37,7 +37,10 @@ in place of the full path's 2 d_s^2 D^3 (the dynamical-map construction of
 Jordan, Shaji and Sudarshan, PRA 70, 052110 (2004)). Only the couplings that
 can still decide a reported number, within ``SCREEN_TOL`` of the lowest
 value or of ``NONCP_THRESHOLD``, run on the full path, and every value the
-search reports is a full-path one.
+search reports is a full-path one. Draw i takes the stream of
+``default_rng([seed, i])``, built from one vectorized pass of NumPy's
+SeedSequence hash per chunk of indices (``assignlab._seeds``) in place of a
+SeedSequence per index; ``replay_unitary`` builds it through NumPy itself.
 
 Contract: every superoperator, Choi matrix and Choi spectrum is
 bit-identical to mapping each E_jk by its own assign-conjugate-trace and
@@ -335,7 +338,11 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
 
     Draw ``i`` uses the stream keyed by (seed, i), so any witness is
     replayable with :func:`replay_unitary` independently of the scan order;
-    the first witness's coupling is returned too, as ``first_unitary``.
+    the first witness's coupling is returned too, as ``first_unitary``. The
+    streams are those of ``default_rng([seed, i])``, bit for bit, from one
+    hash pass per chunk of 8192 indices (``_seeds.keyed_streams``); a
+    negative ``seed`` raises ValueError once a draw is made, as
+    ``default_rng`` does.
 
     Each chunk of couplings is ranked on the factored map
     (``_screen_minima``); only couplings that can still decide a reported
@@ -357,13 +364,18 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     held = []
     images = _unit_images(assignment)
     factor = _factor(assignment)
+    # imported here: it imports numpy.random, which importing the package does not
+    from assignlab._seeds import keyed_streams
+
+    streams = keyed_streams(seed, attempts)
     # a chunk of couplings is bounded by their normals and unitaries (the
     # screen's U W is R/D of the unitaries); _superoperator bounds the joint
     # operators of the couplings it confirms on its own
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
         # the normals replay_unitary(seed, i) draws, one stream per index
-        normals = np.stack([np.random.default_rng([seed, i]).standard_normal((2, dim, dim))
-                            for i in range(lo, hi)])
+        normals = np.empty((hi - lo, 2, dim, dim))
+        for normal, stream in zip(normals, streams):
+            stream.standard_normal(out=normal)
         u = haar_unitaries(normals)
         screened = _screen_minima(factor, assignment, u)
         if first is None:

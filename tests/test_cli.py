@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import assignlab
 import assignlab.cli as cli
+import assignlab._seeds as seeds
 from assignlab.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -160,6 +165,32 @@ class TestMain:
         assert report.witnesses and report.passed is False
         assert main(["--experiment", "dynamics-cp", "--samples", "40"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_a_seeding_fault_fails(self, monkeypatch, capsys):
+        """Index 0, the first witness, drawn from its neighbour's stream: the
+        search's coupling no longer replays, so the run fails."""
+        states = seeds.seed_states
+
+        def shifted(seed, lo, hi):
+            out = states(seed, lo, hi)
+            if lo == 0:
+                out[0] = out[1]
+            return out
+
+        monkeypatch.setattr(seeds, "seed_states", shifted)
+        report = run(small_config("dynamics-cp"))
+        assert report.witnesses[0]["index"] == 0 and report.passed is False
+        assert main(["--experiment", "dynamics-cp", "--samples", "40"]) == 1
+        assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = os.path.dirname(os.path.dirname(assignlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        check = "import sys, assignlab.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", check], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_unknown_experiment_exit_two(self, capsys):
         assert main(["--experiment", "unknown"]) == 2

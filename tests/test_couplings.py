@@ -10,6 +10,7 @@ first witnesses, bit for bit, whatever the chunking.
 import numpy as np
 import pytest
 
+import assignlab._seeds as seeds
 import assignlab.dynamics as dynamics
 import assignlab.operators as operators
 from assignlab.assignments import (
@@ -125,6 +126,82 @@ class TestRandomUnitary:
         for i, u in enumerate(haar_unitaries(normals)):
             assert np.array_equal(u, replay_unitary(9, i, d))
             assert np.array_equal(u, old_random_unitary(d, np.random.default_rng([9, i])))
+
+
+def seed_sequence_states(seed, lo, hi):
+    return np.stack([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                     for i in range(lo, hi)])
+
+
+class TestKeyedStreams:
+    """The search's streams are those of default_rng([seed, i]), bit for bit,
+    from one vectorized SeedSequence hash per chunk of indices."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_states_match_seed_sequence(self, seed):
+        # indices 0 and 1, and both sides of the default key-chunk boundary
+        for lo, hi in ((0, 2), (8190, 8194)):
+            assert np.array_equal(seeds.seed_states(seed, lo, hi),
+                                  seed_sequence_states(seed, lo, hi))
+
+    @pytest.mark.parametrize("seed", [2**64, 2**96 + 5, 2**128 - 1, 2**160 + 2**40 + 3])
+    def test_library_seeds_beyond_64_bits(self, seed):
+        # 3 to 6 seed words: from 4 on the entropy runs past the pool of 4
+        assert np.array_equal(seeds.seed_states(seed, 0, 3), seed_sequence_states(seed, 0, 3))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_indices_beyond_32_bits_split_into_words(self, seed):
+        for lo, hi in ((2**32 - 2, 2**32 + 2), (2**64 - 3, 2**64)):
+            assert np.array_equal(seeds.seed_states(seed, lo, hi),
+                                  seed_sequence_states(seed, lo, hi))
+        with pytest.raises(ValueError, match="beyond 2"):
+            seeds.seed_states(seed, 2**64 - 1, 2**64 + 1)
+
+    def test_negative_seed_is_refused_as_default_rng_refuses_it(self):
+        flags = orthogonal_flag_assignment(canonical_basis(2))
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            seeds.seed_states(-1, 0, 2)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            find_noncp_unitary(flags, attempts=3, seed=-1)
+        # no draw, no seed check, as before
+        assert find_noncp_unitary(flags, attempts=0, seed=-1).best_index == -1
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_normals_match_default_rng(self, d, monkeypatch):
+        # key chunks of 3 indices
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 3 * 32)
+        for seed in (7, 2**64 - 1):
+            for i, stream in enumerate(seeds.keyed_streams(seed, 7)):
+                out = np.empty((2, d, d))
+                stream.standard_normal(out=out)
+                ref = np.random.default_rng([seed, i]).standard_normal((2, d, d))
+                assert np.array_equal(out, ref)
+
+    def test_key_chunks_straddling_draw_chunks(self, monkeypatch):
+        """Draw chunks of 2 couplings against key chunks of 131 indices:
+        the draw chunk [130, 132) takes its streams from two key chunks."""
+        flags = orthogonal_flag_assignment(canonical_basis(2))
+        dim = flags.dim_s * flags.dim_e
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * 32 * dim * dim + 3 * 32)
+        assert list(operators.chunk_ranges(140, 32))[0] == (0, 131)
+        drawn = []
+        haar = dynamics.haar_unitaries
+
+        def recorded(normals):
+            drawn.append(normals.copy())
+            return haar(normals)
+
+        monkeypatch.setattr(dynamics, "haar_unitaries", recorded)
+        attempts, seed = 140, 2026
+        search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
+        assert [len(n) for n in drawn] == [2] * 70
+        ref = [np.random.default_rng([seed, i]).standard_normal((2, dim, dim))
+               for i in range(attempts)]
+        assert np.array_equal(np.concatenate(drawn), np.stack(ref))
+        assert search == ref_find_noncp(flags, attempts, seed)
+        assert np.array_equal(search.first_unitary, replay_unitary(seed, search.first_index, dim))
 
 
 class TestRequireUnitary:
