@@ -6,17 +6,17 @@ valid system-environment density operators.
 one), for one state or a stack; bisection along affine rays locates the
 boundary with the same verdict, and the volume is estimated by Monte Carlo
 sampling under the Hilbert-Schmidt measure, handing each byte-bounded stack
-of draws (``probe_chunks``) to ``domain_verdict``. ``simplex_domain_check``
+of draws (``eigen_chunks``) to ``domain_verdict``. ``simplex_domain_check``
 is the independent check that the flag assignment's output spectrum is its
 weights padded with zeros, which the factor, built from those weights, would
-take for granted: it maps each probe through ``apply`` with the flags
-rotated onto the computational basis, checks that the off-diagonal
-environment blocks of the full output vanish to ``BLOCK_TOL`` and
-eigensolves the d_e diagonal d_s x d_s blocks, which by Weyl's inequality
-moves the smallest eigenvalue by at most ``BLOCK_TOL``. Its probes are drawn,
-weighed and eigensolved in chunks sized by those blocks; only ``apply`` and
-the off-block check run in the smaller D x D-sized ``probe_chunks``. All of
-them refuse a tolerance that is not finite and positive.
+take for granted: with the flags rotated onto the computational basis, the
+output's environment blocks are weighted sums of Kronecker factors, so it
+eigensolves the d_e diagonal d_s x d_s blocks and bounds the Frobenius norm
+of the off-diagonal ones by the triangle inequality, never forming the
+D x D output; a bound within ``BLOCK_TOL`` moves the smallest eigenvalue by
+at most ``BLOCK_TOL`` (Weyl's inequality). Its probes are drawn, weighed and
+eigensolved in chunks sized by those blocks, and a count below one is
+refused. All of them refuse a tolerance that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from assignlab.assignments import LinearAssignment, _one, eigen_chunks, probe_chunks
+from assignlab.assignments import _one, eigen_chunks
 from assignlab.operators import (
     PSD_TOL,
     _rank1_vectors,
@@ -34,6 +34,7 @@ from assignlab.operators import (
     random_density,
     require_density,
     require_unitary,
+    weighted_sum,
 )
 
 __all__ = [
@@ -191,36 +192,46 @@ def _flag_frame(assignment) -> np.ndarray:
     return require_unitary(flags.T)
 
 
-def _flag_block_minima(rotated, states: np.ndarray, first: int = 0) -> np.ndarray:
-    """Smallest eigenvalue of each output of ``rotated``, an assignment whose
-    flags are the computational basis, on a stack of states: the least over
-    the d_e diagonal d_s x d_s blocks of its ``apply`` output. ValueError,
-    naming the probe (numbered from ``first``), when the off-diagonal
-    environment blocks of an output have Frobenius norm above ``BLOCK_TOL``
-    or a diagonal block has a non-finite entry.
+def _off_block_bounds(basis, rotated_env: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Upper bound on the Frobenius norm of the off-diagonal environment
+    blocks of each output sum_i q_i P_i (x) tau'_i, one per row of weights:
+    sum_i |q_i| ||P_i||_F ||OFF(tau'_i)||_F, by the triangle inequality and
+    ||A (x) B||_F = ||A||_F ||B||_F; exactly 0 when every tau'_i is diagonal."""
+    j = np.arange(rotated_env.shape[-1])
+    off_env = rotated_env.copy()
+    off_env[:, j, j] = 0.0
+    norms = np.linalg.norm(basis.projectors, axis=(1, 2)) * np.linalg.norm(off_env, axis=(1, 2))
+    return np.abs(q) @ norms
 
-    ``apply`` runs on ``probe_chunks`` slices of the states, whose D x D
-    outputs bound the memory; the diagonal blocks of each output are copied
-    out and zeroed in place, which leaves the off-diagonal blocks for the
-    norm, and the blocks of all the states go to one stacked eigensolve."""
-    d_s, d_e = rotated.dim_s, rotated.dim_e
-    blocks = np.empty((len(states), d_e, d_s, d_s), dtype=complex)
-    for lo, hi in probe_chunks(rotated, len(states)):
-        out = rotated.apply(states[lo:hi]).reshape(-1, d_s, d_e, d_s, d_e)
-        diagonal = np.einsum("iajbj->ijab", out)  # a writable view of out
-        blocks[lo:hi] = diagonal
-        diagonal[...] = 0.0
-        off = out.reshape(hi - lo, -1).view(float)
-        off = np.sqrt(np.einsum("ij,ij->i", off, off))
-        finite = np.isfinite(blocks[lo:hi]).all(axis=(1, 2, 3))
-        bad = np.flatnonzero(~(off <= BLOCK_TOL) | ~finite)
-        if bad.size:
-            i = bad[0]
-            if not finite[i]:
-                raise ValueError(f"probe {first + lo + i}: diagonal flag blocks are not finite")
-            raise ValueError(f"probe {first + lo + i}: off-diagonal flag blocks have norm "
-                             f"{off[i]:.3e} > BLOCK_TOL {BLOCK_TOL:.0e}")
-    return min_eigenvalue(blocks).min(axis=-1)
+
+def _flag_block_minima(basis, rotated_env: np.ndarray, states: np.ndarray,
+                       first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, q) on a stack of states: the weights q = ``basis.coefficients``
+    and the smallest eigenvalue lam of each output sum_i q_i P_i (x) tau'_i,
+    with ``rotated_env`` the tau'_i of flags rotated onto their frame.
+
+    Environment block (j, k) of that output is sum_i q_i (tau'_i)_jk P_i, so
+    the d_e diagonal d_s x d_s blocks are the weighted sums of
+    (tau'_i)_jj P_i, eigensolved in one stacked call, and lam is their least
+    eigenvalue. The off-diagonal blocks are never built, only bounded
+    (``_off_block_bounds``). ValueError, naming the probe (numbered from
+    ``first``), when that bound is above ``BLOCK_TOL`` or a diagonal block
+    has a non-finite entry."""
+    q = basis.coefficients(states)
+    j = np.arange(rotated_env.shape[-1])
+    # (d_e, n, d_s, d_s): the product tensor forms for the same entries
+    diag = basis.projectors * rotated_env[:, j, j].T[:, :, None, None]
+    blocks = weighted_sum(q[:, None, :], diag)
+    off = _off_block_bounds(basis, rotated_env, q)
+    finite = np.isfinite(blocks).all(axis=(1, 2, 3))
+    bad = np.flatnonzero(~(off <= BLOCK_TOL) | ~finite)
+    if bad.size:
+        i = bad[0]
+        if not finite[i]:
+            raise ValueError(f"probe {first + i}: diagonal flag blocks are not finite")
+        raise ValueError(f"probe {first + i}: off-diagonal flag blocks have norm "
+                         f"{off[i]:.3e} > BLOCK_TOL {BLOCK_TOL:.0e}")
+    return min_eigenvalue(blocks).min(axis=-1), q
 
 
 def simplex_domain_check(
@@ -233,28 +244,30 @@ def simplex_domain_check(
     all weights being nonnegative. Verify that equivalence on random probes,
     independently of the weights and of the support factor.
 
-    The assignment is rotated once onto its flag frame F (``_flag_frame``),
-    as ``LinearAssignment(basis, F^dag tau_i F)``, whose outputs are the
-    originals conjugated by I (x) F: the same spectra, block diagonal on the
-    environment index. The probes come in chunks sized by their diagonal
-    blocks (16 d_e d_s^2 bytes a probe); each chunk's states are drawn, and
-    their weights read, once, and ``_flag_block_minima`` maps them through
-    that assignment's ``apply``: a probe whose off-diagonal environment
-    blocks have Frobenius norm above ``BLOCK_TOL`` raises ValueError, and
-    otherwise its smallest eigenvalue is the least over the d_e diagonal
-    d_s x d_s blocks. The dropped blocks have spectral norm at most their
-    Frobenius norm, so by Weyl's inequality that eigenvalue is within
-    ``BLOCK_TOL`` of the full output's."""
+    The flags are rotated once onto their frame F (``_flag_frame``), as
+    tau'_i = F^dag tau_i F: the outputs sum_i q_i P_i (x) tau'_i are the
+    originals conjugated by I (x) F, with the same spectra and block diagonal
+    on the environment index. The probes come in chunks sized by their
+    diagonal blocks (16 d_e d_s^2 bytes a probe); each chunk's states are
+    drawn, and their weights read, once, and ``_flag_block_minima`` builds
+    those blocks from the Kronecker structure, with no D x D output: a probe
+    whose off-diagonal environment blocks may have Frobenius norm above
+    ``BLOCK_TOL`` raises ValueError, and otherwise its smallest eigenvalue
+    is the least over the d_e diagonal d_s x d_s blocks. The dropped blocks
+    have spectral norm at most their Frobenius norm, so by Weyl's inequality
+    that eigenvalue is within ``BLOCK_TOL`` of the full output's."""
     _require_tol(tol)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     d_s, d_e = _one(assignment).dim_s, assignment.dim_e
     frame = _flag_frame(assignment)
-    rotated = LinearAssignment(assignment.basis, frame.conj().T @ assignment.env_ops @ frame)
+    rotated_env = frame.conj().T @ assignment.env_ops @ frame
     agreements = 0
     max_gap = 0.0
     for lo, hi in chunk_ranges(samples, 16 * d_e * d_s * d_s):
         states = random_density(d_s, rng, hi - lo)
-        q_min = assignment.basis.coefficients(states).min(axis=-1)
-        lam = _flag_block_minima(rotated, states, lo)
+        lam, q = _flag_block_minima(assignment.basis, rotated_env, states, lo)
+        q_min = q.min(axis=-1)
         agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
         max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))
     return SimplexDomainReport(probes=samples, agreements=agreements, max_gap=max_gap)

@@ -341,8 +341,8 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     the first witness's coupling is returned too, as ``first_unitary``. The
     streams are those of ``default_rng([seed, i])``, bit for bit, from one
     hash pass per chunk of 8192 indices (``_seeds.keyed_streams``); a
-    negative ``seed`` raises ValueError once a draw is made, as
-    ``default_rng`` does.
+    negative ``seed`` raises ValueError, as ``default_rng`` does, and so do
+    ``attempts`` below one.
 
     Each chunk of couplings is ranked on the factored map
     (``_screen_minima``); only couplings that can still decide a reported
@@ -357,6 +357,8 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     coupling on the full path reports; a confirmed value further than
     SCREEN_TOL from its screened one raises RuntimeError.
     """
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1")
     dim = assignment.dim_s * assignment.dim_e
     first = None
     best = (-1, np.inf)
@@ -467,6 +469,8 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
     path; a confirmed value further than SCREEN_TOL from its screened one
     raises RuntimeError.
     """
+    if n_assignments < 1:
+        raise ValueError("n_assignments must be at least 1")
     dim = dim_s * dim_e
     size = zero_discord_size(dim_s, dim_e)
     # with no couplings each assignment is still drawn and built

@@ -201,6 +201,11 @@ class TestSimplexDomain:
         with pytest.raises(ValueError):
             simplex_domain_check(a, 10, rng)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_refuses_fewer_than_one_probe(self, samples):
+        with pytest.raises(ValueError, match="^samples must be at least 1$"):
+            simplex_domain_check(FLAG, samples, np.random.default_rng(0))
+
 
 def flag_families(d, rng):
     """Canonical flags, flags on a Haar measurement (tau_i = Pi_i), and a
@@ -223,12 +228,34 @@ class TestFlagBlocks:
         for assignment in flag_families(d, rng)[:families]:
             frame = compatibility._flag_frame(assignment)
             assert np.max(np.abs(frame.conj().T @ frame - np.eye(assignment.dim_e))) <= 1e-12
-            rotated = LinearAssignment(assignment.basis,
-                                       frame.conj().T @ assignment.env_ops @ frame)
+            rotated_env = frame.conj().T @ assignment.env_ops @ frame
             states = random_density(d, rng, 12)
-            blocks = compatibility._flag_block_minima(rotated, states)
+            blocks, q = compatibility._flag_block_minima(assignment.basis, rotated_env, states)
+            assert np.array_equal(q, assignment.basis.coefficients(states))
             full = np.linalg.eigvalsh(assignment.apply(states))[:, 0]
             assert np.max(np.abs(blocks - full)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_off_block_bound_covers_the_rotated_output(self, d):
+        rng = np.random.default_rng(50 + d)
+        for k, assignment in enumerate(flag_families(d, rng)):
+            frame = compatibility._flag_frame(assignment)
+            rotated_env = frame.conj().T @ assignment.env_ops @ frame
+            states = random_density(d, rng, 12)
+            # states, and unit-trace Hermitian operators with negative weights
+            inputs = np.concatenate([states, 2 * states[:6] - states[6:]])
+            q = assignment.basis.coefficients(inputs)
+            bound = compatibility._off_block_bounds(assignment.basis, rotated_env, q)
+            out = LinearAssignment(assignment.basis, rotated_env).apply(inputs)
+            out = out.reshape(len(inputs), d, assignment.dim_e, d, assignment.dim_e)
+            j = np.arange(assignment.dim_e)
+            out[:, :, j, :, j] = 0.0
+            actual = np.linalg.norm(out.reshape(len(inputs), -1), axis=1)
+            assert np.any(q < 0.0)
+            if k == 0:  # computational flags: no off-diagonal entry at all
+                assert np.array_equal(bound, np.zeros(len(inputs)))
+            else:  # measured and few flags: nonzero off-diagonal rounding
+                assert np.all(actual > 0.0) and np.all(bound >= actual)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_computational_flags_are_their_own_frame(self, d):
@@ -253,31 +280,41 @@ class TestFlagBlocks:
             flags = orthogonal_flag_assignment(canonical_basis(d))
             assert simplex_domain_check(flags, 20, rng).all_agree
 
-    # on qubit flags (D = 8) a budget of 2048 bytes draws and eigensolves 8
-    # probes at a time and applies 2; probe 13 is the second of the 7th apply
-    @pytest.mark.parametrize("entry,problem", [
-        # output entry (a d_e + j, b d_e + k) lies in environment block (j, k)
-        ((1, 5), "diagonal flag blocks are not finite"),  # a, b = 0, 1 and j = k = 1
-        ((1, 6), "off-diagonal flag blocks have norm nan"),  # a, b = 0, 1 and j, k = 1, 2
-    ])
-    def test_a_nan_names_its_probe_across_both_chunk_levels(self, entry, problem, monkeypatch):
+    def test_a_nan_weight_names_its_probe_across_chunks(self, monkeypatch):
+        # on qubit flags a budget of 2048 bytes draws and eigensolves 8
+        # probes at a time: probe 13 is the sixth of the second chunk
         monkeypatch.setattr(operators, "_CHUNK_BYTES", 2048)
-        original = LinearAssignment.apply
-        applied = []
+        original = operators.ProjectorBasis.coefficients
+        seen = []
 
         def poisoned(self, states):
-            out = original(self, states)
-            first = sum(applied)
-            applied.append(len(out))
-            if first <= 13 < first + len(out):
-                out[(13 - first,) + entry] = np.nan
-            return out
+            q = original(self, states)
+            first = sum(seen)
+            seen.append(len(q))
+            if first <= 13 < first + len(q):
+                q[13 - first, 1] = np.nan
+            return q
 
-        monkeypatch.setattr(LinearAssignment, "apply", poisoned)
+        monkeypatch.setattr(operators.ProjectorBasis, "coefficients", poisoned)
         flags = orthogonal_flag_assignment(canonical_basis(2))
-        with pytest.raises(ValueError, match=rf"^probe 13: {problem}"):
+        with pytest.raises(ValueError, match=r"^probe 13: diagonal flag blocks are not finite$"):
             simplex_domain_check(flags, 20, np.random.default_rng(3))
-        assert applied == [2] * 7
+        assert seen == [8, 8]
+
+    def test_the_check_maps_no_probe_through_apply(self, monkeypatch):
+        def refused(self, states):
+            raise AssertionError("apply was called")
+
+        monkeypatch.setattr(LinearAssignment, "apply", refused)
+        for assignment in flag_families(3, np.random.default_rng(15)):
+            assert simplex_domain_check(assignment, 20, np.random.default_rng(16)).all_agree
+
+    def test_a_nan_off_diagonal_flag_entry_fails_the_bound(self):
+        rotated_env = np.array(OrthogonalProjectorSet.computational(4).projectors)
+        rotated_env[2, 0, 1] = np.nan
+        states = random_density(2, np.random.default_rng(3), 5)
+        with pytest.raises(ValueError, match=r"^probe 0: off-diagonal flag blocks have norm nan"):
+            compatibility._flag_block_minima(BASIS, rotated_env, states)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_report_is_the_same_at_every_chunk_budget(self, d, monkeypatch):

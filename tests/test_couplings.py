@@ -165,8 +165,9 @@ class TestKeyedStreams:
             seeds.seed_states(-1, 0, 2)
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             find_noncp_unitary(flags, attempts=3, seed=-1)
-        # no draw, no seed check, as before
-        assert find_noncp_unitary(flags, attempts=0, seed=-1).best_index == -1
+        # no attempt is refused before the seed is read
+        with pytest.raises(ValueError, match="^attempts must be at least 1$"):
+            find_noncp_unitary(flags, attempts=0, seed=-1)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_normals_match_default_rng(self, d, monkeypatch):
@@ -293,10 +294,11 @@ class TestStackedSearch:
         assert (loose.first_index, loose.first_lambda) == (0, lams[choice[0]])
 
     def test_no_attempts(self):
+        # an empty search has no verdict to report
         flags = orthogonal_flag_assignment(canonical_basis(2))
-        search = find_noncp_unitary(flags, attempts=0, seed=1)
-        assert search == ref_find_noncp(flags, 0, 1)
-        assert (search.found, search.best_index, search.best_lambda) == (False, -1, np.inf)
+        for attempts in (0, -3):
+            with pytest.raises(ValueError, match="^attempts must be at least 1$"):
+                find_noncp_unitary(flags, attempts=attempts, seed=1)
 
 
 def screen_families(d, rng):
@@ -447,8 +449,11 @@ class TestStackedSweep:
             assert sweep == ref_sweep(5, d, d_e, seed)
 
     def test_empty_sweeps(self, monkeypatch):
+        # no assignment is no verdict; no coupling per assignment still
+        # draws and builds each assignment, as the reference does
         for n in (0, -1):
-            assert classical_cp_sweep(n, 2, 2, np.random.default_rng(1)) == ref_sweep(n, 2, 2, 1)
+            with pytest.raises(ValueError, match="^n_assignments must be at least 1$"):
+                classical_cp_sweep(n, 2, 2, np.random.default_rng(1))
         monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 0)
         assert classical_cp_sweep(3, 2, 2, np.random.default_rng(1)) == ref_sweep(3, 2, 2, 1)
 

@@ -125,6 +125,13 @@ class TestMemoryOracle:
         config = ExperimentConfig(experiment=experiment, samples=20, dim_s=dim_s, dim_e=dim_e)
         assert traced_peak(run, config) <= 2.5 * cli._largest_stack_bytes(config) + 8 * MIB
 
+    def test_flag_domain_check_builds_no_joint_operators(self):
+        # the flag check holds block stacks and the flags' Kronecker factors,
+        # never a D x D output: (6, 6) at samples 100 traces about 4 MiB,
+        # where the flags' terms alone would be 25.6 MiB
+        config = ExperimentConfig(experiment="compat-domain", samples=100, dim_s=6, dim_e=6)
+        assert traced_peak(run, config) < 8 * MIB
+
     def test_sweep_holds_one_assignment_per_chunk(self, monkeypatch):
         # at a one-byte budget a chunk is one assignment and one coupling:
         # eight assignments at (2, 30) peak at 15 joint operators of
