@@ -3,10 +3,12 @@
 Each experiment drives one family of library checks and emits a JSON report
 with a fixed key order (experiment, config, pass, metrics, witnesses,
 runtime_ms); ``_EXPERIMENTS`` declares each one once, with its runner and
-the operator stacks the config guard counts for it. Reports are
-byte-identical across runs of the same configuration, runtime_ms aside. The
-runners' random samples are drawn and checked as stacks, in chunks of at
-most ``_CHUNK_BYTES``.
+the operator stacks the config guard counts for it. A runner returns metric
+rows and gates (``Gate``); an experiment passes when all its gates hold,
+and ``main`` names each failing gate on stderr. Reports are byte-identical
+across runs of the same configuration, runtime_ms aside. The runners'
+random samples are drawn and checked as stacks, in chunks of at most
+``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import operator
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from assignlab.assignments import (
     AUDIT_SAMPLES,
+    ENV_EQUALITY_TOL,
     LinearAssignment,
     OrthogonalProjectorSet,
     audit_corruption,
@@ -47,6 +52,8 @@ from assignlab.compatibility import (
     simplex_domain_check,
 )
 from assignlab.dynamics import (
+    CP_TOL,
+    EXPECTED_CONDITIONS,
     classical_cp_sweep,
     find_noncp_unitary,
     assignment_condition_table,
@@ -71,6 +78,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentReport",
+    "Gate",
     "UsageError",
     "run",
     "emit",
@@ -155,18 +163,40 @@ class ExperimentConfig:
         return {key: getattr(self, field) for key, field in _CONFIG_KEYS.items() if key != "out"}
 
 
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+        ">=": operator.ge, ">": operator.gt}
+
+
+class Gate(NamedTuple):
+    """A pass condition ``value op bound``, ``op`` one of ``_OPS``; a NaN value
+    fails every op. A metric row that decides no verdict has op None."""
+
+    name: str
+    value: object
+    op: str | None
+    bound: object
+
+    def holds(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.bound))
+
+    def __str__(self) -> str:
+        return f"gate failed: {self.name} = {self.value}, needs {self.op} {self.bound}"
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     experiment: str
     config: dict
-    passed: bool
+    passed: bool  # every gate holds
     metrics: list
     witnesses: list
     runtime_ms: float
+    gates: tuple = field(compare=False, repr=False)  # not rendered
 
 
-def _metric(name: str, value) -> dict:
-    return {"name": name, "value": value}
+def _metric(name: str, value, *gate) -> Gate:
+    """A metric row; ``gate`` is the (op, bound) its value must meet, if any."""
+    return Gate(name, value, *gate) if gate else Gate(name, value, None, None)
 
 
 def _state_witness(description: str, state: np.ndarray) -> dict:
@@ -179,7 +209,7 @@ def _state_witness(description: str, state: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns (passed, metrics, witnesses)
+# experiment runners; each returns (metric rows, unreported gates, witnesses)
 # ---------------------------------------------------------------------------
 
 def _run_pechukas(config, rng):
@@ -201,18 +231,13 @@ def _run_pechukas(config, rng):
         disagreements += int(np.count_nonzero((residual <= 1e-12) != (max_dist <= 1e-9)))
         min_random_residual = min(min_random_residual, float(np.min(residual)))
 
-    passed = (
-        equal.max_residual <= 1e-12
-        and equal_z.max_residual <= 1e-12
-        and disagreements == 0
-    )
     metrics = [
-        _metric("max_residual_all_equal", equal.max_residual),
-        _metric("max_residual_all_equal_z_axis", equal_z.max_residual),
+        _metric("max_residual_all_equal", equal.max_residual, "<=", 1e-12),
+        _metric("max_residual_all_equal_z_axis", equal_z.max_residual, "<=", 1e-12),
         _metric("min_random_max_residual", float(min_random_residual)),
-        _metric("equivalence_disagreements", disagreements),
+        _metric("equivalence_disagreements", disagreements, "==", 0),
     ]
-    return passed, metrics, []
+    return metrics, [], []
 
 
 def _run_theorem1(config, rng):
@@ -224,29 +249,22 @@ def _run_theorem1(config, rng):
 
     perturbed_ops = np.stack([t] * basis.size)
     perturbed_ops[1] = random_density(config.dim_e, rng)
-    perturbed = LinearAssignment(basis, perturbed_ops)
-    perturbed_verdict = equal_env_certificate(perturbed, config.samples, rng)
+    perturbed = equal_env_certificate(LinearAssignment(basis, perturbed_ops), config.samples, rng)
 
-    passed = (
-        equal_verdict.all_env_ops_equal
-        and equal_verdict.positivity.passed()
-        and equal_verdict.biconditional_holds
-        and not perturbed_verdict.all_env_ops_equal
-        and perturbed_verdict.positivity.min_eigenvalue < -1e-6
-        and perturbed_verdict.biconditional_holds
-    )
+    # each verdict's biconditional_holds follows from its distance and min eig gates
     metrics = [
-        _metric("min_eig_equal_env", equal_verdict.positivity.min_eigenvalue),
-        _metric("min_eig_perturbed_env", perturbed_verdict.positivity.min_eigenvalue),
-        _metric("env_distance_perturbed", perturbed_verdict.max_env_distance),
+        _metric("min_eig_equal_env", equal_verdict.positivity.min_eigenvalue, ">=", -PSD_TOL),
+        _metric("min_eig_perturbed_env", perturbed.positivity.min_eigenvalue, "<", -1e-6),
+        _metric("env_distance_perturbed", perturbed.max_env_distance, ">", ENV_EQUALITY_TOL),
     ]
+    gates = [Gate("env_distance_equal", equal_verdict.max_env_distance, "<=", ENV_EQUALITY_TOL)]
     witnesses = [
         _state_witness(
-            f"negative output on {perturbed_verdict.positivity.witness_label}",
-            perturbed_verdict.positivity.witness_state,
+            f"negative output on {perturbed.positivity.witness_label}",
+            perturbed.positivity.witness_state,
         )
     ]
-    return passed, metrics, witnesses
+    return metrics, gates, witnesses
 
 
 def _theorem2_samples(config, rng) -> tuple[float, float]:
@@ -283,17 +301,17 @@ def _theorem2_samples(config, rng) -> tuple[float, float]:
 def _run_theorem2(config, rng):
     max_formula_gap, max_diagonal_defect = _theorem2_samples(config, rng)
     metrics = [
-        _metric("max_formula_gap", max_formula_gap),
-        _metric("max_defect_diagonal", max_diagonal_defect),
+        _metric("max_formula_gap", max_formula_gap, "<=", 1e-10),
+        _metric("max_defect_diagonal", max_diagonal_defect, "<=", 1e-12),
     ]
-    passed = max_formula_gap <= 1e-10 and max_diagonal_defect <= 1e-12
+    gates = []
     if config.dim_s == 2:
         taus = random_density(config.dim_e, rng, 2)
         z_basis = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         defect_eta1 = consistency_defect(z_basis, qubit_states()[0])
         metrics.append(_metric("defect_eta1", defect_eta1))
-        passed = passed and abs(defect_eta1 - 1.0) <= 1e-10
-    return passed, metrics, []
+        gates.append(Gate("defect_eta1_gap_to_1", abs(defect_eta1 - 1.0), "<=", 1e-10))
+    return metrics, gates, []
 
 
 def _negative_env_state(dim_e: int, rng) -> np.ndarray:
@@ -320,20 +338,16 @@ def _run_theorem3(config, rng):
     predicted = float(np.min(weights[:, None] * np.linalg.eigvalsh(z_bad.env_ops)))
     bound = -0.25 * weights.min()
 
-    passed = (
-        good.min_eigenvalue >= -1e-10
-        and np.all(min_eigenvalue(z_good.env_ops) >= -PSD_TOL)
-        and bad.min_eigenvalue <= bound + 1e-9
-        and abs(bad.min_eigenvalue - predicted) <= 1e-9
-    )
     metrics = [
-        _metric("min_eig_positive_env", good.min_eigenvalue),
-        _metric("witness_min_eig", bad.min_eigenvalue),
+        _metric("min_eig_positive_env", good.min_eigenvalue, ">=", -1e-10),
+        _metric("witness_min_eig", bad.min_eigenvalue, "<=", bound + 1e-9),
         _metric("block_spectrum_prediction", predicted),
         _metric("predicted_bound", bound),
     ]
+    gates = [Gate("min_env_eig", float(np.min(min_eigenvalue(z_good.env_ops))), ">=", -PSD_TOL),
+             Gate("witness_prediction_gap", abs(bad.min_eigenvalue - predicted), "<=", 1e-9)]
     witnesses = [_state_witness("negative output witness", bad.witness_state)]
-    return passed, metrics, witnesses
+    return metrics, gates, witnesses
 
 
 def _run_lemma1(config, rng):
@@ -347,18 +361,14 @@ def _run_lemma1(config, rng):
     converse = positivity_certificate(flags, config.samples, rng)
     converse_env_min = np.min(min_eigenvalue(flags.env_ops))
 
-    passed = (
-        report.holds
-        and abs(report.output_min_eigs[0] + 0.5) <= 1e-10
-        and converse_env_min >= -1e-12
-        and converse.min_eigenvalue < -1e-6
-    )
     metrics = [
         _metric("min_output_eig_negative_env", float(report.output_min_eigs[0])),
-        _metric("converse_env_min_eig", float(converse_env_min)),
-        _metric("converse_output_min_eig", converse.min_eigenvalue),
+        _metric("converse_env_min_eig", float(converse_env_min), ">=", -1e-12),
+        _metric("converse_output_min_eig", converse.min_eigenvalue, "<", -1e-6),
     ]
-    return passed, metrics, []
+    gates = [Gate("negative_env_shows_in_output", report.holds, "==", True),
+             Gate("negative_env_output_gap", abs(report.output_min_eigs[0] + 0.5), "<=", 1e-10)]
+    return metrics, gates, []
 
 
 def _run_appendix(config, rng):
@@ -383,19 +393,15 @@ def _run_appendix(config, rng):
         if corrupted is None:  # the report reads the first audit's corrupted sets
             corrupted = audit_corruption(LinearAssignment(basis, taus[0]))
     corrupted_herm, corrupted_trace = corrupted
-    passed = (
-        max_herm <= 1e-10
-        and max_trace <= 1e-10
-        and abs(corrupted_herm - 0.2) <= 1e-10
-        and abs(corrupted_trace - 0.1) <= 1e-10
-    )
     metrics = [
-        _metric("max_hermiticity_defect", max_herm),
-        _metric("max_trace_defect", max_trace),
+        _metric("max_hermiticity_defect", max_herm, "<=", 1e-10),
+        _metric("max_trace_defect", max_trace, "<=", 1e-10),
         _metric("corrupted_hermiticity_defect", corrupted_herm),
         _metric("corrupted_trace_defect", corrupted_trace),
     ]
-    return passed, metrics, []
+    gates = [Gate("corrupted_hermiticity_gap_to_0.2", abs(corrupted_herm - 0.2), "<=", 1e-10),
+             Gate("corrupted_trace_gap_to_0.1", abs(corrupted_trace - 0.1), "<=", 1e-10)]
+    return metrics, gates, []
 
 
 def _run_compat_domain(config, rng):
@@ -405,18 +411,18 @@ def _run_compat_domain(config, rng):
     simplex = simplex_domain_check(flags, config.samples, rng, tol=config.tol)
     center = np.eye(config.dim_s, dtype=complex) / config.dim_s
 
+    # the domain is always a strict subset for flag assignments; whether any
+    # random state lands inside depends on dimension and sample count
     metrics = [
-        _metric("fraction", volume.fraction),
+        _metric("fraction", volume.fraction, "<", 1.0),
         _metric("ci95_low", volume.ci95[0]),
         _metric("ci95_high", volume.ci95[1]),
         _metric("hits", volume.hits),
-        _metric("simplex_agreements", simplex.agreements),
+        _metric("simplex_agreements", simplex.agreements, "==", simplex.probes),
         _metric("simplex_probes", simplex.probes),
         _metric("max_block_spectrum_gap", simplex.max_gap),
     ]
-    # the domain is always a strict subset for flag assignments; whether any
-    # random state lands inside depends on dimension and sample count
-    passed = simplex.all_agree and volume.fraction < 1.0
+    gates = []
     witnesses = []
     if config.dim_s == 2:
         eta = qubit_states()
@@ -424,9 +430,9 @@ def _run_compat_domain(config, rng):
         ray_out = boundary_along_ray(flags, center, eta[4], tol=config.tol)
         metrics += [
             _metric("t_star_to_eta1", ray_in.t_star),
-            _metric("t_star_to_eta5", ray_out.t_star),
+            _metric("t_star_to_eta5", ray_out.t_star, "<=", 1e-8),
         ]
-        passed = passed and abs(ray_in.t_star - 1.0) <= 1e-8 and ray_out.t_star <= 1e-8
+        gates.append(Gate("t_star_to_eta1_gap_to_1", abs(ray_in.t_star - 1.0), "<=", 1e-8))
         grid = [round(0.1 * k, 1) for k in range(11)]
         t = np.array(grid)[:, None, None]
         # the full eigensolve, not the support factor the rays bisect with:
@@ -437,7 +443,7 @@ def _run_compat_domain(config, rng):
             "t_grid": grid,
             "min_eigenvalues": profile,
         })
-    return passed, metrics, witnesses
+    return metrics, gates, witnesses
 
 
 def _run_broadcast(config, rng):
@@ -466,20 +472,14 @@ def _run_broadcast(config, rng):
             float(np.max(trace_norm(partial_trace(out, 2, 2, "S") - states))),
         )
 
-    passed = (
-        spectrum_gap <= 1e-9
-        and marginal_defect <= 1e-10
-        and product_defect <= 1e-12
-        and random_marginal_defect <= 1e-10
-    )
     metrics = [
         _metric("min_eig_eta5", float(spectrum[0])),
-        _metric("spectrum_gap_vs_analytic", spectrum_gap),
-        _metric("max_marginal_defect_eta5", marginal_defect),
-        _metric("max_product_case_defect", product_defect),
-        _metric("max_marginal_defect_random", random_marginal_defect),
+        _metric("spectrum_gap_vs_analytic", spectrum_gap, "<=", 1e-9),
+        _metric("max_marginal_defect_eta5", marginal_defect, "<=", 1e-10),
+        _metric("max_product_case_defect", product_defect, "<=", 1e-12),
+        _metric("max_marginal_defect_random", random_marginal_defect, "<=", 1e-10),
     ]
-    return passed, metrics, []
+    return metrics, [], []
 
 
 def _run_dynamics_cp(config, rng):
@@ -492,37 +492,36 @@ def _run_dynamics_cp(config, rng):
     flags = orthogonal_flag_assignment(canonical_basis(config.dim_s))
     search = find_noncp_unitary(flags, attempts=config.samples, seed=config.seed)
 
-    replay_ok = search.found and np.array_equal(
-        replay_unitary(search.seed, search.first_index, flags.dim_s * flags.dim_e),
-        search.first_unitary)
-
-    passed = sweep.all_cp and search.found and replay_ok
     metrics = [
         _metric("classical_maps_checked", sweep.maps_checked),
-        _metric("classical_min_choi_eig", sweep.min_lambda),
+        _metric("classical_min_choi_eig", sweep.min_lambda, ">=", -CP_TOL),
         _metric("noncp_best_lambda", search.best_lambda),
         _metric("noncp_attempts", search.attempts),
     ]
+    gates = [Gate("noncp_found", search.found, "==", True)]
     witnesses = []
     if search.found:
+        u = replay_unitary(search.seed, search.first_index, flags.dim_s * flags.dim_e)
+        gates.append(Gate("witness_replays", np.array_equal(u, search.first_unitary), "==", True))
         witnesses.append({
             "description": "CP-breaking unitary coupling (replayable Haar draw)",
             "seed": search.seed,
             "index": search.first_index,
             "lambda_min_choi": search.first_lambda,
         })
-    return passed, metrics, witnesses
+    return metrics, gates, witnesses
 
 
 def _run_table1(config, rng):
     table = assignment_condition_table(config.samples, rng)
     metrics = []
     for row in table.rows:
-        for label, value in zip(("linear", "consistent", "positive"), row.conditions):
-            metrics.append(_metric(f"{row.family}_{label}", int(value)))
+        for label, value, expected in zip(("linear", "consistent", "positive"),
+                                          row.conditions, EXPECTED_CONDITIONS[row.family]):
+            metrics.append(_metric(f"{row.family}_{label}", int(value), "==", int(expected)))
     for row in table.rows:
         metrics.append(_metric(f"{row.family}_min_output_eig", row.min_output_eigenvalue))
-    return table.matches_expected, metrics, []
+    return metrics, [], []
 
 
 # per experiment: its runner, the term-sized stacks it holds at once, and
@@ -553,15 +552,17 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     dims, tol)."""
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
-    passed, metrics, witnesses = _EXPERIMENTS[config.experiment][0](config, rng)
+    rows, gates, witnesses = _EXPERIMENTS[config.experiment][0](config, rng)
     runtime_ms = (time.perf_counter() - start) * 1000.0
+    gates = (*(row for row in rows if row.op is not None), *gates)
     return ExperimentReport(
         experiment=config.experiment,
         config=config.echo(),
-        passed=bool(passed),
-        metrics=metrics,
+        passed=all(gate.holds() for gate in gates),
+        metrics=[{"name": row.name, "value": row.value} for row in rows],
         witnesses=witnesses,
         runtime_ms=runtime_ms,
+        gates=gates,
     )
 
 
@@ -695,6 +696,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
+    for gate in report.gates:
+        if not gate.holds():
+            print(gate, file=sys.stderr)
     return 0 if report.passed else 1
 
 

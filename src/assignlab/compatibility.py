@@ -192,37 +192,33 @@ def _flag_frame(assignment) -> np.ndarray:
     return require_unitary(flags.T)
 
 
-def _off_block_bounds(basis, rotated_env: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Upper bound on the Frobenius norm of the off-diagonal environment
-    blocks of each output sum_i q_i P_i (x) tau'_i, one per row of weights:
-    sum_i |q_i| ||P_i||_F ||OFF(tau'_i)||_F, by the triangle inequality and
-    ||A (x) B||_F = ||A||_F ||B||_F; exactly 0 when every tau'_i is diagonal."""
-    j = np.arange(rotated_env.shape[-1])
-    off_env = rotated_env.copy()
-    off_env[:, j, j] = 0.0
-    norms = np.linalg.norm(basis.projectors, axis=(1, 2)) * np.linalg.norm(off_env, axis=(1, 2))
-    return np.abs(q) @ norms
-
-
-def _flag_block_minima(basis, rotated_env: np.ndarray, states: np.ndarray,
-                       first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, q) on a stack of states: the weights q = ``basis.coefficients``
-    and the smallest eigenvalue lam of each output sum_i q_i P_i (x) tau'_i,
-    with ``rotated_env`` the tau'_i of flags rotated onto their frame.
-
-    Environment block (j, k) of that output is sum_i q_i (tau'_i)_jk P_i, so
-    the d_e diagonal d_s x d_s blocks are the weighted sums of
-    (tau'_i)_jj P_i, eigensolved in one stacked call, and lam is their least
-    eigenvalue. The off-diagonal blocks are never built, only bounded
-    (``_off_block_bounds``). ValueError, naming the probe (numbered from
-    ``first``), when that bound is above ``BLOCK_TOL`` or a diagonal block
-    has a non-finite entry."""
-    q = basis.coefficients(states)
+def _flag_blocks(basis, rotated_env: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, norms) of the outputs sum_i q_i P_i (x) tau'_i of flags rotated
+    onto their frame, ``rotated_env`` = tau'_i. Environment block (j, k) of
+    an output is sum_i q_i (tau'_i)_jk P_i: the d_e diagonal ones are the
+    weighted sums of diag[j, i] = (tau'_i)_jj P_i, and the off-diagonal ones
+    have Frobenius norm at most sum_i |q_i| norms_i, with norms_i =
+    ||P_i||_F ||OFF(tau'_i)||_F (triangle inequality and ||A (x) B||_F =
+    ||A||_F ||B||_F); exactly 0 when every tau'_i is diagonal."""
     j = np.arange(rotated_env.shape[-1])
     # (d_e, n, d_s, d_s): the product tensor forms for the same entries
     diag = basis.projectors * rotated_env[:, j, j].T[:, :, None, None]
+    off_env = rotated_env.copy()
+    off_env[:, j, j] = 0.0
+    norms = np.linalg.norm(basis.projectors, axis=(1, 2)) * np.linalg.norm(off_env, axis=(1, 2))
+    return diag, norms
+
+
+def _flag_block_minima(basis, diag: np.ndarray, norms: np.ndarray, states: np.ndarray,
+                       first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, q) on a stack of states: the weights q = ``basis.coefficients``
+    and each output's least eigenvalue lam over its diagonal blocks, built
+    from the ``_flag_blocks`` (diag, norms) and eigensolved in one stacked
+    call. ValueError, naming the probe (numbered from ``first``), when the
+    off-block bound is above ``BLOCK_TOL`` or a diagonal block is not finite."""
+    q = basis.coefficients(states)
     blocks = weighted_sum(q[:, None, :], diag)
-    off = _off_block_bounds(basis, rotated_env, q)
+    off = np.abs(q) @ norms
     finite = np.isfinite(blocks).all(axis=(1, 2, 3))
     bad = np.flatnonzero(~(off <= BLOCK_TOL) | ~finite)
     if bad.size:
@@ -247,10 +243,11 @@ def simplex_domain_check(
     The flags are rotated once onto their frame F (``_flag_frame``), as
     tau'_i = F^dag tau_i F: the outputs sum_i q_i P_i (x) tau'_i are the
     originals conjugated by I (x) F, with the same spectra and block diagonal
-    on the environment index. The probes come in chunks sized by their
-    diagonal blocks (16 d_e d_s^2 bytes a probe); each chunk's states are
-    drawn, and their weights read, once, and ``_flag_block_minima`` builds
-    those blocks from the Kronecker structure, with no D x D output: a probe
+    on the environment index. Their Kronecker terms and off-block norms are
+    built once per check (``_flag_blocks``). The probes come in chunks sized
+    by their diagonal blocks (16 d_e d_s^2 bytes a probe); each chunk's
+    states are drawn, and their weights read, once, and
+    ``_flag_block_minima`` sums those blocks, with no D x D output: a probe
     whose off-diagonal environment blocks may have Frobenius norm above
     ``BLOCK_TOL`` raises ValueError, and otherwise its smallest eigenvalue
     is the least over the d_e diagonal d_s x d_s blocks. The dropped blocks
@@ -261,12 +258,12 @@ def simplex_domain_check(
         raise ValueError("samples must be at least 1")
     d_s, d_e = _one(assignment).dim_s, assignment.dim_e
     frame = _flag_frame(assignment)
-    rotated_env = frame.conj().T @ assignment.env_ops @ frame
+    diag, norms = _flag_blocks(assignment.basis, frame.conj().T @ assignment.env_ops @ frame)
     agreements = 0
     max_gap = 0.0
     for lo, hi in chunk_ranges(samples, 16 * d_e * d_s * d_s):
         states = random_density(d_s, rng, hi - lo)
-        lam, q = _flag_block_minima(assignment.basis, rotated_env, states, lo)
+        lam, q = _flag_block_minima(assignment.basis, diag, norms, states, lo)
         q_min = q.min(axis=-1)
         agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
         max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))

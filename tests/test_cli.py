@@ -103,6 +103,111 @@ class TestRun:
         assert [values[f"quantum_{c}"] for c in ("linear", "consistent", "positive")] == [1, 1, 0]
 
 
+class TestGates:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_experiment_declares_a_gate(self, experiment, dims):
+        """all([]) is True: an experiment without a gate would always pass."""
+        config = small_config(experiment, samples=20, dim_s=dims[0], dim_e=dims[1])
+        rows, unreported, _ = cli._EXPERIMENTS[experiment][0](
+            config, np.random.default_rng(config.seed))
+        gated = [row for row in rows if row.op is not None]
+        assert gated or unreported
+        report = run(config)
+        names = [m["name"] for m in report.metrics]
+        assert report.gates == (*gated, *unreported)
+        assert {gate.name for gate in gated} <= set(names)
+        assert not {gate.name for gate in unreported} & set(names)
+        assert len({gate.name for gate in report.gates}) == len(report.gates)
+        assert all(gate.op in ("<", "<=", "==", ">=", ">") for gate in report.gates)
+
+    # the conditions each experiment's pass stands for at (2,2): (name, op,
+    # bound), a bound read from the report given as a function of its metrics
+    DECLARED = {
+        "pechukas": [("max_residual_all_equal", "<=", 1e-12),
+                     ("max_residual_all_equal_z_axis", "<=", 1e-12),
+                     ("equivalence_disagreements", "==", 0)],
+        "theorem1": [("min_eig_equal_env", ">=", -1e-10), ("min_eig_perturbed_env", "<", -1e-6),
+                     ("env_distance_perturbed", ">", 1e-9), ("env_distance_equal", "<=", 1e-9)],
+        "theorem2": [("max_formula_gap", "<=", 1e-10), ("max_defect_diagonal", "<=", 1e-12),
+                     ("defect_eta1_gap_to_1", "<=", 1e-10)],
+        "theorem3": [("min_eig_positive_env", ">=", -1e-10),
+                     ("witness_min_eig", "<=", lambda m: m["predicted_bound"] + 1e-9),
+                     ("min_env_eig", ">=", -1e-10), ("witness_prediction_gap", "<=", 1e-9)],
+        "lemma1": [("converse_env_min_eig", ">=", -1e-12), ("converse_output_min_eig", "<", -1e-6),
+                   ("negative_env_shows_in_output", "==", True),
+                   ("negative_env_output_gap", "<=", 1e-10)],
+        "appendix": [("max_hermiticity_defect", "<=", 1e-10), ("max_trace_defect", "<=", 1e-10),
+                     ("corrupted_hermiticity_gap_to_0.2", "<=", 1e-10),
+                     ("corrupted_trace_gap_to_0.1", "<=", 1e-10)],
+        "compat-domain": [("fraction", "<", 1.0),
+                          ("simplex_agreements", "==", lambda m: m["simplex_probes"]),
+                          ("t_star_to_eta5", "<=", 1e-8), ("t_star_to_eta1_gap_to_1", "<=", 1e-8)],
+        "broadcast": [("spectrum_gap_vs_analytic", "<=", 1e-9),
+                      ("max_marginal_defect_eta5", "<=", 1e-10),
+                      ("max_product_case_defect", "<=", 1e-12),
+                      ("max_marginal_defect_random", "<=", 1e-10)],
+        "dynamics-cp": [("classical_min_choi_eig", ">=", -1e-9), ("noncp_found", "==", True),
+                        ("witness_replays", "==", True)],
+        "table1": [(f"{family}_{label}", "==", int(expected))
+                   for family, row in (("none", (1, 1, 1)), ("classical", (1, 0, 1)),
+                                       ("quantum", (1, 1, 0)))
+                   for label, expected in zip(("linear", "consistent", "positive"), row)],
+    }
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_each_experiment_declares_its_conditions(self, experiment):
+        report = run(small_config(experiment))
+        values = {m["name"]: m["value"] for m in report.metrics}
+        assert [(g.name, g.op, g.bound) for g in report.gates] == [
+            (name, op, bound(values) if callable(bound) else bound)
+            for name, op, bound in self.DECLARED[experiment]]
+
+    @pytest.mark.parametrize("op,verdicts", [
+        ("<", (True, False, False)), ("<=", (True, True, False)),
+        ("==", (False, True, False)), (">=", (False, True, True)),
+        (">", (False, False, True)),
+    ])
+    def test_ops_and_nan(self, op, verdicts):
+        assert tuple(cli.Gate("g", v, op, 1.0).holds() for v in (0.0, 1.0, 2.0)) == verdicts
+        assert not cli.Gate("g", float("nan"), op, 1.0).holds()
+        assert not cli.Gate("g", np.nan, op, np.nan).holds()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_each_gate_fails_alone(self, experiment, monkeypatch, capsys):
+        argv = ["--experiment", experiment, "--seed", "7", "--samples", "40"]
+        passing = run(small_config(experiment))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        holds = cli.Gate.holds
+        for gate in passing.gates:
+            monkeypatch.setattr(cli.Gate, "holds",
+                                lambda g, name=gate.name: g.name != name and holds(g))
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (f"gate failed: {gate.name} = {gate.value}, "
+                                    f"needs {gate.op} {gate.bound}\n")
+            data = json.loads(captured.out)
+            assert data["pass"] is False
+            assert data["metrics"] == json.loads(render_report(passing))["metrics"]
+
+    def test_a_monkeypatched_bound_names_its_gate(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CP_TOL", -1.0)
+        assert main(["--experiment", "dynamics-cp", "--samples", "20"]) == 1
+        captured = capsys.readouterr()
+        value = json.loads(captured.out)["metrics"][1]
+        assert value["name"] == "classical_min_choi_eig" and value["value"] < 1.0
+        assert captured.err == (f"gate failed: classical_min_choi_eig = {value['value']!r}, "
+                                "needs >= 1.0\n")
+
+    def test_every_state_in_the_domain_fails_the_fraction_gate(self, capsys):
+        assert main(["--experiment", "compat-domain", "--samples", "100", "--tol", "5"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        assert captured.err.splitlines() == ["gate failed: fraction = 1.0, needs < 1.0",
+                                             "gate failed: t_star_to_eta5 = 1.0, needs <= 1e-08"]
+
+
 class TestSerialization:
     def test_schema_keys_and_order(self):
         report = run(small_config("table1"))
@@ -147,10 +252,13 @@ class TestMain:
 
     def test_fail_exit_one(self, monkeypatch, capsys):
         _, stacks, dims = cli._EXPERIMENTS["table1"]
+        failing = cli.Gate("forced", 0, ">", 0)
         monkeypatch.setitem(cli._EXPERIMENTS, "table1",
-                            (lambda config, rng: (False, [], []), stacks, dims))
+                            (lambda config, rng: ([], [failing], []), stacks, dims))
         assert main(["--experiment", "table1"]) == 1
-        assert json.loads(capsys.readouterr().out)["pass"] is False
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        assert captured.err == "gate failed: forced = 0, needs > 0\n"
 
     def test_a_replay_off_by_one_entry_fails(self, monkeypatch, capsys):
         replay = cli.replay_unitary
@@ -164,7 +272,9 @@ class TestMain:
         report = run(small_config("dynamics-cp"))
         assert report.witnesses and report.passed is False
         assert main(["--experiment", "dynamics-cp", "--samples", "40"]) == 1
-        assert json.loads(capsys.readouterr().out)["pass"] is False
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        assert captured.err == "gate failed: witness_replays = False, needs == True\n"
 
     def test_a_seeding_fault_fails(self, monkeypatch, capsys):
         """Index 0, the first witness, drawn from its neighbour's stream: the
@@ -181,7 +291,9 @@ class TestMain:
         report = run(small_config("dynamics-cp"))
         assert report.witnesses[0]["index"] == 0 and report.passed is False
         assert main(["--experiment", "dynamics-cp", "--samples", "40"]) == 1
-        assert json.loads(capsys.readouterr().out)["pass"] is False
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        assert captured.err == "gate failed: witness_replays = False, needs == True\n"
 
     def test_import_leaves_numpy_random_unloaded(self):
         src = os.path.dirname(os.path.dirname(assignlab.__file__))

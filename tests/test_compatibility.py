@@ -230,13 +230,15 @@ class TestFlagBlocks:
             assert np.max(np.abs(frame.conj().T @ frame - np.eye(assignment.dim_e))) <= 1e-12
             rotated_env = frame.conj().T @ assignment.env_ops @ frame
             states = random_density(d, rng, 12)
-            blocks, q = compatibility._flag_block_minima(assignment.basis, rotated_env, states)
+            blocks, q = compatibility._flag_block_minima(
+                assignment.basis, *compatibility._flag_blocks(assignment.basis, rotated_env),
+                states)
             assert np.array_equal(q, assignment.basis.coefficients(states))
             full = np.linalg.eigvalsh(assignment.apply(states))[:, 0]
             assert np.max(np.abs(blocks - full)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_off_block_bound_covers_the_rotated_output(self, d):
+    def test_off_block_bound_covers_the_rotated_output(self, d, monkeypatch):
         rng = np.random.default_rng(50 + d)
         for k, assignment in enumerate(flag_families(d, rng)):
             frame = compatibility._flag_frame(assignment)
@@ -245,7 +247,8 @@ class TestFlagBlocks:
             # states, and unit-trace Hermitian operators with negative weights
             inputs = np.concatenate([states, 2 * states[:6] - states[6:]])
             q = assignment.basis.coefficients(inputs)
-            bound = compatibility._off_block_bounds(assignment.basis, rotated_env, q)
+            diag, norms = compatibility._flag_blocks(assignment.basis, rotated_env)
+            bound = np.abs(q) @ norms
             out = LinearAssignment(assignment.basis, rotated_env).apply(inputs)
             out = out.reshape(len(inputs), d, assignment.dim_e, d, assignment.dim_e)
             j = np.arange(assignment.dim_e)
@@ -256,6 +259,13 @@ class TestFlagBlocks:
                 assert np.array_equal(bound, np.zeros(len(inputs)))
             else:  # measured and few flags: nonzero off-diagonal rounding
                 assert np.all(actual > 0.0) and np.all(bound >= actual)
+                # the check itself refuses each input whose true norm is
+                # above BLOCK_TOL
+                for i in range(len(inputs)):
+                    monkeypatch.setattr(compatibility, "BLOCK_TOL", actual[i] * (1 - 1e-9))
+                    with pytest.raises(ValueError, match="off-diagonal flag blocks"):
+                        compatibility._flag_block_minima(
+                            assignment.basis, diag, norms, inputs[i:i + 1])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_computational_flags_are_their_own_frame(self, d):
@@ -314,7 +324,8 @@ class TestFlagBlocks:
         rotated_env[2, 0, 1] = np.nan
         states = random_density(2, np.random.default_rng(3), 5)
         with pytest.raises(ValueError, match=r"^probe 0: off-diagonal flag blocks have norm nan"):
-            compatibility._flag_block_minima(BASIS, rotated_env, states)
+            compatibility._flag_block_minima(
+                BASIS, *compatibility._flag_blocks(BASIS, rotated_env), states)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_report_is_the_same_at_every_chunk_budget(self, d, monkeypatch):

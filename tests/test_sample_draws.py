@@ -137,18 +137,18 @@ class TestStackedTheorem2:
             config = ExperimentConfig(experiment="theorem2", seed=seed, samples=37,
                                       dim_s=d, dim_e=d)
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            _, metrics, _ = _run_theorem2(config, rng)
+            rows, _, _ = _run_theorem2(config, rng)
             expected = old_theorem2(config, old_rng)
-            assert [m["name"] for m in metrics] == list(expected)
-            for m in metrics:
-                assert np.array_equal(m["value"], expected[m["name"]]), m["name"]
+            assert [row.name for row in rows] == list(expected)
+            for row in rows:
+                assert np.array_equal(row.value, expected[row.name]), row.name
             assert rng.standard_normal() == old_rng.standard_normal()
 
     def test_mixed_dims(self, chunking):
         config = ExperimentConfig(experiment="theorem2", seed=4, samples=9, dim_s=3, dim_e=2)
         rng, old_rng = np.random.default_rng(4), np.random.default_rng(4)
-        _, metrics, _ = _run_theorem2(config, rng)
-        assert {m["name"]: m["value"] for m in metrics} == old_theorem2(config, old_rng)
+        rows, _, _ = _run_theorem2(config, rng)
+        assert {row.name: row.value for row in rows} == old_theorem2(config, old_rng)
         assert rng.standard_normal() == old_rng.standard_normal()
 
 
