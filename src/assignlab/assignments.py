@@ -8,8 +8,8 @@ family) q_i = Tr[Pi_i state]. The factories ``product_assignment``,
 ``orthogonal_flag_assignment`` and ``broadcast_assignment`` (tau_i = P_i)
 build the special cases, and ``zero_discord_assignment`` builds zero-discord
 assignments, one or a stack, from standard normals (which
-``random_zero_discord_assignment`` draws). Checkers certify linearity,
-consistency, and positivity, and audit Hermiticity/trace preservation.
+``random_zero_discord_assignment`` draws). Checkers measure consistency and
+positivity and audit Hermiticity/trace preservation, as values for gates.
 
 ``apply`` (and the basis's ``coefficients`` beneath it) maps one system
 operator or a stack (..., d, d) of them. Environment operators stacked over
@@ -48,7 +48,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from assignlab.operators import (
-    PSD_TOL,
     ProjectorBasis,
     _rank1_vectors,
     chunk_ranges,
@@ -93,7 +92,6 @@ __all__ = [
     "eigen_chunks",
 ]
 
-ENV_EQUALITY_TOL = 1e-9  # trace-norm threshold for "same environment operator"
 AUDIT_SAMPLES = 10  # random states of the forward Hermiticity/trace audit
 # environment eigenvalues at most this far from zero are the rounding of an
 # exact zero (a pure or rank-deficient tau) and leave the support factor;
@@ -351,9 +349,6 @@ class PositivityReport:
     witness_state: np.ndarray
     probes: int
 
-    def passed(self) -> bool:
-        return self.min_eigenvalue >= -PSD_TOL
-
 
 def _probe_states(assignment, samples: int, rng: np.random.Generator):
     """Positivity probes in order, as (label, index of the first state,
@@ -408,11 +403,10 @@ class EnvNegativityReport:
 
     env_min_eigs: np.ndarray
     output_min_eigs: np.ndarray
-    holds: bool  # every negative env op shows up as a negative output
 
 
 def env_negativity_report(assignment: LinearAssignment) -> EnvNegativityReport:
-    """Check that a negative environment operator forces a negative output.
+    """Smallest eigenvalues of the environment operators and of their outputs.
 
     The output on basis projector P_i is P_i (x) tau_i, whose spectrum is
     {0} united with the spectrum of tau_i, so negativity must carry over.
@@ -423,35 +417,27 @@ def env_negativity_report(assignment: LinearAssignment) -> EnvNegativityReport:
         min_eigenvalue(assignment.apply(projectors[lo:hi]))
         for lo, hi in probe_chunks(assignment, len(projectors))
     ])
-    holds = np.all(out_eigs[env_eigs < -PSD_TOL] < -PSD_TOL)
-    return EnvNegativityReport(env_min_eigs=env_eigs, output_min_eigs=out_eigs, holds=bool(holds))
+    return EnvNegativityReport(env_min_eigs=env_eigs, output_min_eigs=out_eigs)
 
 
 @dataclass(frozen=True, eq=False)
 class EqualEnvVerdict:
-    """Certificate that probe positivity is equivalent to all environment
-    operators being a single state."""
+    """Both sides of Theorem 1's biconditional (probe positivity iff all
+    environment operators are one state), as values."""
 
-    all_env_ops_equal: bool
     max_env_distance: float
     positivity: PositivityReport
-    biconditional_holds: bool
 
 
 def equal_env_certificate(
     assignment: LinearAssignment, samples: int, rng: np.random.Generator
 ) -> EqualEnvVerdict:
-    """Decide positivity via the exact algebraic condition (all env ops equal)
-    and cross-check it against the probe certificate."""
+    """Measure the exact algebraic condition (all env ops equal) next to the
+    probe certificate."""
     taus = assignment.env_ops
-    max_dist = np.max(trace_norm(taus - taus[0]))
-    all_equal = max_dist <= ENV_EQUALITY_TOL
-    report = positivity_certificate(assignment, samples, rng)
     return EqualEnvVerdict(
-        all_env_ops_equal=all_equal,
-        max_env_distance=float(max_dist),
-        positivity=report,
-        biconditional_holds=all_equal == report.passed(),
+        max_env_distance=float(np.max(trace_norm(taus - taus[0]))),
+        positivity=positivity_certificate(assignment, samples, rng),
     )
 
 

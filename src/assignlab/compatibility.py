@@ -17,6 +17,7 @@ D x D output; a bound within ``BLOCK_TOL`` moves the smallest eigenvalue by
 at most ``BLOCK_TOL`` (Weyl's inequality). Its probes are drawn, weighed and
 eigensolved in chunks sized by those blocks, and a count below one is
 refused. All of them refuse a tolerance that is not finite and positive.
+Their results carry values; the command line's gates decide on them.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class CompatibilityVerdict:
+    """``in_domain`` (at ``tol``) stays a boolean: ``domain_volume`` counts
+    it and ``boundary_along_ray`` bisects on it."""
+
     lambda_min: float  # arrays of one per state for a stack of states
     in_domain: bool
 
@@ -169,10 +173,6 @@ class SimplexDomainReport:
     probes: int
     agreements: int
     max_gap: float  # worst |lambda_min - min(0, min_i q_i)| observed
-
-    @property
-    def all_agree(self) -> bool:
-        return self.agreements == self.probes
 
 
 def _flag_frame(assignment) -> np.ndarray:

@@ -288,7 +288,7 @@ def test_criterion_9_compatibility_domain_exactness():
     ray_in = boundary_along_ray(flags, I2 / 2, ETA[0])
     ray_out = boundary_along_ray(flags, I2 / 2, ETA[4])
     ok = (
-        simplex.all_agree
+        simplex.agreements == simplex.probes
         and abs(ray_in.t_star - 1.0) <= 1e-8
         and abs(ray_out.t_star) <= 1e-8
     )
@@ -339,7 +339,7 @@ def test_criterion_11_condition_table_reproduction():
     """Product / zero-discord / flag families give exactly the expected
     (linear, consistent, positive) pattern."""
     table = assignment_condition_table(samples=500, rng=np.random.default_rng(1101))
-    rows = {row.family: row.conditions for row in table.rows}
+    rows = {row.family: row.conditions for row in table}
     expected = {
         "none": (True, True, True),
         "classical": (True, False, True),

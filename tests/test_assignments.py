@@ -18,8 +18,10 @@ from assignlab.assignments import (
     product_assignment,
     random_zero_discord_assignment,
 )
+from assignlab.cli import ENV_EQUALITY_TOL
 from assignlab.operators import (
     PAULI_Z,
+    PSD_TOL,
     canonical_basis,
     min_eigenvalue,
     partial_trace,
@@ -251,21 +253,20 @@ class TestPositivityCertificate:
         rng = np.random.default_rng(17)
         a = product_assignment(BASIS, random_density(2, rng))
         report = positivity_certificate(a, 200, rng)
-        assert report.passed()
-        assert report.min_eigenvalue >= -1e-10
+        assert report.min_eigenvalue >= -PSD_TOL
 
     def test_flag_assignment_witness_eta5(self):
         rng = np.random.default_rng(18)
         a = orthogonal_flag_assignment(BASIS)
         report = positivity_certificate(a, 200, rng)
-        assert not report.passed()
+        assert report.min_eigenvalue < -PSD_TOL
         assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-9)
         assert report.witness_label == "axis state 5"
 
     def test_zero_discord_positive_env(self):
         rng = np.random.default_rng(19)
         z = random_zero_discord_assignment(2, 2, rng)
-        assert positivity_certificate(z, 200, rng).passed()
+        assert positivity_certificate(z, 200, rng).min_eigenvalue >= -PSD_TOL
 
     def test_deterministic_under_seed(self):
         a = orthogonal_flag_assignment(BASIS)
@@ -275,19 +276,24 @@ class TestPositivityCertificate:
         assert r1.witness_label == r2.witness_label
 
 
+def negative_env_shows_in_output(report):
+    """Every environment operator below -PSD_TOL has an output below it."""
+    return np.all(report.output_min_eigs[report.env_min_eigs < -PSD_TOL] < -PSD_TOL)
+
+
 class TestEnvNegativity:
     def test_positive_env_ops(self):
         rng = np.random.default_rng(21)
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
         report = env_negativity_report(a)
-        assert report.holds
+        assert negative_env_shows_in_output(report)
         assert np.all(report.output_min_eigs >= -1e-10)
 
     def test_negative_env_op_detected(self):
         taus = np.stack([np.diag([1.5, -0.5]).astype(complex), I2 / 2, I2 / 2, I2 / 2])
         a = LinearAssignment(BASIS, taus)
         report = env_negativity_report(a)
-        assert report.holds
+        assert negative_env_shows_in_output(report)
         assert report.output_min_eigs[0] == pytest.approx(-0.5, abs=1e-12)
         # spectrum of P_1 (x) diag(1.5, -0.5) is {1.5, -0.5, 0, 0}
         lam = np.linalg.eigvalsh(a.apply(BASIS.projectors[0]))
@@ -301,32 +307,34 @@ class TestEnvNegativity:
         assert min_eigenvalue(a.apply(ETA[4])) == pytest.approx(-1.0, abs=1e-9)
 
 
+def equal_and_positive(verdict):
+    """Both sides of Theorem 1's biconditional: all environment operators
+    equal, and every probe output positive."""
+    return (verdict.max_env_distance <= ENV_EQUALITY_TOL,
+            verdict.positivity.min_eigenvalue >= -PSD_TOL)
+
+
 class TestEqualEnvCertificate:
+    # each test asserts both sides, and so that they agree
     def test_equal_env_ops_positive(self):
         rng = np.random.default_rng(22)
         a = product_assignment(BASIS, random_density(2, rng))
         verdict = equal_env_certificate(a, 200, rng)
-        assert verdict.all_env_ops_equal
-        assert verdict.positivity.passed()
-        assert verdict.biconditional_holds
+        assert equal_and_positive(verdict) == (True, True)
 
     def test_unequal_env_ops_break_positivity(self):
         rng = np.random.default_rng(23)
         t = random_density(2, rng)
         taus = np.stack([t, random_density(2, rng), t, t])
         verdict = equal_env_certificate(LinearAssignment(BASIS, taus), 500, rng)
-        assert not verdict.all_env_ops_equal
-        assert not verdict.positivity.passed()
-        assert verdict.biconditional_holds
+        assert equal_and_positive(verdict) == (False, False)
 
     def test_d3_product_positive(self):
         rng = np.random.default_rng(24)
         basis3 = canonical_basis(3)
         a = product_assignment(basis3, random_density(3, rng))
         verdict = equal_env_certificate(a, 1000, rng)
-        assert verdict.all_env_ops_equal
-        assert verdict.positivity.passed()
-        assert verdict.biconditional_holds
+        assert equal_and_positive(verdict) == (True, True)
 
 
 class TestPechukasConstraints:

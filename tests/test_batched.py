@@ -557,8 +557,10 @@ class TestSupportFactor:
 
         flags = orthogonal_flag_assignment(canonical_basis(3))
         monkeypatch.setattr(LinearAssignment, "min_output_eigenvalue", refuse)
-        assert simplex_domain_check(flags, 20, np.random.default_rng(0)).all_agree
-        assert env_negativity_report(flags).holds
+        simplex = simplex_domain_check(flags, 20, np.random.default_rng(0))
+        assert simplex.agreements == simplex.probes
+        report = env_negativity_report(flags)
+        assert np.all(report.output_min_eigs[report.env_min_eigs < -PSD_TOL] < -PSD_TOL)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_vectors_span_the_projectors(self, d):

@@ -135,7 +135,7 @@ class TestGates:
                      ("witness_min_eig", "<=", lambda m: m["predicted_bound"] + 1e-9),
                      ("min_env_eig", ">=", -1e-10), ("witness_prediction_gap", "<=", 1e-9)],
         "lemma1": [("converse_env_min_eig", ">=", -1e-12), ("converse_output_min_eig", "<", -1e-6),
-                   ("negative_env_shows_in_output", "==", True),
+                   ("negative_env_shows_in_output", "<", -1e-10),
                    ("negative_env_output_gap", "<=", 1e-10)],
         "appendix": [("max_hermiticity_defect", "<=", 1e-10), ("max_trace_defect", "<=", 1e-10),
                      ("corrupted_hermiticity_gap_to_0.2", "<=", 1e-10),
@@ -200,6 +200,30 @@ class TestGates:
         assert captured.err == (f"gate failed: classical_min_choi_eig = {value['value']!r}, "
                                 "needs >= 1.0\n")
 
+    def test_the_negative_env_gate_holds_on_the_runners_assignment(self):
+        report = run(small_config("lemma1"))
+        gate = next(g for g in report.gates if g.name == "negative_env_shows_in_output")
+        # the runner's one negative environment operator, diag(1.5, -0.5) on
+        # the first basis projector, has output minimum -0.5
+        assert gate.holds() and gate.value == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("output", [0.0, np.nan], ids=["non-negative", "nan"])
+    def test_the_negative_env_gate_fails_when_the_output_is_not_negative(
+            self, output, monkeypatch, capsys):
+        measured = cli.env_negativity_report
+
+        def broken(assignment):
+            report = measured(assignment)
+            out = report.output_min_eigs.copy()
+            out[report.env_min_eigs < -1e-10] = output
+            return dataclasses.replace(report, output_min_eigs=out)
+
+        monkeypatch.setattr(cli, "env_negativity_report", broken)
+        assert main(["--experiment", "lemma1", "--samples", "40"]) == 1
+        err = capsys.readouterr().err
+        assert f"gate failed: negative_env_shows_in_output = {output}, needs < -1e-10\n" in err
+        assert "Traceback" not in err
+
     def test_every_state_in_the_domain_fails_the_fraction_gate(self, capsys):
         assert main(["--experiment", "compat-domain", "--samples", "100", "--tol", "5"]) == 1
         captured = capsys.readouterr()
@@ -249,6 +273,31 @@ class TestMain:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["pass"] is True
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("metric,gate_lines", [
+        ("spectrum_gap_vs_analytic",
+         ["gate failed: spectrum_gap_vs_analytic = nan, needs <= 1e-09"]),
+        ("min_eig_eta5", []),
+    ], ids=["gated", "ungated"])
+    def test_a_nan_metric_writes_no_report_and_fails(self, metric, gate_lines, to_file,
+                                                     monkeypatch, capsys, tmp_path):
+        runner, stacks, dims = cli._EXPERIMENTS["broadcast"]
+
+        def with_nan(config, rng):
+            rows, gates, witnesses = runner(config, rng)
+            rows = [row._replace(value=float("nan")) if row.name == metric else row
+                    for row in rows]
+            return rows, gates, witnesses
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "broadcast", (with_nan, stacks, dims))
+        out = tmp_path / "report.json"
+        argv = ["--experiment", "broadcast", "--samples", "20"]
+        assert main(argv + ["--out", str(out)] if to_file else argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: cannot render report: cannot serialize non-finite float nan", *gate_lines]
 
     def test_fail_exit_one(self, monkeypatch, capsys):
         _, stacks, dims = cli._EXPERIMENTS["table1"]
@@ -360,6 +409,16 @@ class TestMain:
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["--config", "/does/not/exist.json"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200000,
+        '{"experiment": "table1", "seed": 1' + "0" * 5000 + "}",
+    ], ids=["deep-nesting", "5001-digit-seed"])
+    def test_config_file_python_cannot_parse_exit_two(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config file is not valid JSON: ")
 
     def test_config_file_not_utf8_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -176,7 +176,7 @@ class TestSimplexDomain:
     def test_spectral_matches_coefficients(self):
         rng = np.random.default_rng(10)
         report = simplex_domain_check(FLAG, 1000, rng)
-        assert report.all_agree
+        assert report.agreements == report.probes
         assert report.max_gap < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -184,7 +184,7 @@ class TestSimplexDomain:
         rng = np.random.default_rng(d)
         measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
         report = simplex_domain_check(broadcast_assignment(measurement), 200, rng)
-        assert report.all_agree
+        assert report.agreements == report.probes
         assert report.max_gap < 1e-9
 
     def test_named_probes(self):
@@ -277,7 +277,7 @@ class TestFlagBlocks:
         assignment = flag_families(2, rng)[2]
         assert (len(assignment.env_ops), assignment.dim_e) == (2, 5)
         report = simplex_domain_check(assignment, 100, rng)
-        assert report.all_agree and report.max_gap <= 1e-12
+        assert report.agreements == report.probes and report.max_gap <= 1e-12
 
     def test_rounded_off_diagonal_blocks_exceed_a_zero_tolerance(self, monkeypatch):
         monkeypatch.setattr(compatibility, "BLOCK_TOL", 0.0)
@@ -288,7 +288,8 @@ class TestFlagBlocks:
         # computational flags: the rotation is the identity and the zeros exact
         for d in (2, 3, 4):
             flags = orthogonal_flag_assignment(canonical_basis(d))
-            assert simplex_domain_check(flags, 20, rng).all_agree
+            report = simplex_domain_check(flags, 20, rng)
+            assert report.agreements == report.probes
 
     def test_a_nan_weight_names_its_probe_across_chunks(self, monkeypatch):
         # on qubit flags a budget of 2048 bytes draws and eigensolves 8
@@ -317,7 +318,8 @@ class TestFlagBlocks:
 
         monkeypatch.setattr(LinearAssignment, "apply", refused)
         for assignment in flag_families(3, np.random.default_rng(15)):
-            assert simplex_domain_check(assignment, 20, np.random.default_rng(16)).all_agree
+            report = simplex_domain_check(assignment, 20, np.random.default_rng(16))
+            assert report.agreements == report.probes
 
     def test_a_nan_off_diagonal_flag_entry_fails_the_bound(self):
         rotated_env = np.array(OrthogonalProjectorSet.computational(4).projectors)

@@ -22,8 +22,8 @@ from assignlab.assignments import (
     zero_discord_assignment,
     zero_discord_size,
 )
+from assignlab.cli import CP_TOL
 from assignlab.dynamics import (
-    CP_TOL,
     NONCP_THRESHOLD,
     SCREEN_TOL,
     CPSweep,
@@ -73,7 +73,7 @@ def ref_find_noncp(assignment, attempts, seed):
                        best_index=best_index, best_lambda=float(best_lambda))
 
 
-def ref_sweep(n_assignments, dim_s, dim_e, seed, tol=CP_TOL):
+def ref_sweep(n_assignments, dim_s, dim_e, seed):
     rng = np.random.default_rng(seed)
     min_lambda, maps_checked = np.inf, 0
     for _ in range(n_assignments):
@@ -81,8 +81,7 @@ def ref_sweep(n_assignments, dim_s, dim_e, seed, tol=CP_TOL):
         for _ in range(dynamics.SWEEP_COUPLINGS):
             min_lambda = min(min_lambda, old_lambda(z, old_random_unitary(dim_s * dim_e, rng)))
             maps_checked += 1
-    return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda),
-                   all_cp=min_lambda >= -tol)
+    return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda))
 
 
 def set_chunking(monkeypatch, chunking, dim):
@@ -435,7 +434,7 @@ class TestStackedSweep:
             sweep = classical_cp_sweep(n_assignments=3, dim_s=d, dim_e=d_e,
                                        rng=np.random.default_rng(seed))
             assert sweep == ref_sweep(3, d, d_e, seed)
-            assert sweep.maps_checked == 15 and sweep.all_cp
+            assert sweep.maps_checked == 15 and sweep.min_lambda >= -CP_TOL
 
     def test_chunks_of_several_assignments(self, monkeypatch):
         # two whole assignments per chunk: 5 assignments in chunks of 2, 2, 1
