@@ -21,24 +21,23 @@ a stack of one.
 
 The classical sweep takes its assignments in chunks: one normal draw, one
 stacked zero-discord assignment from it (``zero_discord_assignment``) and
-one QR for all their couplings, ranked on the Choi block spectrum
+one QR for all their couplings, screened on the Choi block spectrum
 (``_block_minima``: D^3 flops per coupling in place of the full path's
-2 d_s^2 D^3; the block structure is why classical correlations give CP
-maps, Rodriguez-Rosario et al., J. Phys. A 41, 205301 (2008)). Only the
-couplings within ``SCREEN_TOL`` of the lowest screened value run on the
-full path, from the unit images of their own assignment, and the sweep
-reports the lowest of those full-path values.
+2 d_s^2 D^3). A zero-discord map's Choi matrix is the direct sum of blocks,
+which is why classical correlations give CP maps (Rodriguez-Rosario et al.,
+J. Phys. A 41, 205301 (2008)): the block spectrum is the certificate, and
+the sweep reports its lowest value without the full path.
 
 The non-CP search draws one Haar stack (one stacked QR) per chunk of
-couplings, sized by their normals and unitaries, and ranks them on the
+couplings, sized by their normals and unitaries, and screens them on the
 factored map: with the support columns W = [v_i (x) e_im] of the assignment
 and X = U W, each map is vec(Tr_E x_r x_r^dag) T for the columns x_r of X and
 T[r, jk] = t_im q_i(E_jk), D^2 R flops per coupling for R = sum rank tau_i,
-in place of the full path's 2 d_s^2 D^3 (the dynamical-map construction of
-Jordan, Shaji and Sudarshan, PRA 70, 052110 (2004)). Only the couplings that
-can still decide a reported number, within ``SCREEN_TOL`` of the lowest
-value or of ``NONCP_THRESHOLD``, run on the full path, and every value the
-search reports is a full-path one. Draw i takes the stream of
+in place of the full path's 2 d_s^2 D^3 (the induced map itself, in the
+factored form of Jordan, Shaji and Sudarshan, PRA 70, 052110 (2004)). Its
+best is the first lowest screened value; only its first witness runs on the
+full path, confirmed in order among the couplings screened within
+``SCREEN_TOL`` of ``NONCP_THRESHOLD`` or below it. Draw i takes the stream of
 ``default_rng([seed, i])``, built from one vectorized pass of NumPy's
 SeedSequence hash per chunk of indices (``assignlab._seeds``) in place of a
 SeedSequence per index; ``replay_unitary`` builds it through NumPy itself.
@@ -47,18 +46,17 @@ Contract: every superoperator, Choi matrix and Choi spectrum is
 bit-identical to mapping each E_jk by its own assign-conjugate-trace and
 summing the Choi blocks E_jk (x) M[E_jk], one coupling at a time, which is
 why the images are not combined before the conjugation and the kept blocks
-are not computed alone; both save flops but round differently. A search or
-sweep reports the same draws, minima and first witnesses as one coupling at
-a time. The screens' values (the factored map's and the block spectrum's)
-are never reported, so the contract does not cover them; the search and the
-sweep only need them within ``SCREEN_TOL`` / 2 of the full path's.
+are not computed alone; both save flops but round differently. A search
+reports the same draws and first witness as one coupling at a time. Its
+best and the sweep's minimum are screened values, the same bits as one
+coupling screened alone and within 1e-12 of the full path's, so
+``best_lambda`` and the witness lambda may differ in the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import groupby
 from math import isqrt
 
 import numpy as np
@@ -111,8 +109,8 @@ __all__ = [
 # a search witness needs a Choi eigenvalue below -1e-6, clear of the
 # numerical noise the CP decision (-1e-9, on the command line) allows
 NONCP_THRESHOLD = -1e-6
-# the non-CP search and the classical sweep confirm on the full path every
-# coupling whose screened value lies this close to deciding a reported number
+# the non-CP search confirms its first witness on the full path among the
+# couplings screened this close to NONCP_THRESHOLD or below it
 SCREEN_TOL = 1e-10
 SWEEP_COUPLINGS = 10  # Haar couplings per assignment in the classical sweep
 
@@ -254,11 +252,12 @@ def replay_unitary(seed: int, index: int, dim: int) -> np.ndarray:
 class NonCPSearch:
     """Outcome of a seeded random search for a CP-breaking unitary.
 
-    ``first_unitary`` is the coupling the search confirmed on the full path
-    as its first witness, read-only, or None when nothing was found; a
-    caller can check a replay of ``first_index`` against its bits. It takes
-    no part in equality or repr, which compare the reported fields only.
-    ``found`` says whether the witness fields ``first_*`` exist."""
+    ``first_lambda`` is a full-path value, ``best_lambda`` a screened one
+    within 1e-12 of it: on one coupling they may differ in the last bits.
+    ``first_unitary`` is the first witness's coupling, read-only, or None
+    when nothing was found; a caller can check a replay of ``first_index``
+    against its bits. It takes no part in equality or repr, which compare
+    the reported fields only. ``found`` says whether ``first_*`` exist."""
 
     found: bool
     seed: int
@@ -320,16 +319,6 @@ def _first_witness(images, assignment, u: np.ndarray, screened: np.ndarray, lo: 
     return None
 
 
-def _settle(images, assignment, held, best):
-    """The first full-path minimum among the held (index, screened, unitary)
-    triples, in index order, if below ``best`` (index, lambda), else ``best``,
-    whose index precedes every held one."""
-    index, screened, u = zip(*held)
-    exact = _confirm(images, assignment, index, np.stack(u), np.array(screened))
-    i = int(np.argmin(exact))
-    return (index[i], exact[i]) if exact[i] < best[1] else best
-
-
 def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     """Search seeded Haar unitaries for one whose induced map is not CP.
 
@@ -341,26 +330,20 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     negative ``seed`` raises ValueError, as ``default_rng`` does, and so do
     ``attempts`` below one.
 
-    Each chunk of couplings is ranked on the factored map
-    (``_screen_minima``); only couplings that can still decide a reported
-    number run on the full path (``_choi_minima``), and every reported value
-    is a full-path one. For the best index: the couplings screened within
-    SCREEN_TOL of the lowest screened value so far are held, with a copy of
-    their unitaries, and confirmed together at the end (or once more than a
-    chunk of them are held). For the first witness: the couplings screened
-    below NONCP_THRESHOLD + SCREEN_TOL are confirmed in order, up to the
-    first one confirmed below NONCP_THRESHOLD. While the screen stays within
-    SCREEN_TOL / 2 of the full path, the search reports what scanning every
-    coupling on the full path reports; a confirmed value further than
-    SCREEN_TOL from its screened one raises RuntimeError.
+    Each chunk of couplings is screened on the factored map
+    (``_screen_minima``): the best is the first lowest screened value,
+    within 1e-12 of the full path's (``_choi_minima``). Only the first
+    witness is confirmed on the full path: the couplings screened below
+    NONCP_THRESHOLD + SCREEN_TOL run on it in order, up to the first one
+    confirmed below NONCP_THRESHOLD; a confirmed value further than
+    SCREEN_TOL from its screened one raises RuntimeError. So on one coupling
+    ``first_lambda`` and ``best_lambda`` may differ in the last bits.
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
     dim = assignment.dim_s * assignment.dim_e
     first = None
-    best = (-1, np.inf)
-    low = np.inf  # the lowest screened value so far
-    held = []
+    best_index, best_lambda = -1, np.inf
     images = _unit_images(assignment)
     factor = _factor(assignment)
     # imported here: it imports numpy.random, which importing the package does not
@@ -369,7 +352,7 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     streams = keyed_streams(seed, attempts)
     # a chunk of couplings is bounded by their normals and unitaries (the
     # screen's U W is R/D of the unitaries); _superoperator bounds the joint
-    # operators of the couplings it confirms on its own
+    # operators of the witness candidates it confirms on its own
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
         # the normals replay_unitary(seed, i) draws, one stream per index
         normals = np.empty((hi - lo, 2, dim, dim))
@@ -379,14 +362,9 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
         screened = _screen_minima(factor, assignment, u)
         if first is None:
             first = _first_witness(images, assignment, u, screened, lo)
-        low = min(low, float(np.min(screened)))
-        held = [h for h in held if h[1] <= low + SCREEN_TOL]
-        held += [(lo + int(i), screened[i], u[i].copy())
-                 for i in np.flatnonzero(screened <= low + SCREEN_TOL)]
-        if len(held) > hi - lo:
-            best, held = _settle(images, assignment, held, best), []
-    if held:
-        best = _settle(images, assignment, held, best)
+        i = int(np.argmin(screened))
+        if screened[i] < best_lambda:
+            best_index, best_lambda = lo + i, float(screened[i])
     first_index, first_lambda, first_unitary = first or (None, None, None)
     return NonCPSearch(
         found=first is not None,
@@ -394,14 +372,17 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
         attempts=attempts,
         first_index=first_index,
         first_lambda=first_lambda,
-        best_index=best[0],
-        best_lambda=float(best[1]),
+        best_index=best_index,
+        best_lambda=best_lambda,
         first_unitary=first_unitary,
     )
 
 
 @dataclass(frozen=True)
 class CPSweep:
+    """``min_lambda``: the lowest Choi block minimum of ``maps_checked``
+    couplings, within 1e-12 of the full path's."""
+
     maps_checked: int
     min_lambda: float
 
@@ -430,20 +411,6 @@ def _block_minima(assignment, u: np.ndarray) -> np.ndarray:
     return min_eigenvalue(y @ ty.swapaxes(-1, -2)).min(axis=-1)
 
 
-def _settle_sweep(held) -> float:
-    """The lowest full-path Choi minimum of the held (index, screened, z, j,
-    unitary) couplings of assignment j of the stack z, in index order: each
-    assignment's unit images are built once, from that assignment alone."""
-    lowest = np.inf
-    for _, group in groupby(held, key=lambda h: h[0] // SWEEP_COUPLINGS):
-        index, screened, z, j, u = zip(*group)
-        one = LinearAssignment(OrthogonalProjectorSet(z[0].basis.projectors[j[0]]),
-                               z[0].env_ops[j[0]])
-        exact = _confirm(_unit_images(one), one, index, np.stack(u), np.array(screened))
-        lowest = min(lowest, float(np.min(exact)))
-    return lowest
-
-
 def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
                        rng: np.random.Generator) -> CPSweep:
     """Check that random zero-discord assignments with positive environment
@@ -451,30 +418,24 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
 
     An assignment draws the normals ``zero_discord_assignment`` builds it
     from, then its couplings' normals: one draw per chunk of assignments is
-    the same stream. A chunk holds each assignment's d_s terms, d_s^2 unit
-    images and its couplings' normals, unitaries and screens; an assignment
-    whose couplings alone exceed ``_CHUNK_BYTES`` is a chunk of its own and
-    draws its later couplings in chunks of their own.
+    the same stream. A chunk is budgeted for each assignment's d_s terms and
+    d_s^2 unit images, which the sweep does not build, and its couplings'
+    normals, unitaries and screens; an assignment whose couplings alone
+    exceed ``_CHUNK_BYTES`` is a chunk of its own and draws its later
+    couplings in chunks of their own.
 
-    Every coupling is ranked on the Choi block spectrum (``_block_minima``).
-    Those screened within SCREEN_TOL of the lowest screened value so far are
-    held, with a copy of their unitaries, and confirmed on the full path at
-    the end (or once more than a chunk of them are held); the sweep reports
-    the lowest confirmed value. While the screen stays within SCREEN_TOL / 2
-    of the full path, that is the minimum over every coupling on the full
-    path; a confirmed value further than SCREEN_TOL from its screened one
-    raises RuntimeError.
+    Every coupling is screened on the Choi block spectrum
+    (``_block_minima``), which is the certificate itself: ``min_lambda`` is
+    the lowest screened value, within 1e-12 of the full path's, and no
+    coupling runs on the full path.
     """
     if n_assignments < 1:
         raise ValueError("n_assignments must be at least 1")
     dim = dim_s * dim_e
     size = zero_discord_size(dim_s, dim_e)
-    # with no couplings each assignment is still drawn and built
-    couplings = list(chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim)) or [(0, 0)]
+    couplings = list(chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim))
     per_assignment = 16 * dim * dim * (dim_s + dim_s * dim_s + 3 * SWEEP_COUPLINGS)
-    min_lambda = np.inf  # the lowest confirmed value
-    low = np.inf  # the lowest screened value so far
-    held = []
+    min_lambda = np.inf
     maps_checked = 0
     for lo, hi in chunk_ranges(n_assignments, per_assignment):
         n = hi - lo
@@ -487,15 +448,8 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
             u = haar_unitaries(normals[:, head:].reshape(n, c_end - c, 2, dim, dim))
             screened = _block_minima(z, u)
             maps_checked += screened.size
-            low = min(low, float(np.min(screened, initial=np.inf)))
-            held = [h for h in held if h[1] <= low + SCREEN_TOL]
-            held += [((lo + j) * SWEEP_COUPLINGS + c + m, screened[j, m], z, j, u[j, m].copy())
-                     for j, m in zip(*np.nonzero(screened <= low + SCREEN_TOL))]
-            if len(held) > screened.size:
-                min_lambda, held = min(min_lambda, _settle_sweep(held)), []
-    if held:
-        min_lambda = min(min_lambda, _settle_sweep(held))
-    return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda))
+            min_lambda = min(min_lambda, float(np.min(screened)))
+    return CPSweep(maps_checked=maps_checked, min_lambda=min_lambda)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -396,3 +398,32 @@ class TestAudit:
         # the trace-free bump needs two environment levels
         with pytest.raises(ValueError, match="dim_e >= 2, got 1"):
             audit_corruption(LinearAssignment(BASIS, np.ones((4, 1, 1))))
+
+
+# orthogonal within the 1e-10 the check allows, but their sum is off the
+# identity by 2 * 9e-11: the two checks' errors add up on one entry
+NEAR_ORTHOGONAL = np.array([np.diag([1 - 9e-11, 9e-11]), np.diag([-9e-11, 1 + 9e-11])])
+
+
+class TestRefusals:
+    """Each refusal names what is wrong, word for word."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: OrthogonalProjectorSet(np.zeros((3, 2, 2))),
+         "need 2 projectors of dimension 2, got shape (3, 2, 2)"),
+        (lambda: OrthogonalProjectorSet(NEAR_ORTHOGONAL),
+         "projectors do not resolve the identity"),
+        (lambda: OrthogonalProjectorSet.computational(2).coefficients(np.eye(3)),
+         "state shape (3, 3) does not match dim 2"),
+        (lambda: positivity_certificate(product_assignment(BASIS, np.eye(2) / 2), 0,
+                                        np.random.default_rng(0)),
+         "samples must be at least 1"),
+        (lambda: pechukas_constraints([np.eye(2) / 2] * 3),
+         "need exactly four environment operators and four states"),
+        (lambda: pechukas_constraints([np.eye(2) / 2] * 3 + [np.eye(3) / 3]),
+         "environment operators must share one dimension"),
+    ], ids=["projector-set-shape", "projectors-not-resolving-identity", "measurement-shape",
+            "no-positivity-samples", "three-taus", "mixed-tau-dimensions"])
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -444,6 +444,18 @@ class TestMain:
         assert main(["--experiment", "compat-domain", "--samples", "20", "--tol", "inf"]) == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,flags,message", [
+        ('{"out": 5}', ["--experiment", "table1"], "out must be a path, got 5"),
+        ("[1]", [], "config file must hold a JSON object"),
+    ], ids=["out-not-a-path", "json-array"])
+    def test_config_file_refusal_message(self, text, flags, message, tmp_path, capsys):
+        # the whole stderr is the message: no traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestResourceGuard:
     def test_oversized_flag_experiment_refused_before_running(self, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -346,3 +348,14 @@ class TestFlagBlocks:
         a = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         with pytest.raises(ValueError, match="not orthonormal rank-1 projectors"):
             simplex_domain_check(a, 10, np.random.default_rng(14))
+
+
+class TestRefusals:
+    """Each refusal names what is wrong, word for word."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: wilson_interval(0, 0), "samples must be at least 1"),
+    ], ids=["wilson-no-samples"])
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,10 +1,12 @@
 """Stacked couplings against the per-coupling loops they replaced.
 
-The non-CP search and the classical sweep draw, check, conjugate and
+The non-CP search and the classical sweep draw, check, screen and
 eigensolve a stack of Haar couplings per chunk. Each reference below is a
 test-local copy of the loop that took one coupling at a time; the stacked
-paths must draw the same unitaries and report the same minima and the same
-first witnesses, bit for bit, whatever the chunking.
+paths must draw the same unitaries, report the same first witnesses as that
+loop on the full path, and the same best and minimum as screening each
+coupling alone, bit for bit, whatever the chunking. The references also
+check every coupling's screen against its full-path value within 1e-12.
 """
 
 import numpy as np
@@ -58,14 +60,25 @@ def old_lambda(assignment, u):
     return cp_certificate(induced_map(assignment, u)).lambda_min_choi
 
 
+# a screen's value and the full path's agree this closely on one coupling
+SCREEN_GAP = 1e-12
+
+
+def screen_lambda(assignment, u):
+    """The search's screen of one coupling, alone."""
+    return dynamics._screen_minima(dynamics._factor(assignment), assignment, u[None])[0]
+
+
 def ref_find_noncp(assignment, attempts, seed):
     dim = assignment.dim_s * assignment.dim_e
     first_index = first_lambda = None
     best_index, best_lambda = -1, np.inf
     for i in range(attempts):
-        lam = old_lambda(assignment, old_random_unitary(dim, np.random.default_rng([seed, i])))
-        if lam < best_lambda:
-            best_index, best_lambda = i, lam
+        u = old_random_unitary(dim, np.random.default_rng([seed, i]))
+        lam, screened = old_lambda(assignment, u), screen_lambda(assignment, u)
+        assert abs(screened - lam) <= SCREEN_GAP
+        if screened < best_lambda:
+            best_index, best_lambda = i, screened
         if first_index is None and lam < NONCP_THRESHOLD:
             first_index, first_lambda = i, lam
     return NonCPSearch(found=first_index is not None, seed=seed, attempts=attempts,
@@ -79,7 +92,10 @@ def ref_sweep(n_assignments, dim_s, dim_e, seed):
     for _ in range(n_assignments):
         z = random_zero_discord_assignment(dim_s, dim_e, rng)
         for _ in range(dynamics.SWEEP_COUPLINGS):
-            min_lambda = min(min_lambda, old_lambda(z, old_random_unitary(dim_s * dim_e, rng)))
+            u = old_random_unitary(dim_s * dim_e, rng)
+            screened = dynamics._block_minima(z, u[None])[0]
+            assert abs(screened - old_lambda(z, u)) <= SCREEN_GAP
+            min_lambda = min(min_lambda, screened)
             maps_checked += 1
     return CPSweep(maps_checked=maps_checked, min_lambda=float(min_lambda))
 
@@ -266,13 +282,15 @@ class TestStackedSearch:
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     def test_first_witnesses_on_ties(self, chunking, monkeypatch):
         """Couplings from a pool of two give equal minima; the search keeps
-        the first index of the minimum and the first below the threshold."""
+        the first index of the lowest screen and the first below the threshold."""
         flags = orthogonal_flag_assignment(canonical_basis(2))
         dim = flags.dim_s * flags.dim_e
         set_chunking(monkeypatch, chunking, dim)
         pool = random_unitary(dim, np.random.default_rng(4), 2)
         lams = [old_lambda(flags, u) for u in pool]
+        screens = [screen_lambda(flags, u) for u in pool]
         assert lams[0] != lams[1] and min(lams) < NONCP_THRESHOLD
+        assert np.argmin(screens) == np.argmin(lams)
 
         def pick(normals):
             return pool[(normals[:, 0, 0, 0] > 0).astype(int)]
@@ -285,7 +303,7 @@ class TestStackedSearch:
         assert choice.count(low) >= 2  # a tie the search must break
         search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
         first = choice.index(low)
-        assert (search.best_index, search.best_lambda) == (first, lams[low])
+        assert (search.best_index, search.best_lambda) == (first, screens[low])
         assert (search.first_index, search.first_lambda) == (first, lams[low])
         # a threshold every coupling meets: the very first draw is the witness
         monkeypatch.setattr(dynamics, "NONCP_THRESHOLD", max(lams) + 1.0)
@@ -338,7 +356,8 @@ def noisy_screen(monkeypatch, size):
 
 
 class TestScreenedSearch:
-    """The search ranks couplings on the factored map and reports full-path values."""
+    """The search reports the factored map's best and confirms its first
+    witness on the full path."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_screen_agrees_with_full_path(self, d):
@@ -352,12 +371,15 @@ class TestScreenedSearch:
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("family", ["flag", "zero-discord", "product"])
-    def test_noise_within_tolerance_leaves_the_search(self, family, d, chunking, monkeypatch):
+    def test_noise_within_tolerance_leaves_the_witness(self, family, d, chunking, monkeypatch):
         assignment = search_family(family, d, np.random.default_rng(60 + d))
         set_chunking(monkeypatch, chunking, assignment.dim_s * assignment.dim_e)
+        refs = {seed: ref_find_noncp(assignment, 9, seed) for seed in (3, 11)}
         noisy_screen(monkeypatch, SCREEN_TOL / 4)
-        for seed in (3, 11):
-            assert find_noncp_unitary(assignment, 9, seed) == ref_find_noncp(assignment, 9, seed)
+        for seed, ref in refs.items():
+            search = find_noncp_unitary(assignment, 9, seed)
+            assert (search.found, search.first_index, search.first_lambda) \
+                == (ref.found, ref.first_index, ref.first_lambda)
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     @pytest.mark.parametrize("side", [1, -1], ids=["below", "above"])
@@ -384,27 +406,35 @@ class TestScreenedSearch:
         search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
         first = 0 if side > 0 else first_low
         assert (search.first_index, search.first_lambda) == (first, lams[choice[first]])
-        assert (search.best_index, search.best_lambda) == (first_low, lams[1 - high])
+        # the best is the low coupling's screened value, noise included
+        low_screen = dynamics._screen_minima(dynamics._factor(flags), flags, pool[1 - high][None])
+        assert (search.best_index, search.best_lambda) == (first_low, low_screen[0])
         assert count[0] >= first + 1  # every draw up to the witness was confirmed
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
-    def test_ties_within_tolerance_keep_the_first(self, chunking, monkeypatch):
-        """A pool of U and -U induces one map, bit for bit; screened SCREEN_TOL/4
-        up for U, drawn first, and down for -U, drawn second, the first stays best."""
+    def test_screen_ties_keep_the_first(self, chunking, monkeypatch):
+        """A pool of U and -U induces one map and one screen, bit for bit:
+        drawn U first and -U second, the first stays best. With the screen
+        moved SCREEN_TOL/4 up for U and down for -U, the best is -U's lower
+        screened value, and the first witness, confirmed on the full path,
+        is still U."""
         flags = orthogonal_flag_assignment(canonical_basis(2))
         set_chunking(monkeypatch, chunking, flags.dim_s * flags.dim_e)
         u = random_unitary(8, np.random.default_rng(4))
         pool = np.stack([u, -u]) * np.sign(u[0, 0].real)
         monkeypatch.setattr(dynamics, "haar_unitaries",
                             lambda normals: pool[(normals[:, 0, 0, 0] > 0).astype(int)])
-        noisy_screen(monkeypatch, SCREEN_TOL / 4)
         attempts, seed = 12, 5
         assert [int(np.random.default_rng([seed, i]).standard_normal() > 0)
                 for i in range(2)] == [0, 1]
+        lam, screened = old_lambda(flags, pool[0]), screen_lambda(flags, pool[0])
+        assert (old_lambda(flags, pool[1]), screen_lambda(flags, pool[1])) == (lam, screened)
         search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
-        lam = old_lambda(flags, pool[0])
-        assert old_lambda(flags, pool[1]) == lam
-        assert (search.best_index, search.best_lambda) == (0, lam)
+        assert (search.best_index, search.best_lambda) == (0, screened)
+        assert (search.first_index, search.first_lambda) == (0, lam)
+        noisy_screen(monkeypatch, SCREEN_TOL / 4)
+        search = find_noncp_unitary(flags, attempts=attempts, seed=seed)
+        assert (search.best_index, search.best_lambda) == (1, screened - SCREEN_TOL / 4)
         assert (search.first_index, search.first_lambda) == (0, lam)
 
     def test_noise_beyond_tolerance_raises(self, monkeypatch):
@@ -447,14 +477,11 @@ class TestStackedSweep:
             sweep = classical_cp_sweep(5, d, d_e, np.random.default_rng(seed))
             assert sweep == ref_sweep(5, d, d_e, seed)
 
-    def test_empty_sweeps(self, monkeypatch):
-        # no assignment is no verdict; no coupling per assignment still
-        # draws and builds each assignment, as the reference does
+    def test_empty_sweeps(self):
+        # no assignment is no verdict
         for n in (0, -1):
             with pytest.raises(ValueError, match="^n_assignments must be at least 1$"):
                 classical_cp_sweep(n, 2, 2, np.random.default_rng(1))
-        monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 0)
-        assert classical_cp_sweep(3, 2, 2, np.random.default_rng(1)) == ref_sweep(3, 2, 2, 1)
 
 
 def explicit_partial_trace(x, d_s, d_e):
@@ -465,18 +492,8 @@ def explicit_partial_trace(x, d_s, d_e):
     return out
 
 
-def noisy_block_screen(monkeypatch, size):
-    """Move every block-screened value by ``size``, with a sign fixed by the coupling."""
-    screen = dynamics._block_minima
-
-    def noisy(assignment, u):
-        return screen(assignment, u) + size * np.where(u[..., 0, 0].real > 0, 1.0, -1.0)
-
-    monkeypatch.setattr(dynamics, "_block_minima", noisy)
-
-
 class TestScreenedSweep:
-    """The sweep ranks couplings on the Choi block spectrum and reports full-path values."""
+    """The sweep reports the Choi block spectrum, which is the certificate."""
 
     @pytest.mark.parametrize("d_s,d_e", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (2, 5)])
     def test_screen_agrees_with_full_path(self, d_s, d_e):
@@ -520,24 +537,11 @@ class TestScreenedSweep:
         assert np.max(np.abs(np.linalg.eigvalsh(choi) - union)) <= 1e-12
         assert abs(dynamics._block_minima(z, u[None])[0] - union[0]) <= 1e-12
 
-    @pytest.mark.parametrize("size", [SCREEN_TOL / 4, -SCREEN_TOL / 4])
-    @pytest.mark.parametrize("d,d_e", [(2, 2), (3, 2), (2, 3)])
-    def test_noise_within_tolerance_leaves_the_sweep(self, d, d_e, size, monkeypatch):
-        noisy_block_screen(monkeypatch, size)
-        for seed in (0, 21):
-            assert classical_cp_sweep(4, d, d_e, np.random.default_rng(seed)) \
-                == ref_sweep(4, d, d_e, seed)
-
-    def test_noise_beyond_tolerance_raises(self, monkeypatch):
-        noisy_block_screen(monkeypatch, 2 * SCREEN_TOL)
-        with pytest.raises(RuntimeError, match=r"^coupling \d+: .* off the full path"):
-            classical_cp_sweep(3, 2, 2, np.random.default_rng(7))
-
-    def test_full_path_runs_few_couplings(self, monkeypatch):
+    def test_full_path_runs_no_coupling(self, monkeypatch):
         ref = ref_sweep(5, 2, 2, 7)
         count = count_full_path(monkeypatch)
         assert classical_cp_sweep(5, 2, 2, np.random.default_rng(7)) == ref
-        assert count[0] <= 2  # of the 50 couplings
+        assert count[0] == 0  # of the 50 couplings
 
 
 class TestStackedChoi:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -267,11 +268,15 @@ class TestBitIdentity:
         search = find_noncp_unitary(flags, attempts=attempts, seed=7)
         assert search.found
         dim = flags.dim_s * flags.dim_e
-        for index, lam in ((search.first_index, search.first_lambda),
-                           (search.best_index, search.best_lambda)):
-            u = replay_unitary(search.seed, index, dim)
-            assert cp_certificate(induced_map(flags, u)).lambda_min_choi == lam
-            assert reference_choi_spectrum(reference_map(flags, u), d)[0] == lam
+        # the first witness is a full-path value
+        u = replay_unitary(search.seed, search.first_index, dim)
+        assert cp_certificate(induced_map(flags, u)).lambda_min_choi == search.first_lambda
+        assert reference_choi_spectrum(reference_map(flags, u), d)[0] == search.first_lambda
+        # the best is the screen of its coupling alone, close to the full path
+        u = replay_unitary(search.seed, search.best_index, dim)
+        screened = dynamics._screen_minima(dynamics._factor(flags), flags, u[None])[0]
+        assert screened == search.best_lambda
+        assert abs(reference_choi_spectrum(reference_map(flags, u), d)[0] - screened) <= 1e-12
         assert np.array_equal(search.first_unitary,
                               replay_unitary(search.seed, search.first_index, dim))
 
@@ -296,13 +301,15 @@ class TestBitIdentity:
         sweep = classical_cp_sweep(n_assignments=3, dim_s=3, dim_e=2,
                                    rng=np.random.default_rng(21))
         rng = np.random.default_rng(21)
-        lams = []
+        screens = []
         for _ in range(3):
             z = random_zero_discord_assignment(3, 2, rng)
             for _ in range(SWEEP_COUPLINGS):
                 u = random_unitary(6, rng)
-                lams.append(reference_choi_spectrum(reference_map(z, u), 3)[0])
-        assert sweep.min_lambda == min(lams)
+                screens.append(dynamics._block_minima(z, u[None])[0])
+                lam = reference_choi_spectrum(reference_map(z, u), 3)[0]
+                assert abs(screens[-1] - lam) <= 1e-12
+        assert sweep.min_lambda == min(screens)
 
 
 class TestConditionRows:
@@ -332,3 +339,15 @@ class TestConditionRows:
 
     def test_expected_table_shape(self):
         assert set(EXPECTED_CONDITIONS) == {"none", "classical", "quantum"}
+
+
+class TestRefusals:
+    """Each refusal names what is wrong, word for word."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: induced_map(orthogonal_flag_assignment(BASIS), np.stack([np.eye(8)] * 2)),
+         "expected one unitary, got shape (2, 8, 8)"),
+    ], ids=["induced-map-of-a-stack"])
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

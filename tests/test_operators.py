@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -347,3 +348,22 @@ class TestNormsAndChecks:
     def test_require_unitary_rejects(self):
         with pytest.raises(ValueError):
             require_unitary(np.diag([1.0, 0.5]).astype(complex))
+
+
+class TestRefusals:
+    """Each refusal names what is wrong, word for word."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: partial_trace(np.eye(4), 2, 2, trace_out="X"),
+         "trace_out must be 'S' or 'E', got 'X'"),
+        (lambda: require_hermitian(np.zeros((2, 3))),
+         "operator must be square, got shape (2, 3)"),
+        (lambda: require_unitary(np.zeros((2, 3))),
+         "unitary must be square, got shape (2, 3)"),
+        (lambda: canonical_basis(2).coefficients(np.eye(3)),
+         "operator shape (3, 3) does not match basis dim 2"),
+    ], ids=["partial-trace-factor", "hermitian-not-square", "unitary-not-square",
+            "coefficients-shape"])
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
