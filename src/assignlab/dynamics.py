@@ -8,16 +8,14 @@ unitaries that break complete positivity, and the summary table of
 linearity/consistency/positivity per correlation family. The results carry
 Choi eigenvalues, defects and counts; the command line's gates decide on them.
 
-Induced maps are built from a stack of d_s^2 assigned unit images: the
-images, under the assignment's own ``apply``, of the Hermitian parts H_jk and
-K_jk of the matrix units E_jk = H_jk + i K_jk, which are all the distinct
-inputs, listed with the slots each E_jk reads in one cached table per d_s.
-This full path conjugates a stack of couplings: one stacked unitarity check,
-every (coupling, image) pair conjugated in byte-bounded blocks, one batched
-contraction tracing out the environment, the columns H + iK assembled, the
-Choi matrices by reshape and their spectra from one stacked eigensolve.
-``induced_map``, ``choi_matrix`` and ``cp_certificate`` are the same core on
-a stack of one.
+The full path, ``induced_map``, maps one coupling at a time from the d_s^2
+assigned unit images: the images, under the assignment's own ``apply``, of
+the Hermitian parts H_jk and K_jk of the matrix units E_jk = H_jk + i K_jk,
+which are all the distinct inputs, listed with the slots each E_jk reads in
+one cached table per d_s. One unitarity check, the images conjugated in
+byte-bounded blocks, one contraction tracing out the environment and the
+columns H + iK assembled; ``choi_matrix`` forms the Choi matrix by reshape
+and its spectrum from one eigensolve.
 
 The classical sweep takes its assignments in chunks: one normal draw, one
 stacked zero-discord assignment from it (``zero_discord_assignment``) and
@@ -42,15 +40,15 @@ full path, confirmed in order among the couplings screened within
 SeedSequence hash per chunk of indices (``assignlab._seeds``) in place of a
 SeedSequence per index; ``replay_unitary`` builds it through NumPy itself.
 
-Contract: every superoperator, Choi matrix and Choi spectrum is
+Contract: a coupling's superoperator, Choi matrix and Choi spectrum are
 bit-identical to mapping each E_jk by its own assign-conjugate-trace and
-summing the Choi blocks E_jk (x) M[E_jk], one coupling at a time, which is
-why the images are not combined before the conjugation and the kept blocks
-are not computed alone; both save flops but round differently. A search
-reports the same draws and first witness as one coupling at a time. Its
-best and the sweep's minimum are screened values, the same bits as one
-coupling screened alone and within 1e-12 of the full path's, so
-``best_lambda`` and the witness lambda may differ in the last bits.
+summing the Choi blocks E_jk (x) M[E_jk], which is why the images are not
+combined before the conjugation and the kept blocks are not computed alone;
+both save flops but round differently. A search reports the same draws and
+first witness as scanning every coupling on the full path. Its best and the
+sweep's minimum are screened values, the same bits as one coupling screened
+alone and within 1e-12 of the full path's, so ``best_lambda`` and the
+witness lambda may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -141,53 +139,30 @@ def _unit_inputs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return table
 
 
-def _unit_images(assignment) -> np.ndarray:
-    """Assigned images (d_s^2, D, D) of the unit inputs, from one stacked
-    call of the family's own ``apply``."""
-    return assignment.apply(_unit_inputs(assignment.dim_s)[0])
-
-
-def _superoperator(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
-    """Superoperator matrices (K, d_s^2, d_s^2) induced by a stack of K
-    couplings ``u`` from the assignment's unit images: conjugate every image
-    by every coupling, trace out the environment, assemble the columns H + iK.
-
-    Every (coupling, image) pair gets the same two matrix products and the
-    same trace as a lone operator would, so the columns are bit-identical to
-    mapping each matrix unit on its own under each coupling alone. A block of
-    pairs, bounded by ``chunk_ranges``, is a block of whole couplings by all
-    images, or one coupling by a block of images when one coupling's images
-    exceed the budget.
-    """
-    d_s, d_e = assignment.dim_s, assignment.dim_e
-    u = require_unitary(u)
-    if u.ndim != 3 or u.shape[-1] != d_s * d_e:
-        raise ValueError(f"expected a stack of {d_s * d_e}-dimensional unitaries, "
-                         f"got shape {u.shape}")
-    u, u_dag = u[:, None], u.conj()[:, None].swapaxes(-1, -2)
-    k, n = u.shape[0], images.shape[0]
-    traced = np.empty((k, n, d_s, d_s), dtype=complex)
-    for c, c_end in chunk_ranges(k, images.nbytes):
-        for i, i_end in chunk_ranges(n, images[0].nbytes):
-            joint = u[c:c_end] @ images[i:i_end] @ u_dag[c:c_end]
-            traced[c:c_end, i:i_end] = np.einsum(
-                "kniaja->knij", joint.reshape(joint.shape[:2] + (d_s, d_e, d_s, d_e)))
-    _, herm, skew, sign = _unit_inputs(d_s)
-    columns = traced[:, herm] + 1j * (sign[:, None, None] * traced[:, skew])
-    return np.ascontiguousarray(columns.reshape(k, d_s * d_s, d_s * d_s).swapaxes(-1, -2))
-
-
 def induced_map(assignment, u: np.ndarray) -> np.ndarray:
     """Read-only superoperator matrix of: assign, conjugate by ``u``, trace out the environment.
 
     Assignments are defined on Hermitian operators only, so each matrix unit
     is extended complex-linearly through its Hermitian decomposition
-    E = H + iK.
+    E = H + iK. The images of the d_s^2 distinct parts come from one call of
+    the assignment's ``apply``; each gets its own two matrix products and
+    trace, in blocks of images bounded by ``chunk_ranges``, so the columns
+    are bit-identical to mapping each matrix unit on its own.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2:
-        raise ValueError(f"expected one unitary, got shape {u.shape}")
-    mat = _superoperator(_unit_images(assignment), assignment, u[None])[0]
+    d_s, d_e = assignment.dim_s, assignment.dim_e
+    dim = d_s * d_e
+    if np.shape(u) != (dim, dim):
+        raise ValueError(f"expected one {dim}-dimensional unitary, got shape {np.shape(u)}")
+    u = require_unitary(u)
+    inputs, herm, skew, sign = _unit_inputs(d_s)
+    images = assignment.apply(inputs)
+    u_dag = u.conj().T
+    traced = np.empty((len(images), d_s, d_s), dtype=complex)
+    for i, i_end in chunk_ranges(len(images), images[0].nbytes):
+        joint = u @ images[i:i_end] @ u_dag
+        traced[i:i_end] = np.einsum("niaja->nij", joint.reshape(-1, d_s, d_e, d_s, d_e))
+    columns = traced[herm] + 1j * (sign[:, None, None] * traced[skew])
+    mat = np.ascontiguousarray(columns.reshape(d_s * d_s, d_s * d_s).T)
     mat.setflags(write=False)
     return mat
 
@@ -222,11 +197,6 @@ def choi_matrix(superop: np.ndarray) -> ChoiMatrix:
     c.setflags(write=False)
     spectrum.setflags(write=False)
     return ChoiMatrix(mat=c, spectrum=spectrum)
-
-
-def _choi_minima(images: np.ndarray, assignment, u: np.ndarray) -> np.ndarray:
-    """Smallest Choi eigenvalue of the map induced by each coupling of ``u``."""
-    return _choi(_superoperator(images, assignment, u), assignment.dim_s)[1][:, 0]
 
 
 @dataclass(frozen=True)
@@ -281,8 +251,9 @@ def _factor(assignment) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _screen_minima(factor, assignment, u: np.ndarray) -> np.ndarray:
-    """``_choi_minima`` on the factored map, up to rounding: D^2 R flops per
-    coupling of ``u`` for U W, against 2 d_s^2 D^3 on the full path."""
+    """Smallest Choi eigenvalue of the map induced by each coupling of ``u``,
+    up to rounding, from the factored map: D^2 R flops per coupling for U W,
+    against 2 d_s^2 D^3 on the full path."""
     d_s, d_e = assignment.dim_s, assignment.dim_e
     w, coeffs = factor
     # row r of (U W)^T, reshaped to (d_s, d_e), is X_r with A_r = X_r X_r^dag
@@ -291,27 +262,19 @@ def _screen_minima(factor, assignment, u: np.ndarray) -> np.ndarray:
     return _choi(a.swapaxes(-1, -2) @ coeffs, d_s)[1][:, 0]
 
 
-def _confirm(images, assignment, index, u: np.ndarray, screened: np.ndarray) -> np.ndarray:
-    """Full-path Choi minima of the couplings ``u`` at search indices
-    ``index``; RuntimeError when one lies further than SCREEN_TOL from its
-    screened value."""
-    exact = _choi_minima(images, assignment, u)
-    off = np.flatnonzero(~(np.abs(exact - screened) <= SCREEN_TOL))
-    if off.size:
-        i = off[0]
-        raise RuntimeError(f"coupling {index[i]}: the screened Choi minimum "
-                           f"{screened[i]!r} is off the full path's {exact[i]!r} "
-                           f"by more than {SCREEN_TOL:.0e}")
-    return exact
-
-
-def _first_witness(images, assignment, u: np.ndarray, screened: np.ndarray, lo: int):
+def _first_witness(assignment, u: np.ndarray, screened: np.ndarray, lo: int):
     """(index, lambda, read-only copy of the unitary) of the first coupling
     of a chunk starting at ``lo`` whose full-path minimum is below
     NONCP_THRESHOLD, or None: couplings screened at or above
-    NONCP_THRESHOLD + SCREEN_TOL are skipped, the rest confirmed in order."""
+    NONCP_THRESHOLD + SCREEN_TOL are skipped, the rest confirmed in order; a
+    confirmed value further than SCREEN_TOL from its screened one (or NaN)
+    raises RuntimeError."""
     for i in np.flatnonzero(screened < NONCP_THRESHOLD + SCREEN_TOL):
-        lam = _confirm(images, assignment, [lo + i], u[i:i + 1], screened[i:i + 1])[0]
+        lam = choi_matrix(induced_map(assignment, u[i])).spectrum[0]
+        if not abs(lam - screened[i]) <= SCREEN_TOL:
+            raise RuntimeError(f"coupling {lo + i}: the screened Choi minimum "
+                               f"{screened[i]!r} is off the full path's {lam!r} "
+                               f"by more than {SCREEN_TOL:.0e}")
         if lam < NONCP_THRESHOLD:
             witness = u[i].copy()
             witness.setflags(write=False)
@@ -332,27 +295,28 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
 
     Each chunk of couplings is screened on the factored map
     (``_screen_minima``): the best is the first lowest screened value,
-    within 1e-12 of the full path's (``_choi_minima``). Only the first
-    witness is confirmed on the full path: the couplings screened below
-    NONCP_THRESHOLD + SCREEN_TOL run on it in order, up to the first one
-    confirmed below NONCP_THRESHOLD; a confirmed value further than
-    SCREEN_TOL from its screened one raises RuntimeError. So on one coupling
-    ``first_lambda`` and ``best_lambda`` may differ in the last bits.
+    within 1e-12 of the full path's. Only the first witness is confirmed on
+    the full path, ``induced_map`` and ``choi_matrix``: the couplings
+    screened below NONCP_THRESHOLD + SCREEN_TOL run on it in order, up to
+    the first one confirmed below NONCP_THRESHOLD; a confirmed value further
+    than SCREEN_TOL from its screened one raises RuntimeError. The unit
+    images are built only when a coupling reaches confirmation, so a search
+    that confirms none calls no ``apply``. On one coupling ``first_lambda``
+    and ``best_lambda`` may differ in the last bits.
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
     dim = assignment.dim_s * assignment.dim_e
     first = None
     best_index, best_lambda = -1, np.inf
-    images = _unit_images(assignment)
     factor = _factor(assignment)
     # imported here: it imports numpy.random, which importing the package does not
     from assignlab._seeds import keyed_streams
 
     streams = keyed_streams(seed, attempts)
     # a chunk of couplings is bounded by their normals and unitaries (the
-    # screen's U W is R/D of the unitaries); _superoperator bounds the joint
-    # operators of the witness candidates it confirms on its own
+    # screen's U W is R/D of the unitaries); induced_map bounds the joint
+    # operators of each witness candidate it confirms on its own
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
         # the normals replay_unitary(seed, i) draws, one stream per index
         normals = np.empty((hi - lo, 2, dim, dim))
@@ -361,7 +325,7 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
         u = haar_unitaries(normals)
         screened = _screen_minima(factor, assignment, u)
         if first is None:
-            first = _first_witness(images, assignment, u, screened, lo)
+            first = _first_witness(assignment, u, screened, lo)
         i = int(np.argmin(screened))
         if screened[i] < best_lambda:
             best_index, best_lambda = lo + i, float(screened[i])
@@ -388,9 +352,9 @@ class CPSweep:
 
 
 def _block_minima(assignment, u: np.ndarray) -> np.ndarray:
-    """``_choi_minima`` of a zero-discord assignment up to rounding, from its
-    Choi block spectrum; couplings (k, D, D), or (n, k, D, D) for a stack of
-    n assignments.
+    """Smallest Choi eigenvalue of the map each coupling induces from a
+    zero-discord assignment, up to rounding, from its Choi block spectrum;
+    couplings (k, D, D), or (n, k, D, D) for a stack of n assignments.
 
     The map Lambda(rho) = sum_i Tr[Pi_i rho] A_i, A_i = Tr_E[U (Pi_i (x)
     tau_i) U^dag], has the Choi matrix sum_i conj(Pi_i) (x) A_i, whose
@@ -418,11 +382,11 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
 
     An assignment draws the normals ``zero_discord_assignment`` builds it
     from, then its couplings' normals: one draw per chunk of assignments is
-    the same stream. A chunk is budgeted for each assignment's d_s terms and
-    d_s^2 unit images, which the sweep does not build, and its couplings'
-    normals, unitaries and screens; an assignment whose couplings alone
-    exceed ``_CHUNK_BYTES`` is a chunk of its own and draws its later
-    couplings in chunks of their own.
+    the same stream. A chunk is budgeted for the arrays its couplings hold,
+    six D x D each: the normals, the Ginibre matrix and its QR, the unitary
+    and the screen's x, y and ty. An assignment whose couplings alone exceed
+    ``_CHUNK_BYTES`` then charges more than half of it, so it is a chunk of
+    its own and draws its later couplings in chunks of their own.
 
     Every coupling is screened on the Choi block spectrum
     (``_block_minima``), which is the certificate itself: ``min_lambda`` is
@@ -434,7 +398,7 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
     dim = dim_s * dim_e
     size = zero_discord_size(dim_s, dim_e)
     couplings = list(chunk_ranges(SWEEP_COUPLINGS, 32 * dim * dim))
-    per_assignment = 16 * dim * dim * (dim_s + dim_s * dim_s + 3 * SWEEP_COUPLINGS)
+    per_assignment = 16 * dim * dim * 6 * SWEEP_COUPLINGS
     min_lambda = np.inf
     maps_checked = 0
     for lo, hi in chunk_ranges(n_assignments, per_assignment):

@@ -13,7 +13,6 @@ import assignlab._seeds as seeds
 from assignlab.cli import (
     EXPERIMENTS,
     ExperimentConfig,
-    ExperimentReport,
     UsageError,
     emit,
     main,

@@ -30,6 +30,7 @@ from assignlab.dynamics import (
     SCREEN_TOL,
     CPSweep,
     NonCPSearch,
+    choi_matrix,
     classical_cp_sweep,
     cp_certificate,
     find_noncp_unitary,
@@ -333,16 +334,21 @@ def screen_families(d, rng):
 
 
 def count_full_path(monkeypatch):
-    """Couplings run through ``_superoperator`` from now on, in a one-item list."""
+    """Couplings run through ``induced_map`` from now on, in a one-item list."""
     count = [0]
-    full = dynamics._superoperator
+    full = dynamics.induced_map
 
-    def counted(images, assignment, u):
-        count[0] += u.shape[0]
-        return full(images, assignment, u)
+    def counted(assignment, u):
+        count[0] += 1
+        return full(assignment, u)
 
-    monkeypatch.setattr(dynamics, "_superoperator", counted)
+    monkeypatch.setattr(dynamics, "induced_map", counted)
     return count
+
+
+def full_path_lambda(assignment, u):
+    """Full-path Choi minimum of one coupling, as the search confirms it."""
+    return choi_matrix(induced_map(assignment, u)).spectrum[0]
 
 
 def noisy_screen(monkeypatch, size):
@@ -365,7 +371,7 @@ class TestScreenedSearch:
         for assignment in screen_families(d, rng):
             u = random_unitary(assignment.dim_s * assignment.dim_e, rng, 3)
             screened = dynamics._screen_minima(dynamics._factor(assignment), assignment, u)
-            exact = dynamics._choi_minima(dynamics._unit_images(assignment), assignment, u)
+            exact = np.array([full_path_lambda(assignment, u_k) for u_k in u])
             assert np.max(np.abs(screened - exact)) <= 1e-12
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
@@ -391,7 +397,7 @@ class TestScreenedSearch:
         flags = orthogonal_flag_assignment(canonical_basis(2))
         set_chunking(monkeypatch, chunking, flags.dim_s * flags.dim_e)
         pool = random_unitary(8, np.random.default_rng(4), 2)
-        lams = [old_lambda(flags, u) for u in pool]
+        lams = [full_path_lambda(flags, u) for u in pool]
         high = int(np.argmax(lams))
         monkeypatch.setattr(dynamics, "haar_unitaries",
                             lambda normals: pool[(normals[:, 0, 0, 0] > 0).astype(int)])
@@ -443,6 +449,24 @@ class TestScreenedSearch:
         with pytest.raises(RuntimeError, match=r"^coupling \d+: .* off the full path"):
             find_noncp_unitary(flags, attempts=9, seed=3)
 
+    def test_search_without_candidates_calls_no_apply(self, monkeypatch):
+        """A product assignment induces CP maps only, so no coupling is
+        screened near the threshold and its unit images are never built."""
+        product = product_assignment(canonical_basis(3),
+                                     random_density(3, np.random.default_rng(12)))
+        calls = [0]
+        apply = type(product).apply
+
+        def counted(self, *args):
+            calls[0] += 1
+            return apply(self, *args)
+
+        monkeypatch.setattr(type(product), "apply", counted)
+        count = count_full_path(monkeypatch)
+        search = find_noncp_unitary(product, attempts=20, seed=7)
+        assert not search.found and search.best_lambda >= -CP_TOL
+        assert (calls[0], count[0]) == (0, 0)
+
     def test_full_path_runs_few_couplings(self, monkeypatch):
         flags = orthogonal_flag_assignment(canonical_basis(3))
         count = count_full_path(monkeypatch)
@@ -467,15 +491,26 @@ class TestStackedSweep:
             assert sweep.maps_checked == 15 and sweep.min_lambda >= -CP_TOL
 
     def test_chunks_of_several_assignments(self, monkeypatch):
-        # two whole assignments per chunk: 5 assignments in chunks of 2, 2, 1
+        # two whole assignments per chunk: 5 assignments in chunks of 2, 2, 1,
+        # each charged six D x D arrays per coupling
         d, d_e = 3, 2
         dim = d * d_e
         monkeypatch.setattr(dynamics, "SWEEP_COUPLINGS", 3)
-        per_assignment = 16 * dim * dim * (d + d * d + 3 * 3)
+        per_assignment = 16 * dim * dim * 6 * 3
         monkeypatch.setattr(operators, "_CHUNK_BYTES", 2 * per_assignment)
+        chunks = []
+        build = dynamics.zero_discord_assignment
+
+        def recorded(normals, dim_s, dim_e):
+            chunks.append(len(normals))
+            return build(normals, dim_s, dim_e)
+
+        monkeypatch.setattr(dynamics, "zero_discord_assignment", recorded)
         for seed in (4, 8):
+            chunks.clear()
             sweep = classical_cp_sweep(5, d, d_e, np.random.default_rng(seed))
             assert sweep == ref_sweep(5, d, d_e, seed)
+            assert chunks == [2, 2, 1]
 
     def test_empty_sweeps(self):
         # no assignment is no verdict
@@ -503,7 +538,7 @@ class TestScreenedSweep:
         for z in (random_zero_discord_assignment(d_s, d_e, rng), pure):
             u = random_unitary(d_s * d_e, rng, 3)
             screened = dynamics._block_minima(z, u)
-            exact = dynamics._choi_minima(dynamics._unit_images(z), z, u)
+            exact = np.array([full_path_lambda(z, u_k) for u_k in u])
             assert np.max(np.abs(screened - exact)) <= 1e-12
 
     def test_a_stack_screens_each_assignment(self):

@@ -30,8 +30,6 @@ from assignlab.operators import (
     partial_trace,
     random_density,
     random_unitary,
-    tensor,
-    trace_norm,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -346,7 +344,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("call,message", [
         (lambda: induced_map(orthogonal_flag_assignment(BASIS), np.stack([np.eye(8)] * 2)),
-         "expected one unitary, got shape (2, 8, 8)"),
+         "expected one 8-dimensional unitary, got shape (2, 8, 8)"),
     ], ids=["induced-map-of-a-stack"])
     def test_refusal_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

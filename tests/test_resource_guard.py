@@ -140,6 +140,16 @@ class TestMemoryOracle:
         joint = 16 * (2 * 30) ** 2
         assert traced_peak(classical_cp_sweep, 8, 2, 30, np.random.default_rng(0)) <= 24 * joint
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sweep_budget_counts_the_couplings_arrays(self, d):
+        # a chunk of assignments is charged the six D x D arrays each of its
+        # couplings holds, so 50 assignments peak near one budget: 0.31 MiB
+        # at (2, 2) and 0.28 at (3, 3); a budget that also charged d_s terms
+        # and d_s^2 unit images, which the sweep never builds, let 0.51 and
+        # 0.37 MiB through
+        peak = traced_peak(classical_cp_sweep, 50, d, d, np.random.default_rng(0))
+        assert peak <= 1.35 * operators._CHUNK_BYTES
+
     def test_appendix_holds_one_audit_per_chunk(self, monkeypatch):
         # ten audits at (6, 6), one per chunk, peak at 1.6 term stacks (the
         # terms and one corrupted set); all ten at once peak at 12.1
