@@ -547,7 +547,8 @@ _EXPERIMENTS = {
     "appendix": (_run_appendix, 2, lambda s, e: [(s * s, s, e)]),
     "compat-domain": (_run_compat_domain, 1, lambda s, e: [(s * s, s, s * s)]),
     "broadcast": (_run_broadcast, 1, lambda s, e: [(4, 2, 2)]),
-    # terms and their unit images, in the classical sweep and on the flags
+    # the flags' terms and unit images on the search's full path; the first
+    # entry counts them at the sweep's dims, where the sweep builds neither
     "dynamics-cp": (_run_dynamics_cp, 2, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),
     "table1": (_run_table1, 1, lambda s, e: [(4, 2, 2)]),
 }
@@ -633,7 +634,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Seeded certification experiments for assignment maps.",
     )
     parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=int,
+                        help=f"default: the config file's seed, else ${SEED_ENV_VAR}, else 0")
     parser.add_argument("--samples", type=int)
     parser.add_argument("--dim-s", type=int, dest="dim_s")
     parser.add_argument("--dim-e", type=int, dest="dim_e")

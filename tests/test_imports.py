@@ -1,16 +1,20 @@
 """Every imported name is used: read as a name somewhere in its module, or
-listed in the module's ``__all__``. Covers the package (its ``__init__``,
-which only re-exports, aside), the tests and the tools; ``from __future__``
-imports are exempt."""
+listed in the module's ``__all__``. Covers the package, the tests and the
+tools; ``from __future__`` imports are exempt.
+
+Each layer loads only the layers below it, in a fresh interpreter."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(
-    [p for p in (ROOT / "src" / "assignlab").glob("*.py") if p.name != "__init__.py"]
+    list((ROOT / "src" / "assignlab").glob("*.py"))
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "tools").glob("*.py"))
 )
@@ -44,3 +48,26 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the package's modules each import loads besides itself: operators, then
+# assignments, then compatibility and dynamics; the search loads _seeds only
+# when it runs
+LAYERS = {
+    "assignlab": set(),
+    "assignlab.operators": set(),
+    "assignlab.assignments": {"assignlab.operators"},
+    "assignlab.compatibility": {"assignlab.assignments", "assignlab.operators"},
+    "assignlab.dynamics": {"assignlab.assignments", "assignlab.operators"},
+}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_a_layer_loads_only_the_layers_below_it(module):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    check = (f"import sys, {module}; "
+             "print(*(m for m in sys.modules if m.startswith('assignlab.')))")
+    out = subprocess.run([sys.executable, "-c", check], env=env,
+                         capture_output=True, text=True, check=True)
+    assert set(out.stdout.split()) - {module} == LAYERS[module]
