@@ -20,9 +20,12 @@ probe order and the same first-minimum witness as probing one state at a
 time, each chunk within ``_CHUNK_BYTES`` of the matrices a probe holds:
 ``probe_chunks`` for outputs mapped through ``apply`` (D x D), and
 ``eigen_chunks`` for ``min_output_eigenvalue`` (R x R on the support factor
-below). The Hermiticity/trace audit has two halves: ``audit_outputs`` maps
-caller-drawn states, for one assignment or a stack, and ``audit_corruption``
-corrupts one assignment.
+below). ``positivity_certificate`` chunks its whole probe sequence at once,
+so a chunk may span probe kinds (basis projectors, axis states, random pure
+and mixed states), and ``pechukas_constraints`` lifts its four probes in one
+stacked product where they fit. The Hermiticity/trace audit has two halves:
+``audit_outputs`` maps caller-drawn states, for one assignment or a stack,
+and ``audit_corruption`` corrupts one assignment.
 
 Positivity is decided by ``min_output_eigenvalue``. Every output lies in the
 span of the R vectors v_i (x) e_im, where P_i = |v_i><v_i| and e_im are the
@@ -44,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -351,23 +355,33 @@ class PositivityReport:
 
 
 def _probe_states(assignment, samples: int, rng: np.random.Generator):
-    """Positivity probes in order, as (label, index of the first state,
-    stack of states) chunks: basis projectors, the six axis states on qubits
-    (labelled from 1), then seeded Haar-random pure and
-    Hilbert-Schmidt-random mixed states, each kind drawn as one stream."""
+    """Positivity probes in order, as (pieces, stack of states) chunks of one
+    ``eigen_chunks`` over all of them: basis projectors, the six axis states
+    on qubits (labelled from 1), then seeded Haar-random pure and
+    Hilbert-Schmidt-random mixed states, each random kind drawn as one
+    stream, piece by piece. A chunk may span kinds; ``pieces`` holds, for
+    each kind it cuts, (label, label index of the piece's first state,
+    offset of that state in the chunk)."""
     d = assignment.dim_s
     kind = "basis" if isinstance(assignment.basis, ProjectorBasis) else "measurement"
-    fixed = [(f"{kind} projector", 0, assignment.basis.projectors)]
+    projectors = assignment.basis.projectors
+    kinds = [(f"{kind} projector", 0, len(projectors), lambda lo, hi: projectors[lo:hi])]
     if d == 2:
-        fixed.append(("axis state", 1, np.stack(qubit_states())))
-    for label, first, stack in fixed:
-        for lo, hi in eigen_chunks(assignment, len(stack)):
-            yield label, first + lo, stack[lo:hi]
+        axis = np.stack(qubit_states())
+        kinds.append(("axis state", 1, len(axis), lambda lo, hi: axis[lo:hi]))
     n_pure = (samples + 1) // 2
     for label, draw, count in (("random pure", random_pure, n_pure),
                                ("random mixed", random_density, samples - n_pure)):
-        for lo, hi in eigen_chunks(assignment, count):
-            yield label, lo, draw(d, rng, hi - lo)
+        kinds.append((label, 0, count, lambda lo, hi, draw=draw: draw(d, rng, hi - lo)))
+    starts = list(accumulate((count for _, _, count, _ in kinds), initial=0))
+    for lo, hi in eigen_chunks(assignment, starts[-1]):
+        pieces, parts = [], []
+        for (label, first, _, take), start, stop in zip(kinds, starts, starts[1:]):
+            a, b = max(lo, start), min(hi, stop)
+            if a < b:
+                pieces.append((label, first + a - start, a - lo))
+                parts.append(take(a - start, b - start))
+        yield pieces, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def positivity_certificate(assignment, samples: int, rng: np.random.Generator) -> PositivityReport:
@@ -382,12 +396,13 @@ def positivity_certificate(assignment, samples: int, rng: np.random.Generator) -
     witness_label = ""
     witness_state = None
     count = 0
-    for label, first, states in _probe_states(assignment, samples, rng):
+    for pieces, states in _probe_states(assignment, samples, rng):
         count += len(states)
         lams = assignment.min_output_eigenvalue(states)
         i = int(np.argmin(lams))
         if lams[i] < best:
-            best, witness_label, witness_state = lams[i], f"{label} {first + i}", states[i]
+            label, first, offset = next(p for p in reversed(pieces) if p[2] <= i)
+            best, witness_label, witness_state = lams[i], f"{label} {first + i - offset}", states[i]
     return PositivityReport(
         min_eigenvalue=float(best),
         witness_label=witness_label,
@@ -483,13 +498,18 @@ def pechukas_constraints(taus, states=None) -> PechukasResiduals:
     delta = 0.5 * (tensor(s1, t1) + tensor(s4, t4)) - 0.5 * (tensor(s2, t2) + tensor(s5, t5))
     mixture = trace_norm(delta)
 
-    eye_e = np.eye(dim_e)
+    # expectation of the identity over each probe state, scaled to match the
+    # 2*tau_a - tau_b - tau_c normalization: one stacked product, partial
+    # trace and eigensolve for as many of the four probes as fit
+    # ``_CHUNK_BYTES``, each probe's product the size of delta
+    probes = np.stack([s1, s2, s4, s5])
+    lead = (1,) * (delta.ndim - 2)
     residuals = []
-    for probe in (s1, s2, s4, s5):
-        # expectation of the identity over the probe state, scaled to match
-        # the 2*tau_a - tau_b - tau_c normalization
-        reduced = partial_trace(tensor(probe, eye_e) @ delta, dim_s, dim_e, "S")
-        residuals.append(trace_norm(4.0 * reduced))
+    for lo, hi in chunk_ranges(len(probes), delta.nbytes):
+        lifted = tensor(probes[lo:hi], np.eye(dim_e))
+        lifted = lifted.reshape((hi - lo,) + lead + lifted.shape[-2:])
+        reduced = partial_trace(lifted @ delta, dim_s, dim_e, "S")
+        residuals.extend(trace_norm(4.0 * reduced))
     return PechukasResiduals(mixture_residual=mixture, expectation_residuals=tuple(residuals))
 
 

@@ -4,9 +4,11 @@ valid system-environment density operators.
 ``domain_verdict`` decides membership by the smallest output eigenvalue
 (``min_output_eigenvalue``, on the assignment's support factor when it has
 one), for one state or a stack; bisection along affine rays locates the
-boundary with the same verdict, and the volume is estimated by Monte Carlo
-sampling under the Hilbert-Schmidt measure, handing each byte-bounded stack
-of draws (``eigen_chunks``) to ``domain_verdict``. ``simplex_domain_check``
+boundary with the same verdict, deciding ``_SPECULATIVE_STEPS`` steps per
+stacked call on the midpoints they could visit (and the center with t = 1
+in one call), with the bits of one step per call; the volume is estimated
+by Monte Carlo sampling under the Hilbert-Schmidt measure, handing each
+byte-bounded stack of draws (``eigen_chunks``) to ``domain_verdict``. ``simplex_domain_check``
 is the independent check that the flag assignment's output spectrum is its
 weights padded with zeros, which the factor, built from those weights, would
 take for granted: with the flags rotated onto the computational basis, the
@@ -51,6 +53,8 @@ __all__ = [
 
 BISECTION_BRACKET = 1e-8
 BISECTION_MAX_ITER = 60
+# bisection steps decided per stacked domain_verdict, on 2^k - 1 midpoints
+_SPECULATIVE_STEPS = 3
 
 # largest Frobenius norm of a flag output's off-diagonal environment blocks
 # that the block eigensolve drops; it bounds the shift of every eigenvalue
@@ -92,6 +96,19 @@ class RaySection:
     bracket_width: float
 
 
+def _midpoint_tree(lo: float, hi: float) -> list:
+    """The 2^k - 1 midpoints the next k = ``_SPECULATIVE_STEPS`` bisection
+    steps from [lo, hi] could visit, in heap order: node j brackets [a, b]
+    at its midpoint 0.5 * (a + b), and its children 2j + 1 and 2j + 2
+    bracket the steps that leave the midpoint out of the domain and in it."""
+    brackets, mids = [(lo, hi)], []
+    for j in range(2**_SPECULATIVE_STEPS - 1):
+        a, b = brackets[j]
+        mids.append(0.5 * (a + b))
+        brackets += [(a, mids[j]), (mids[j], b)]
+    return mids
+
+
 def boundary_along_ray(
     assignment,
     center: np.ndarray,
@@ -103,26 +120,41 @@ def boundary_along_ray(
     The smallest output eigenvalue is concave along an affine segment of
     inputs, so the in-domain set on the ray is an interval containing t = 0;
     bisection on the exit point is therefore valid.
+
+    The center and t = 1 are decided in one stacked ``domain_verdict``, and
+    the bisection takes ``_SPECULATIVE_STEPS`` steps per stacked call: it
+    decides the 2^k - 1 midpoints those steps could visit, each formed as
+    the step would form it, 0.5 * (lo + hi), which is exact on the dyadic
+    brackets, and replays the steps on their verdicts. So ``t_star``,
+    ``iterations`` and ``bracket_width`` are those of one step per call,
+    bit for bit.
     """
     _require_tol(tol)
     center = require_density(np.asarray(center, dtype=complex), name="center")
     target = require_density(np.asarray(target, dtype=complex), name="target")
-    if not domain_verdict(assignment, center, tol).in_domain:
+
+    def ray(t) -> np.ndarray:
+        t = np.asarray(t)[:, None, None]
+        return (1.0 - t) * center + t * target
+
+    # the center and the far end in one call
+    ends = np.concatenate([center[None], ray([1.0])])
+    inside = domain_verdict(assignment, ends, tol).in_domain
+    if not inside[0]:
         raise ValueError("center state is not in the compatibility domain")
-
-    def in_domain(t: float) -> bool:
-        return domain_verdict(assignment, (1.0 - t) * center + t * target, tol).in_domain
-
-    if in_domain(1.0):
+    if inside[1]:
         return RaySection(t_star=1.0, iterations=0, bracket_width=0.0)
     lo, hi = 0.0, 1.0
     iterations = 0
+    mids, j = [], 0
     while hi - lo > BISECTION_BRACKET and iterations < BISECTION_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if in_domain(mid):
-            lo = mid
+        if j >= len(mids):  # past the last decided step
+            mids, j = _midpoint_tree(lo, hi), 0
+            verdicts = domain_verdict(assignment, ray(mids), tol).in_domain
+        if verdicts[j]:
+            lo, j = mids[j], 2 * j + 2
         else:
-            hi = mid
+            hi, j = mids[j], 2 * j + 1
         iterations += 1
     return RaySection(t_star=lo, iterations=iterations, bracket_width=hi - lo)
 

@@ -449,19 +449,21 @@ def _linearity_defect(assignment, samples: int, rng: np.random.Generator) -> flo
             normals[:, i] = rng.standard_normal((2, 2, d, d))
         b = 1.0 - a
         rho1, rho2 = ginibre_densities(normals)
-        mixed = assignment.apply(a * rho1 + b * rho2)
-        split = a * assignment.apply(rho1) + b * assignment.apply(rho2)
-        worst = max(worst, float(np.max(trace_norm(mixed - split))))
+        # the mixture and both states through one apply
+        mixed, out1, out2 = assignment.apply(np.stack([a * rho1 + b * rho2, rho1, rho2]))
+        worst = max(worst, float(np.max(trace_norm(mixed - (a * out1 + b * out2)))))
     return worst
 
 
 def _consistency_defect_max(assignment, samples: int, rng: np.random.Generator) -> float:
+    """Largest consistency defect over the six axis states on qubits, then
+    ``samples`` random states; the axis states join the first random chunk."""
     d = assignment.dim_s
+    fixed = np.stack(qubit_states()) if d == 2 else np.empty((0, d, d), dtype=complex)
     worst = 0.0
-    if d == 2:
-        worst = float(np.max(consistency_defect(assignment, np.stack(qubit_states()))))
-    for lo, hi in probe_chunks(assignment, samples):
-        states = random_density(d, rng, hi - lo)
+    for lo, hi in probe_chunks(assignment, len(fixed) + samples):
+        drawn = random_density(d, rng, hi - max(lo, len(fixed))) if hi > len(fixed) else fixed[:0]
+        states = np.concatenate([fixed[lo:hi], drawn])
         worst = max(worst, float(np.max(consistency_defect(assignment, states))))
     return worst
 

@@ -192,6 +192,20 @@ def ref_pechukas(taus, states):
     return residuals
 
 
+def old_pechukas_constraints(taus, states):
+    """The mixture residual and the four probe residuals as computed one
+    probe at a time, each with its own product, partial trace and eigensolve."""
+    s1, s2, s4, s5 = (np.asarray(s, dtype=complex) for s in states)
+    t1, t2, t4, t5 = (np.asarray(t, dtype=complex) for t in taus)
+    dim_e = t1.shape[-1]
+    delta = 0.5 * (tensor(s1, t1) + tensor(s4, t4)) - 0.5 * (tensor(s2, t2) + tensor(s5, t5))
+    residuals = []
+    for probe in (s1, s2, s4, s5):
+        reduced = partial_trace(tensor(probe, np.eye(dim_e)) @ delta, 2, dim_e, "S")
+        residuals.append(trace_norm(4.0 * reduced))
+    return trace_norm(delta), residuals
+
+
 @pytest.fixture(params=[False, True], ids=["budget-chunks", "one-state-chunks"])
 def chunking(request, monkeypatch):
     if request.param:
@@ -271,9 +285,16 @@ class TestStackedProbing:
                                             (eigen_chunks, full, 3 * d)):
             chunks = list(chunks_of(assignment, 50))
             assert max(hi - lo for lo, hi in chunks) == min(largest(side), 50)
+        # one chunking over every probe, so chunks run across kinds; each
+        # piece's offset is where its kind starts in the chunk
+        total = d * d + 6 * (d == 2) + 50
         chunks = list(_probe_states(flags, 50, np.random.default_rng(0)))
-        assert max(len(states) for _, _, states in chunks) == min(largest(d * d), 25)
-        assert sum(len(states) for _, _, states in chunks) == d * d + 6 * (d == 2) + 50
+        assert max(len(states) for _, states in chunks) == min(largest(d * d), total)
+        assert sum(len(states) for _, states in chunks) == total
+        for pieces, states in chunks:
+            offsets = [offset for _, _, offset in pieces]
+            assert offsets[0] == 0 and offsets == sorted(set(offsets))
+            assert offsets[-1] < len(states)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_positivity_certificate(self, d, chunking):
@@ -327,6 +348,59 @@ class TestStackedProbing:
                 assert np.allclose(got, ref, rtol=0, atol=FLOAT_TOL)
                 assert abs(res.max_residual[k] - max(ref)) <= FLOAT_TOL
             assert res.max_residual[3] <= FLOAT_TOL
+
+    @pytest.mark.parametrize("dim_e", [2, 3])
+    def test_pechukas_residuals_match_one_probe_at_a_time(self, dim_e):
+        rng = np.random.default_rng(30 + dim_e)
+        eta = qubit_states()
+        for taus in (random_density(dim_e, rng, 4),
+                     random_density(dim_e, rng, 4 * 9).reshape(4, 9, dim_e, dim_e)):
+            for states in (None, (eta[0], eta[2], eta[3], eta[5])):
+                res = pechukas_constraints(taus, states=states)
+                mixture, residuals = old_pechukas_constraints(
+                    taus, (eta[0], eta[1], eta[3], eta[4]) if states is None else states)
+                assert np.array_equal(res.mixture_residual, mixture)
+                assert len(res.expectation_residuals) == 4
+                for got, want in zip(res.expectation_residuals, residuals):
+                    assert np.shape(got) == np.shape(want)
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case, kind", [
+        ((2, 0, 4, 1, 0), "measurement projector"),
+        ((2, 0, 0, 1, 0), "axis state"),
+        ((2, 0, 2, 1, 1), "random pure"),
+        ((2, 0, 5, 4, 16), "random mixed"),
+        ((3, None, None, 1, 0), "basis projector"),
+        ((3, 0, 0, 2, 5), "random mixed"),
+    ])
+    def test_witness_in_each_kind_under_chunks_across_kinds(self, case, kind, monkeypatch):
+        # (d, family seed, family, samples, seed); family None is a basis
+        # assignment with one negative environment operator, whose witness
+        # is its basis projector 0
+        d, family_seed, family, samples, seed = case
+        if family is None:
+            taus = random_density(2, np.random.default_rng(0), d * d)
+            taus[0] = np.diag([1.5, -0.5])
+            assignment = LinearAssignment(canonical_basis(d), taus)
+        else:
+            assignment = families(d, np.random.default_rng(50 + family_seed))[family]
+        best, label, state, count = ref_positivity(assignment, samples, np.random.default_rng(seed))
+        assert label.rsplit(" ", 1)[0] == kind and best < -1e-6
+        # the witness's value on the support factor may differ from the full
+        # eigensolve's in the last bits, but not with the chunking
+        whole = positivity_certificate(assignment, samples, np.random.default_rng(seed))
+        assert abs(whole.min_eigenvalue - best) <= FLOAT_TOL
+        support = assignment._support
+        side = d * assignment.dim_e if support is None else len(support[0])
+        for step in (1, 2, 3, 4, 5, 7, count):
+            monkeypatch.setattr(operators, "_CHUNK_BYTES", 16 * side * side * step)
+            chunks = list(_probe_states(assignment, samples, np.random.default_rng(seed)))
+            assert [len(states) for _, states in chunks[:-1]] == [step] * (len(chunks) - 1)
+            report = positivity_certificate(assignment, samples, np.random.default_rng(seed))
+            assert report.witness_label == label
+            assert np.array_equal(report.witness_state, state)
+            assert report.probes == count
+            assert report.min_eigenvalue == whole.min_eigenvalue
 
 
 class TestFactoriesAndAudit:
@@ -498,9 +572,11 @@ class TestOneAssignmentClass:
         rng = np.random.default_rng(0)
         for assignment, kind in ((orthogonal_flag_assignment(canonical_basis(3)), "basis"),
                                  (random_zero_discord_assignment(3, 2, rng), "measurement")):
-            label, first, states = next(_probe_states(assignment, 4, rng))
-            assert (label, first) == (f"{kind} projector", 0)
-            assert np.array_equal(states, assignment.basis.projectors)
+            pieces, states = next(_probe_states(assignment, 4, rng))
+            n = len(assignment.basis.projectors)
+            assert pieces == [(f"{kind} projector", 0, 0), ("random pure", 0, n),
+                              ("random mixed", 0, n + 2)]
+            assert np.array_equal(states[:n], assignment.basis.projectors)
 
 
 def support_families(d, rng):

@@ -120,6 +120,92 @@ class TestBoundaryAlongRay:
         assert not np.any(~good[:, :-1] & good[:, 1:]), "in-domain set along a ray is not an interval"
 
 
+def old_boundary_along_ray(assignment, center, target, tol):
+    """(t_star, iterations, bracket_width) as the bisection found them with
+    one ``domain_verdict`` per step."""
+    def in_domain(t):
+        return domain_verdict(assignment, (1.0 - t) * center + t * target, tol).in_domain
+
+    assert domain_verdict(assignment, center, tol).in_domain
+    if in_domain(1.0):
+        return 1.0, 0, 0.0
+    lo, hi = 0.0, 1.0
+    iterations = 0
+    while (hi - lo > compatibility.BISECTION_BRACKET
+           and iterations < compatibility.BISECTION_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if in_domain(mid):
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, iterations, hi - lo
+
+
+def bisection_rays(rng):
+    """(assignment, center, target) on the flag, product and zero-discord
+    families, with boundaries at t = 1, at t = 0 and inside (0, 1)."""
+    rays = [(FLAG, I2 / 2, ETA[0]), (FLAG, I2 / 2, ETA[4])]
+    rays += [(FLAG, I2 / 2, random_density(2, rng)) for _ in range(6)]
+    flags3 = orthogonal_flag_assignment(canonical_basis(3))
+    rays += [(flags3, np.eye(3) / 3, random_density(3, rng)) for _ in range(3)]
+    product = product_assignment(BASIS, random_density(2, rng))
+    rays.append((product, I2 / 2, random_density(2, rng)))
+    # the zero-discord family with a negative environment operator on
+    # branch 0: its domain holds the states with no weight there, such as
+    # the projector of branch 1, and the ray from it leaves the domain at
+    # once or once the weight outgrows the tolerance
+    z = random_zero_discord_assignment(2, 2, rng)
+    negative = np.array(z.env_ops)
+    negative[0] = np.diag([1.25, -0.25])
+    bad = LinearAssignment(z.basis, negative)
+    rays += [(z, I2 / 2, random_density(2, rng)),
+             (bad, z.basis.projectors[1], random_density(2, rng)),
+             (bad, z.basis.projectors[1], z.basis.projectors[0])]
+    return rays
+
+
+class TestSpeculativeBisection:
+    """Each stacked verdict decides _SPECULATIVE_STEPS steps, with the same
+    section as one verdict per step, bit for bit."""
+
+    @pytest.mark.parametrize("bracket, max_iter", [(compatibility.BISECTION_BRACKET, 60),
+                                                   (1e-3, 60), (1e-8, 7)],
+                             ids=["default", "wide-bracket", "iteration-cap"])
+    def test_matches_one_step_per_verdict(self, bracket, max_iter, monkeypatch):
+        monkeypatch.setattr(compatibility, "BISECTION_BRACKET", bracket)
+        monkeypatch.setattr(compatibility, "BISECTION_MAX_ITER", max_iter)
+        seen = set()
+        for tol in (1e-10, 1e-8, 1e-4):
+            where = set()
+            for assignment, center, target in bisection_rays(np.random.default_rng(12)):
+                section = boundary_along_ray(assignment, center, target, tol)
+                got = (section.t_star, section.iterations, section.bracket_width)
+                want = old_boundary_along_ray(assignment, center, target, tol)
+                assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+                where.add("one" if got[0] == 1.0 else "zero" if got[0] == 0.0 else "inside")
+            # t = 0 needs a ray that is out by more than tol at the last
+            # midpoint: at the default bracket only tol 1e-10 has such rays
+            assert {"one", "inside"} <= where
+            seen |= where
+        assert seen == {"one", "zero", "inside"}
+
+    def test_one_verdict_decides_the_ends_and_each_block_three_steps(self, monkeypatch):
+        calls = []
+
+        def counted(assignment, state, tol):
+            calls.append(len(state))
+            return domain_verdict(assignment, state, tol)
+
+        monkeypatch.setattr(compatibility, "domain_verdict", counted)
+        section = boundary_along_ray(FLAG, I2 / 2, ETA[4], 1e-8)
+        assert 0.0 < section.t_star < 1e-8 and section.iterations == 27
+        assert calls == [2] + [7] * 9
+        calls.clear()
+        assert boundary_along_ray(FLAG, I2 / 2, ETA[0]).iterations == 0
+        assert calls == [2]
+
+
 class TestDomainVolume:
     def test_product_full_volume(self):
         rng = np.random.default_rng(5)

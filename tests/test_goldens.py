@@ -1,8 +1,9 @@
 """Committed goldens: the stripped reports of ``tools/report_diff.py``'s
-config set (all ten experiments at samples 100, the dims each honours) at
-seeds 0-2, compared through the benchmark oracle's rule
-(``perfbench/oracle.compare``: pass, config and witnesses exact, integer
-metrics exact, float metrics within 1e-12). Re-render them with
+config set (all ten experiments at samples 100, the dims each honours, then
+compat-domain at (2,2) with tol 1e-8) at seeds 0-2, compared through the
+benchmark oracle's rule (``perfbench/oracle.compare``: pass, config and
+witnesses exact, integer metrics exact, float metrics within 1e-12).
+Re-render them with
 
     OPENBLAS_NUM_THREADS=1 python3 tools/report_diff.py --render . --seeds 0-2 \\
         > tests/golden/reports.json

@@ -23,6 +23,7 @@ from assignlab.assignments import (
     LinearAssignment,
     audit_corruption,
     audit_outputs,
+    pechukas_constraints,
 )
 from assignlab.cli import ExperimentConfig, UsageError, main, run
 from assignlab.dynamics import classical_cp_sweep
@@ -158,6 +159,13 @@ class TestMemoryOracle:
         monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
         config = ExperimentConfig(experiment="appendix", samples=100, dim_s=6, dim_e=6)
         assert traced_peak(run, config) <= 2.5 * 16 * 36 * 36**2
+
+    def test_pechukas_lifts_the_probes_within_the_budget(self):
+        # at d_e = 128 delta (D = 256, 1 MiB) fills the budget four times,
+        # so each probe's product is formed alone: the residuals peak at
+        # 4.0 joint operators; all four probes lifted at once peak at 10.1
+        taus = random_density(128, np.random.default_rng(0), 4)
+        assert traced_peak(pechukas_constraints, list(taus)) <= 5 * 16 * 256**2
 
     def test_audit_holds_one_corrupted_set_beside_the_terms(self):
         d = 8

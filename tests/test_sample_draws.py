@@ -23,7 +23,7 @@ from assignlab.assignments import (
     random_zero_discord_assignment,
 )
 from assignlab.cli import ExperimentConfig, _run_theorem2
-from assignlab.dynamics import _linearity_defect
+from assignlab.dynamics import _consistency_defect_max, _linearity_defect
 from assignlab.operators import (
     canonical_basis,
     chunk_ranges,
@@ -161,6 +161,41 @@ class TestStackedLinearityDefect:
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             defect = _linearity_defect(assignment, 23, rng)
             assert np.array_equal(defect, old_linearity_defect(assignment, 23, old_rng))
+            assert rng.standard_normal() == old_rng.standard_normal()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("family", ["flag", "zero-discord", "product"])
+    def test_stacked_apply_matches_three_calls(self, family, d):
+        rng = np.random.default_rng(80 + d)
+        assignment = linearity_family(family, d, rng)
+        a = rng.uniform(-1.0, 2.0, (5, 1, 1))
+        rho1, rho2 = random_density(d, rng, 5), random_density(d, rng, 5)
+        mixed = a * rho1 + (1.0 - a) * rho2
+        stacked = assignment.apply(np.stack([mixed, rho1, rho2]))
+        for got, state in zip(stacked, (mixed, rho1, rho2)):
+            assert np.array_equal(got, assignment.apply(state))
+
+
+def old_consistency_defect_max(assignment, samples, rng):
+    d = assignment.dim_s
+    worst = 0.0
+    if d == 2:
+        worst = float(np.max(consistency_defect(assignment, np.stack(qubit_states()))))
+    for lo, hi in probe_chunks(assignment, samples):
+        states = random_density(d, rng, hi - lo)
+        worst = max(worst, float(np.max(consistency_defect(assignment, states))))
+    return worst
+
+
+class TestConsistencyDefectMax:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("family", ["flag", "zero-discord", "product"])
+    def test_axis_states_in_the_first_chunk_match_their_own_call(self, family, d, chunking):
+        assignment = linearity_family(family, d, np.random.default_rng(90 + d))
+        for seed in (2, 6):
+            rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            defect = _consistency_defect_max(assignment, 23, rng)
+            assert defect == old_consistency_defect_max(assignment, 23, old_rng)
             assert rng.standard_normal() == old_rng.standard_normal()
 
 

@@ -9,7 +9,10 @@ BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3),
 ``pechukas`` reads only d_e and ``compat-domain`` only d_s, so they run at
 (2,2), (3,3) and (4,4) only (their (2,3) and (3,2) reports would repeat those
 apart from the echoed config); ``compat-domain`` also runs at (5,5), its
-only 5 x 5 flag blocks.
+only 5 x 5 flag blocks. After those, ``compat-domain`` runs once more at
+(2,2) with tol 1e-8 (``TOL_CONFIGS``), every seed in turn: at the default
+tol every bisection step toward axis state 5 leaves the domain, at 1e-8 its
+boundary lands inside (0, 1), so both branches of a step are rendered.
 Each checkout renders in its own interpreter with one BLAS thread, and
 ``runtime_ms`` is stripped. Prints the number of byte-different reports,
 every report that fails ``perfbench/oracle.compare`` (pass, witnesses and
@@ -45,6 +48,8 @@ DIMS = ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))
 # the dims an experiment renders at when it reads fewer than it is given
 FEWER_DIMS = {"table1": DIMS[:1], "broadcast": DIMS[:1],
               "pechukas": DIMS[:3], "compat-domain": DIMS[:3] + ((5, 5),)}
+# (experiment, dims, tol as labelled) rendered after the default-tol configs
+TOL_CONFIGS = (("compat-domain", (2, 2), "1e-8"),)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -62,15 +67,15 @@ def seed_range(text: str) -> range:
 def render(checkout: str, seeds: range) -> list:
     """[label, report without runtime_ms] for every config, in a fixed order."""
     cli = workloads.load_cli(checkout)
-    rendered = []
-    for experiment in cli.EXPERIMENTS:
-        for seed in seeds:
-            for dim_s, dim_e in FEWER_DIMS.get(experiment, DIMS):
-                config = cli.ExperimentConfig(experiment=experiment, seed=seed,
-                                              samples=SAMPLES, dim_s=dim_s, dim_e=dim_e)
-                body = oracle.without_runtime(cli.render_report(cli.run(config)))
-                rendered.append([f"{experiment}@({dim_s},{dim_e}) seed {seed}", body])
-    return rendered
+    configs = [(f"{experiment}@({dim_s},{dim_e}) seed {seed}",
+                dict(experiment=experiment, seed=seed, dim_s=dim_s, dim_e=dim_e))
+               for experiment in cli.EXPERIMENTS for seed in seeds
+               for dim_s, dim_e in FEWER_DIMS.get(experiment, DIMS)]
+    configs += [(f"{experiment}@({dim_s},{dim_e}) tol={tol} seed {seed}",
+                 dict(experiment=experiment, seed=seed, dim_s=dim_s, dim_e=dim_e, tol=float(tol)))
+                for experiment, (dim_s, dim_e), tol in TOL_CONFIGS for seed in seeds]
+    return [[label, oracle.without_runtime(cli.render_report(
+        cli.run(cli.ExperimentConfig(samples=SAMPLES, **fields))))] for label, fields in configs]
 
 
 def render_elsewhere(checkout: str, seeds: range) -> list:
