@@ -112,6 +112,8 @@ SUPPORT_EIG_TOL = 1e-14
 
 
 def _one(assignment):
+    """The assignment, refused with ValueError when it is a stack: the
+    probing checkers take one assignment."""
     if assignment.env_ops.ndim != 3:
         raise ValueError(f"expected one assignment, got a stack {assignment.env_ops.shape[:-3]}")
     return assignment

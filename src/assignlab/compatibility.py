@@ -115,7 +115,9 @@ def boundary_along_ray(
     target: np.ndarray,
     tol: float = PSD_TOL,
 ) -> RaySection:
-    """Bisect for the largest t in [0, 1] with (1-t) center + t target in domain.
+    """Bisect for the largest t in [0, 1] with (1-t) center + t target in
+    domain, to a bracket of ``BISECTION_BRACKET``; ``center`` and ``target``
+    must be density operators, and ``center`` in the domain.
 
     The smallest output eigenvalue is concave along an affine segment of
     inputs, so the in-domain set on the ray is an interval containing t = 0;
@@ -184,7 +186,8 @@ def wilson_interval(hits: int, samples: int) -> tuple[float, float]:
 def domain_volume(
     assignment, samples: int, rng: np.random.Generator, tol: float = PSD_TOL
 ) -> DomainEstimate:
-    """Fraction of Hilbert-Schmidt-random states inside the compatibility domain."""
+    """Fraction of Hilbert-Schmidt-random states inside the compatibility
+    domain, with its Wilson 95% interval, from at least 100 samples."""
     if samples < 100:
         raise ValueError("need at least 100 samples for a volume estimate")
     _require_tol(tol)

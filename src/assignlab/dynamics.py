@@ -8,47 +8,14 @@ unitaries that break complete positivity, and the summary table of
 linearity/consistency/positivity per correlation family. The results carry
 Choi eigenvalues, defects and counts; the command line's gates decide on them.
 
-The full path, ``induced_map``, maps one coupling at a time from the d_s^2
-assigned unit images: the images, under the assignment's own ``apply``, of
-the Hermitian parts H_jk and K_jk of the matrix units E_jk = H_jk + i K_jk,
-which are all the distinct inputs, listed with the slots each E_jk reads in
-one cached table per d_s. One unitarity check, the images conjugated in
-byte-bounded blocks, one contraction tracing out the environment and the
-columns H + iK assembled; ``choi_matrix`` forms the Choi matrix by reshape
-and its spectrum from one eigensolve.
-
-The classical sweep takes its assignments in chunks: one normal draw, one
-stacked zero-discord assignment from it (``zero_discord_assignment``) and
-one QR for all their couplings, screened on the Choi block spectrum
-(``_block_minima``: D^3 flops per coupling in place of the full path's
-2 d_s^2 D^3). A zero-discord map's Choi matrix is the direct sum of blocks,
-which is why classical correlations give CP maps (Rodriguez-Rosario et al.,
-J. Phys. A 41, 205301 (2008)): the block spectrum is the certificate, and
-the sweep reports its lowest value without the full path.
-
-The non-CP search draws one Haar stack (one stacked QR) per chunk of
-couplings, sized by their normals and unitaries, and screens them on the
-factored map: with the support columns W = [v_i (x) e_im] of the assignment
-and X = U W, each map is vec(Tr_E x_r x_r^dag) T for the columns x_r of X and
-T[r, jk] = t_im q_i(E_jk), D^2 R flops per coupling for R = sum rank tau_i,
-in place of the full path's 2 d_s^2 D^3 (the induced map itself, in the
-factored form of Jordan, Shaji and Sudarshan, PRA 70, 052110 (2004)). Its
-best is the first lowest screened value; only its first witness runs on the
-full path, confirmed in order among the couplings screened within
-``SCREEN_TOL`` of ``NONCP_THRESHOLD`` or below it. Draw i takes the stream of
-``default_rng([seed, i])``, built from one vectorized pass of NumPy's
-SeedSequence hash per chunk of indices (``assignlab._seeds``) in place of a
-SeedSequence per index; ``replay_unitary`` builds it through NumPy itself.
-
-Contract: a coupling's superoperator, Choi matrix and Choi spectrum are
-bit-identical to mapping each E_jk by its own assign-conjugate-trace and
-summing the Choi blocks E_jk (x) M[E_jk], which is why the images are not
-combined before the conjugation and the kept blocks are not computed alone;
-both save flops but round differently. A search reports the same draws and
-first witness as scanning every coupling on the full path. Its best and the
-sweep's minimum are screened values, the same bits as one coupling screened
-alone and within 1e-12 of the full path's, so ``best_lambda`` and the
-witness lambda may differ in the last bits.
+The full path is ``induced_map`` then ``choi_matrix``. Contract: a
+coupling's superoperator, Choi matrix and Choi spectrum are bit-identical to
+mapping each E_jk by its own assign-conjugate-trace and summing the Choi
+blocks E_jk (x) M[E_jk], which is why the images are not combined before the
+conjugation and the kept blocks are not computed alone; both save flops but
+round differently. The non-CP search (``find_noncp_unitary``) and the
+classical sweep (``classical_cp_sweep``) rank their couplings on cheaper
+forms of the same Choi spectrum and say where they take the full path.
 """
 
 from __future__ import annotations
@@ -71,7 +38,6 @@ from assignlab.assignments import (
     zero_discord_size,
 )
 from assignlab.operators import (
-    PSD_TOL,
     _hermitian_part,
     canonical_basis,
     chunk_ranges,
@@ -190,6 +156,8 @@ def _choi(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def choi_matrix(superop: np.ndarray) -> ChoiMatrix:
+    """Choi matrix and spectrum of a (d^2, d^2) superoperator matrix, from
+    one eigensolve; any other shape is a ValueError."""
     d = isqrt(len(superop))
     if not d or np.shape(superop) != (d * d, d * d):
         raise ValueError(f"expected a (d^2, d^2) superoperator matrix, got shape {np.shape(superop)}")
@@ -220,14 +188,12 @@ def replay_unitary(seed: int, index: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NonCPSearch:
-    """Outcome of a seeded random search for a CP-breaking unitary.
-
-    ``first_lambda`` is a full-path value, ``best_lambda`` a screened one
-    within 1e-12 of it: on one coupling they may differ in the last bits.
-    ``first_unitary`` is the first witness's coupling, read-only, or None
-    when nothing was found; a caller can check a replay of ``first_index``
-    against its bits. It takes no part in equality or repr, which compare
-    the reported fields only. ``found`` says whether ``first_*`` exist."""
+    """Outcome of ``find_noncp_unitary``, whose docstring says how each
+    field is found. ``first_unitary`` is the first witness's coupling,
+    read-only, or None when nothing was found; a caller can check a replay
+    of ``first_index`` against its bits. It takes no part in equality or
+    repr, which compare the reported fields only. ``found`` says whether
+    ``first_*`` exist."""
 
     found: bool
     seed: int
@@ -244,7 +210,8 @@ def _factor(assignment) -> tuple[np.ndarray, np.ndarray]:
     the superoperator vec(A) T, with A_r = Tr_E[U w_r w_r^dag U^dag] over the
     columns w_r of the assignment's ``_columns`` W and T[r, jk] =
     t_r q_owner(r)(E_jk) = t_r (F_owner(r))_kj, q extended complex-linearly
-    through the basis's dual frame F, q_i(h) = Tr[F_i h]."""
+    through the basis's dual frame F, q_i(h) = Tr[F_i h]: the factored form
+    of Jordan, Shaji and Sudarshan, PRA 70, 052110 (2004)."""
     owner, t, w = assignment._columns
     frame = assignment.basis.dual_frame[owner].swapaxes(-1, -2)
     return w, frame.reshape(len(owner), -1) * t[:, None]
@@ -253,7 +220,8 @@ def _factor(assignment) -> tuple[np.ndarray, np.ndarray]:
 def _screen_minima(factor, assignment, u: np.ndarray) -> np.ndarray:
     """Smallest Choi eigenvalue of the map induced by each coupling of ``u``,
     up to rounding, from the factored map: D^2 R flops per coupling for U W,
-    against 2 d_s^2 D^3 on the full path."""
+    against 2 d_s^2 D^3 on the full path (128 times fewer for the flags at
+    (4, 4))."""
     d_s, d_e = assignment.dim_s, assignment.dim_e
     w, coeffs = factor
     # row r of (U W)^T, reshaped to (d_s, d_e), is X_r with A_r = X_r X_r^dag
@@ -263,12 +231,9 @@ def _screen_minima(factor, assignment, u: np.ndarray) -> np.ndarray:
 
 
 def _first_witness(assignment, u: np.ndarray, screened: np.ndarray, lo: int):
-    """(index, lambda, read-only copy of the unitary) of the first coupling
-    of a chunk starting at ``lo`` whose full-path minimum is below
-    NONCP_THRESHOLD, or None: couplings screened at or above
-    NONCP_THRESHOLD + SCREEN_TOL are skipped, the rest confirmed in order; a
-    confirmed value further than SCREEN_TOL from its screened one (or NaN)
-    raises RuntimeError."""
+    """(index, lambda, read-only copy of the unitary) of the first witness
+    that ``find_noncp_unitary`` confirms in a chunk of couplings starting at
+    ``lo``, or None."""
     for i in np.flatnonzero(screened < NONCP_THRESHOLD + SCREEN_TOL):
         lam = choi_matrix(induced_map(assignment, u[i])).spectrum[0]
         if not abs(lam - screened[i]) <= SCREEN_TOL:
@@ -283,26 +248,32 @@ def _first_witness(assignment, u: np.ndarray, screened: np.ndarray, lo: int):
 
 
 def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
-    """Search seeded Haar unitaries for one whose induced map is not CP.
+    """Search seeded Haar unitaries for one whose induced map is not CP: a
+    witness has a Choi eigenvalue below ``NONCP_THRESHOLD``.
 
     Draw ``i`` uses the stream keyed by (seed, i), so any witness is
     replayable with :func:`replay_unitary` independently of the scan order;
     the first witness's coupling is returned too, as ``first_unitary``. The
     streams are those of ``default_rng([seed, i])``, bit for bit, from one
-    hash pass per chunk of 8192 indices (``_seeds.keyed_streams``); a
-    negative ``seed`` raises ValueError, as ``default_rng`` does, and so do
-    ``attempts`` below one.
+    hash pass per chunk of 8192 indices (``_seeds.keyed_streams``) in place
+    of a SeedSequence per index, while ``replay_unitary`` goes through
+    ``default_rng`` itself; a negative ``seed`` raises ValueError, as
+    ``default_rng`` does, and so do ``attempts`` below one.
 
-    Each chunk of couplings is screened on the factored map
-    (``_screen_minima``): the best is the first lowest screened value,
-    within 1e-12 of the full path's. Only the first witness is confirmed on
-    the full path, ``induced_map`` and ``choi_matrix``: the couplings
-    screened below NONCP_THRESHOLD + SCREEN_TOL run on it in order, up to
-    the first one confirmed below NONCP_THRESHOLD; a confirmed value further
-    than SCREEN_TOL from its screened one raises RuntimeError. The unit
-    images are built only when a coupling reaches confirmation, so a search
-    that confirms none calls no ``apply``. On one coupling ``first_lambda``
-    and ``best_lambda`` may differ in the last bits.
+    Each chunk of couplings, sized by their normals and unitaries, is one
+    Haar draw (one stacked QR), screened on the factored map (``_factor``,
+    ``_screen_minima``). The best is the first lowest screened value, the
+    same bits as screening its coupling alone and within 1e-12 of the full
+    path's (measured below 4e-15 at d_s <= 5). Only the first witness is
+    confirmed on the full path, ``induced_map`` and ``choi_matrix``: the
+    couplings screened below NONCP_THRESHOLD + SCREEN_TOL run on it in
+    order, up to the first one confirmed below NONCP_THRESHOLD; a confirmed
+    value further than SCREEN_TOL from its screened one (or NaN) raises
+    RuntimeError. The unit images are built only when a coupling reaches
+    confirmation, so a search that confirms none calls no ``apply``. The
+    draws and first witness are those of scanning every coupling on the full
+    path, but on one coupling ``first_lambda`` and ``best_lambda`` may
+    differ in the last bits.
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
@@ -358,7 +329,9 @@ def _block_minima(assignment, u: np.ndarray) -> np.ndarray:
 
     The map Lambda(rho) = sum_i Tr[Pi_i rho] A_i, A_i = Tr_E[U (Pi_i (x)
     tau_i) U^dag], has the Choi matrix sum_i conj(Pi_i) (x) A_i, whose
-    spectrum is the union of the spectra of the A_i. With the eigenpairs
+    spectrum is the union of the spectra of the A_i, which is why classical
+    correlations give CP maps (Rodriguez-Rosario et al., J. Phys. A 41,
+    205301 (2008)). With the eigenpairs
     (t_im, e_im) of tau_i, signed, A_i = sum_m t_im X_im X_im^dag for the
     columns x_im = U (v_i (x) e_im), reshaped to (d_s, d_e): D^3 flops and
     d_s eigensolves of d_s x d_s per coupling.
@@ -390,8 +363,9 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
 
     Every coupling is screened on the Choi block spectrum
     (``_block_minima``), which is the certificate itself: ``min_lambda`` is
-    the lowest screened value, within 1e-12 of the full path's, and no
-    coupling runs on the full path.
+    the lowest screened value, the same bits as screening its coupling
+    alone and within 1e-12 of the full path's, and no coupling runs on the
+    full path. ``n_assignments`` below one raises ValueError.
     """
     if n_assignments < 1:
         raise ValueError("n_assignments must be at least 1")
@@ -418,20 +392,13 @@ def classical_cp_sweep(n_assignments: int, dim_s: int, dim_e: int,
 
 @dataclass(frozen=True, eq=False)
 class ConditionRow:
-    """One family's Table-1 row: the cells the report prints (``linear``,
-    ``consistent``, ``positive``) and the values they are read from."""
+    """One family's Table-1 row: the values its linear, consistent and
+    positive cells are read from, at the command line's tolerances."""
 
     family: str
-    linear: bool
-    consistent: bool
-    positive: bool
     max_linearity_defect: float
     max_consistency_defect: float
     min_output_eigenvalue: float
-
-    @property
-    def conditions(self) -> tuple[bool, bool, bool]:
-        return (self.linear, self.consistent, self.positive)
 
 
 def _linearity_defect(assignment, samples: int, rng: np.random.Generator) -> float:
@@ -491,9 +458,6 @@ def assignment_condition_table(samples: int,
         pos = positivity_certificate(assignment, samples, rng)
         rows.append(ConditionRow(
             family=family,
-            linear=lin <= 1e-9,
-            consistent=cons <= 1e-10,
-            positive=pos.min_eigenvalue >= -PSD_TOL,
             max_linearity_defect=float(lin),
             max_consistency_defect=float(cons),
             min_output_eigenvalue=float(pos.min_eigenvalue),

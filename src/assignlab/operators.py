@@ -230,7 +230,8 @@ def weighted_sum(coeffs, ops: np.ndarray) -> np.ndarray:
 
 @cache
 def qubit_states() -> tuple[np.ndarray, ...]:
-    """The six axis-aligned pure qubit states (x+, y+, z+, x-, y-, z-)."""
+    """The six axis-aligned pure qubit states (x+, y+, z+, x-, y-, z-),
+    built once and shared, read-only."""
     eye = np.eye(2, dtype=complex)
     return tuple(
         _frozen((eye + sign * pauli) / 2)
@@ -312,7 +313,8 @@ class ProjectorBasis:
 
 @cache
 def canonical_basis(d: int) -> ProjectorBasis:
-    """Standard rank-1 projector basis spanning the Hermitian d x d matrices.
+    """Standard rank-1 projector basis spanning the Hermitian d x d
+    matrices, built once per d and shared.
 
     For d = 2 this is the axis basis (x+, y+, z+, x-); for d >= 3 it is the
     tomography-style set |j><j| together with the projectors onto

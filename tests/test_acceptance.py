@@ -26,6 +26,7 @@ from assignlab.assignments import (
     product_assignment,
     random_zero_discord_assignment,
 )
+from assignlab.cli import condition_cells
 from assignlab.compatibility import boundary_along_ray, domain_volume, simplex_domain_check
 from assignlab.dynamics import (
     assignment_condition_table,
@@ -339,7 +340,7 @@ def test_criterion_11_condition_table_reproduction():
     """Product / zero-discord / flag families give exactly the expected
     (linear, consistent, positive) pattern."""
     table = assignment_condition_table(samples=500, rng=np.random.default_rng(1101))
-    rows = {row.family: row.conditions for row in table}
+    rows = {row.family: condition_cells(row) for row in table}
     expected = {
         "none": (True, True, True),
         "classical": (True, False, True),

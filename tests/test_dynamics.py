@@ -13,7 +13,7 @@ from assignlab.assignments import (
     product_assignment,
     random_zero_discord_assignment,
 )
-from assignlab.cli import CP_TOL, EXPECTED_CONDITIONS
+from assignlab.cli import CP_TOL, EXPECTED_CONDITIONS, condition_cells
 from assignlab.dynamics import (
     SWEEP_COUPLINGS,
     assignment_condition_table,
@@ -313,11 +313,11 @@ class TestBitIdentity:
 class TestConditionRows:
     def test_rows_read_the_expected_pattern(self):
         rows = assignment_condition_table(samples=200, rng=np.random.default_rng(1))
-        assert all(row.conditions == EXPECTED_CONDITIONS[row.family] for row in rows)
+        assert all(condition_cells(row) == EXPECTED_CONDITIONS[row.family] for row in rows)
         by_family = {row.family: row for row in rows}
-        assert by_family["none"].conditions == (True, True, True)
-        assert by_family["classical"].conditions == (True, False, True)
-        assert by_family["quantum"].conditions == (True, True, False)
+        assert condition_cells(by_family["none"]) == (True, True, True)
+        assert condition_cells(by_family["classical"]) == (True, False, True)
+        assert condition_cells(by_family["quantum"]) == (True, True, False)
 
     def test_recorded_defects(self):
         rows = assignment_condition_table(samples=200, rng=np.random.default_rng(2))
@@ -332,7 +332,7 @@ class TestConditionRows:
         t2 = assignment_condition_table(samples=200, rng=np.random.default_rng(5))
         for r1, r2 in zip(t1, t2):
             assert r1.family == r2.family
-            assert r1.conditions == r2.conditions
+            assert condition_cells(r1) == condition_cells(r2)
             assert r1.max_linearity_defect == r2.max_linearity_defect
 
     def test_expected_table_shape(self):

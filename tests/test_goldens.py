@@ -1,9 +1,6 @@
 """Committed goldens: the stripped reports of ``tools/report_diff.py``'s
-config set (all ten experiments at samples 100, the dims each honours, then
-compat-domain at (2,2) with tol 1e-8) at seeds 0-2, compared through the
-benchmark oracle's rule (``perfbench/oracle.compare``: pass, config and
-witnesses exact, integer metrics exact, float metrics within 1e-12).
-Re-render them with
+configs at seeds 0-2, compared through the benchmark oracle's rule, both as
+the tool's docstring states them. Re-render them with
 
     OPENBLAS_NUM_THREADS=1 python3 tools/report_diff.py --render . --seeds 0-2 \\
         > tests/golden/reports.json
