@@ -14,8 +14,10 @@ its terms and support factor once built, all read-only: the process keeps
 them, 16 d^8 bytes of terms per d once built, and a tracemalloc measurement
 of a run must call ``canonical_flags.cache_clear()`` first to count
 building them.
-Checkers measure consistency and
-positivity and audit Hermiticity/trace preservation, as values for gates.
+Checkers measure consistency and positivity and audit Hermiticity/trace
+preservation, as values for gates. Consistency is read from the weights: the
+system marginal of an output is sum_i q_i Tr(tau_i) P_i, d_s x d_s, so
+``consistency_defect`` forms no joint operator.
 
 ``apply`` (and the basis's ``coefficients`` beneath it) maps one system
 operator or a stack (..., d, d) of them. Environment operators stacked over
@@ -360,10 +362,16 @@ def random_zero_discord_assignment(
 def consistency_defect(assignment, state: np.ndarray):
     """Trace-norm distance between the system marginal of the assigned
     operator and the input state; zero iff the assignment is consistent
-    on this state. One distance per state of a stack."""
+    on this state. One distance per state of a stack, for one assignment or
+    a stack of them.
+
+    The marginal is read from the weights, with no joint operator:
+    Tr_E[sum_i q_i P_i (x) tau_i] = sum_i q_i Tr(tau_i) P_i, a d_s x d_s
+    weighted sum of the projectors."""
     state = np.asarray(state, dtype=complex)
-    out = assignment.apply(state)
-    marginal = partial_trace(out, assignment.dim_s, assignment.dim_e, "E")
+    basis = assignment.basis
+    env_traces = np.trace(assignment.env_ops, axis1=-2, axis2=-1).real
+    marginal = weighted_sum(basis.coefficients(state) * env_traces, basis.projectors)
     return trace_norm(marginal - state)
 
 

@@ -303,10 +303,15 @@ def _theorem2_samples(config, rng) -> tuple[float, float]:
     # a sample draws its zero-discord assignment's normals and the Ginibre
     # pair of its state as one normal draw, then its flat Dirichlet weights
     size = zero_discord_size(d_s, d_e)
-    # a sample's assignment terms: d_s joint operators
-    for lo, hi in chunk_ranges(config.samples, 16 * d_s * (d_s * d_e) ** 2):
+    # ``consistency_defect`` reads the marginals from the weights and forms no
+    # joint operator, so a sample holds its normals (8 bytes each), its d_s
+    # projectors and d_s environment states, its state and diagonal state
+    # (16 bytes an entry) and its weights (8 bytes each): 4128 bytes at (4, 4)
+    per_sample = (8 * (size + 2 * d_s * d_s) + 16 * d_s * (d_s * d_s + d_e * d_e)
+                  + 16 * 2 * d_s * d_s + 8 * d_s)
+    for lo, hi in chunk_ranges(config.samples, per_sample):
         # the draws stay per sample, in stream order; each kind is then built
-        # as one stack, which the stacked assignment checks and maps at once
+        # as one stack, which the checks read at once
         n = hi - lo
         normals = np.empty((n, size + 2 * d_s * d_s))
         weights = np.empty((n, d_s))
@@ -563,6 +568,8 @@ def _run_table1(config, rng):
 _EXPERIMENTS = {
     "pechukas": (_run_pechukas, 1, lambda s, e: [(4, 2, e)]),
     "theorem1": (_run_theorem1, 1, lambda s, e: [(s * s, s, e)]),
+    # a measurement's d_s terms, which theorem2 no longer builds (its checks
+    # read the marginals from the weights); the count is kept as it is
     "theorem2": (_run_theorem2, 1, lambda s, e: [(s, s, e)]),
     "theorem3": (_run_theorem3, 1, lambda s, e: [(s, s, e)]),
     # the negative tau, the flags

@@ -24,11 +24,12 @@ Their results carry values; the command line's gates decide on them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from assignlab.assignments import _one, eigen_chunks
+from assignlab.assignments import _one, _read_only, eigen_chunks
 from assignlab.operators import (
     PSD_TOL,
     _rank1_vectors,
@@ -62,6 +63,11 @@ BLOCK_TOL = 1e-12
 
 # two-sided 95% normal quantile for the Wilson score interval
 Z95 = 1.959963984540054
+
+# each checked flag assignment's rotated ``_flag_blocks``, kept while the
+# assignment lives and never keeping it alive: the shared canonical flags
+# build theirs once, until ``canonical_flags.cache_clear()`` drops the flags
+_FLAG_BLOCKS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,18 @@ def _flag_blocks(basis, rotated_env: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return diag, norms
 
 
+def _rotated_flag_blocks(assignment) -> tuple[np.ndarray, np.ndarray]:
+    """``_flag_blocks`` of the flags rotated once onto their ``_flag_frame``,
+    tau'_i = F^dag tau_i F, built on the assignment's first check and kept
+    with it, read-only, in ``_FLAG_BLOCKS``."""
+    blocks = _FLAG_BLOCKS.get(assignment)
+    if blocks is None:
+        frame = _flag_frame(assignment)
+        rotated = frame.conj().T @ assignment.env_ops @ frame
+        blocks = _FLAG_BLOCKS[assignment] = _read_only(*_flag_blocks(assignment.basis, rotated))
+    return blocks
+
+
 def _flag_block_minima(basis, diag: np.ndarray, norms: np.ndarray, states: np.ndarray,
                        first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(lam, q) on a stack of states: the weights q = ``basis.coefficients``
@@ -279,12 +297,12 @@ def simplex_domain_check(
     tau'_i = F^dag tau_i F: the outputs sum_i q_i P_i (x) tau'_i are the
     originals conjugated by I (x) F, with the same spectra and block diagonal
     on the environment index. Their Kronecker terms and off-block norms are
-    built once per check (``_flag_blocks``). The probes come in chunks sized
-    by their diagonal blocks (16 d_e d_s^2 bytes a probe); each chunk's
-    states are drawn, and their weights read, once, and
-    ``_flag_block_minima`` sums those blocks, with no D x D output: a probe
-    whose off-diagonal environment blocks may have Frobenius norm above
-    ``BLOCK_TOL`` raises ValueError, and otherwise its smallest eigenvalue
+    built once per assignment and kept with it (``_rotated_flag_blocks``).
+    The probes come in chunks sized by their diagonal blocks (16 d_e d_s^2
+    bytes a probe); each chunk's states are drawn, and their weights read,
+    once, and ``_flag_block_minima`` sums those blocks, with no D x D output:
+    a probe whose off-diagonal environment blocks may have Frobenius norm
+    above ``BLOCK_TOL`` raises ValueError, and otherwise its smallest eigenvalue
     is the least over the d_e diagonal d_s x d_s blocks. The dropped blocks
     have spectral norm at most their Frobenius norm, so by Weyl's inequality
     that eigenvalue is within ``BLOCK_TOL`` of the full output's."""
@@ -292,8 +310,7 @@ def simplex_domain_check(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     d_s, d_e = _one(assignment).dim_s, assignment.dim_e
-    frame = _flag_frame(assignment)
-    diag, norms = _flag_blocks(assignment.basis, frame.conj().T @ assignment.env_ops @ frame)
+    diag, norms = _rotated_flag_blocks(assignment)
     agreements = 0
     max_gap = 0.0
     for lo, hi in chunk_ranges(samples, 16 * d_e * d_s * d_s):

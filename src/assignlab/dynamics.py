@@ -425,11 +425,13 @@ def _linearity_defect(assignment, samples: int, rng: np.random.Generator) -> flo
 
 def _consistency_defect_max(assignment, samples: int, rng: np.random.Generator) -> float:
     """Largest consistency defect over the six axis states on qubits, then
-    ``samples`` random states; the axis states join the first random chunk."""
+    ``samples`` random states; the axis states join the first random chunk.
+    ``consistency_defect`` reads each marginal from the weights, so a chunk
+    is budgeted by its d x d states, not by D x D outputs."""
     d = assignment.dim_s
     fixed = np.stack(qubit_states()) if d == 2 else np.empty((0, d, d), dtype=complex)
     worst = 0.0
-    for lo, hi in probe_chunks(assignment, len(fixed) + samples):
+    for lo, hi in chunk_ranges(len(fixed) + samples, 16 * d * d):
         drawn = random_density(d, rng, hi - max(lo, len(fixed))) if hi > len(fixed) else fixed[:0]
         states = np.concatenate([fixed[lo:hi], drawn])
         worst = max(worst, float(np.max(consistency_defect(assignment, states))))

@@ -24,8 +24,10 @@ from assignlab.assignments import (
     positivity_certificate,
     product_assignment,
     random_zero_discord_assignment,
+    zero_discord_assignment,
+    zero_discord_size,
 )
-from assignlab.cli import ENV_EQUALITY_TOL
+from assignlab.cli import ENV_EQUALITY_TOL, ExperimentConfig, run
 from assignlab.operators import (
     PAULI_Z,
     PSD_TOL,
@@ -324,6 +326,55 @@ class TestConsistency:
         taus = np.stack([random_density(2, rng) for _ in range(2)])
         z = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
         assert consistency_defect(z, ETA[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def marginal_defect(assignment, states):
+    """The oracle: the trace distance of the system marginal of the joint
+    operator ``apply`` assigns from each state."""
+    out = assignment.apply(states)
+    return trace_norm(partial_trace(out, assignment.dim_s, assignment.dim_e, "E") - states)
+
+
+def consistency_families(d_s, d_e, rng):
+    """One assignment per family, each beside the states it is checked on:
+    on the Pechukas basis the first tau is indefinite, as lemma1 builds it,
+    and the zero-discord stack maps one state per assignment."""
+    basis = canonical_basis(d_s)
+    states = np.concatenate([basis.projectors, random_density(d_s, rng, 6)])
+    negative = np.zeros((d_e, d_e), dtype=complex)
+    negative[0, 0], negative[1, 1] = 1.5, -0.5
+    pechukas = np.concatenate([negative[None], random_density(d_e, rng, basis.size - 1)])
+    normals = rng.standard_normal((5, zero_discord_size(d_s, d_e)))
+    return {
+        "product": (product_assignment(basis, random_density(d_e, rng)), states),
+        "zero-discord": (random_zero_discord_assignment(d_s, d_e, rng), states),
+        "zero-discord stack": (zero_discord_assignment(normals, d_s, d_e),
+                               random_density(d_s, rng, 5)),
+        "canonical flags": (canonical_flags(d_s), states),
+        "broadcast": (broadcast_assignment(basis), states),
+        "pechukas": (LinearAssignment(basis, pechukas), states),
+    }
+
+
+class TestConsistencyFromWeights:
+    @pytest.mark.parametrize("d_e", [2, 3, 4])
+    @pytest.mark.parametrize("d_s", [2, 3, 4])
+    def test_equals_the_marginal_of_the_joint_operator(self, d_s, d_e):
+        families = consistency_families(d_s, d_e, np.random.default_rng(10 * d_s + d_e))
+        for family, (assignment, states) in families.items():
+            defect = consistency_defect(assignment, states)
+            assert defect.shape == states.shape[:1], family
+            assert np.max(np.abs(defect - marginal_defect(assignment, states))) <= 1e-12, family
+
+    def test_forms_no_joint_operator(self, monkeypatch):
+        def refused(self, states):
+            raise AssertionError("apply was called")
+
+        monkeypatch.setattr(LinearAssignment, "apply", refused)
+        for assignment, states in consistency_families(4, 3, np.random.default_rng(6)).values():
+            consistency_defect(assignment, states)
+        report = run(ExperimentConfig(experiment="theorem2", dim_s=4, dim_e=4, samples=100))
+        assert report.passed
 
 
 class TestPositivityCertificate:

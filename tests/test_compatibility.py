@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from assignlab.assignments import (
     LinearAssignment,
     OrthogonalProjectorSet,
     broadcast_assignment,
+    canonical_flags,
     orthogonal_flag_assignment,
     product_assignment,
     random_zero_discord_assignment,
@@ -20,6 +23,7 @@ from assignlab.compatibility import (
     simplex_domain_check,
     wilson_interval,
 )
+from assignlab.cli import ExperimentConfig, run
 from assignlab.operators import (
     canonical_basis,
     min_eigenvalue,
@@ -408,6 +412,39 @@ class TestFlagBlocks:
         for assignment in flag_families(3, np.random.default_rng(15)):
             report = simplex_domain_check(assignment, 20, np.random.default_rng(16))
             assert report.agreements == report.probes
+
+    def test_two_runs_build_the_flag_blocks_once(self, monkeypatch):
+        built = []
+
+        def counted(name):
+            build = getattr(compatibility, name)
+
+            def counting_build(*args):
+                built.append(name)
+                return build(*args)
+            return counting_build
+
+        for name in ("_flag_frame", "_flag_blocks"):
+            monkeypatch.setattr(compatibility, name, counted(name))
+        canonical_flags.cache_clear()
+        config = ExperimentConfig(experiment="compat-domain", dim_s=3, samples=100)
+        first, second = run(config), run(config)
+        assert built == ["_flag_frame", "_flag_blocks"]
+        assert first.metrics == second.metrics
+        for array in compatibility._FLAG_BLOCKS[canonical_flags(3)]:
+            assert not array.flags.writeable
+
+    def test_kept_flag_blocks_keep_no_assignment_alive(self):
+        canonical = canonical_flags(2)
+        other = orthogonal_flag_assignment(canonical_basis(2))
+        for assignment in (canonical, other):
+            simplex_domain_check(assignment, 10, np.random.default_rng(17))
+        assert canonical in compatibility._FLAG_BLOCKS and other in compatibility._FLAG_BLOCKS
+        refs = [weakref.ref(canonical), weakref.ref(other)]
+        del canonical, other, assignment
+        canonical_flags.cache_clear()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_a_nan_off_diagonal_flag_entry_fails_the_bound(self):
         rotated_env = np.array(OrthogonalProjectorSet.computational(4).projectors)

@@ -138,6 +138,13 @@ class TestMemoryOracle:
         config = ExperimentConfig(experiment="compat-domain", samples=100, dim_s=6, dim_e=6)
         assert traced_peak(run, config) < 8 * MIB
 
+    def test_theorem2_builds_no_joint_operators(self):
+        # the consistency checks read the marginals from the weights: (21, 21)
+        # at samples 100 traces about 2.0 MiB, where one stack of a
+        # measurement's d_s joint terms (16 d_s D^2 bytes) would be 62.3 MiB
+        config = ExperimentConfig(experiment="theorem2", samples=100, dim_s=21, dim_e=21)
+        assert traced_peak(run, config) < 4 * MIB
+
     def test_sweep_holds_one_assignment_per_chunk(self, monkeypatch):
         # at a one-byte budget a chunk is one assignment and one coupling:
         # eight assignments at (2, 30) peak at 15 joint operators of
