@@ -43,11 +43,14 @@ D = dim_s * dim_e (flags, measurements with pure or rank-deficient
 environment operators), the assignment keeps the triangle G of W = QG, and
 the smallest output eigenvalue is min(0, lambda_min(G diag(q_i t_im) G^dag)),
 an R x R eigensolve in place of a D x D one; otherwise it eigensolves
-``apply``'s output. One eigendecomposition of the tau_i per assignment gives
-W, its weights and their owners, which the non-CP search's factored induced
-map reads too. ``env_negativity_report`` keeps the full eigensolve,
-since it checks a block-spectrum claim about the assigned operators
-themselves.
+``apply``'s output. When the columns are exactly orthogonal, as on the flags
+(their environment factors are distinct basis vectors), G is exactly
+diagonal and the spectrum on the support is read from the weights,
+|g_r|^2 q t, with no eigensolve. One eigendecomposition of the tau_i per
+assignment gives W, its weights and their owners, which the non-CP search's
+factored induced map reads too. ``env_negativity_report`` keeps the full
+eigensolve, since it checks a block-spectrum claim about the assigned
+operators themselves.
 """
 
 from __future__ import annotations
@@ -200,16 +203,21 @@ class LinearAssignment:
 
     @cached_property
     def _support(self):
-        """(owner, t, G, G^dag) with G the triangle of ``_columns``' W = QG;
-        None for a stack of assignments or when R >= D, where the factor
-        saves nothing."""
+        """(owner, t, G, G^dag, diagonal) with G the triangle of
+        ``_columns``' W = QG and diagonal its diagonal when every entry off
+        it is exactly zero (the columns of W exactly orthogonal, as on the
+        flags), else None; None for a stack of assignments or when R >= D,
+        where the factor saves nothing."""
         if self.env_ops.ndim != 3:
             return None
         owner, t, w = self._columns
         if len(owner) >= self.dim_s * self.dim_e:
             return None
         g = np.linalg.qr(w, mode="r")
-        return owner, t, *_read_only(g, g.conj().T)
+        diagonal = np.diagonal(g)
+        if np.count_nonzero(g - np.diag(diagonal)):
+            diagonal = None
+        return owner, t, *_read_only(g, g.conj().T, diagonal)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Map a Hermitian system operator, or a stack of them, to
@@ -220,11 +228,15 @@ class LinearAssignment:
         """Smallest eigenvalue of ``apply(state)``, one per state of a stack:
         on the support factor when there is one, since W = QG with
         orthonormal Q leaves the output the spectrum of G diag(w) G^dag and
-        D - R zeros; otherwise from the full output, bit for bit."""
+        D - R zeros; otherwise from the full output, bit for bit. When G is
+        diagonal, G diag(w) G^dag is diag(g_r w_r conj(g_r)), read off with
+        no eigensolve."""
         if self._support is None:
             return min_eigenvalue(self.apply(state))
-        owner, t, g, g_dag = self._support
+        owner, t, g, g_dag, diagonal = self._support
         w = self.basis.coefficients(state)[..., owner] * t
+        if diagonal is not None:
+            return np.minimum(np.min((diagonal * w * diagonal.conj()).real, axis=-1), 0.0)
         return np.minimum(min_eigenvalue((g * w[..., None, :]) @ g_dag), 0.0)
 
 

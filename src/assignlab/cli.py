@@ -296,42 +296,48 @@ def _run_theorem1(config, rng):
 
 def _theorem2_samples(config, rng) -> tuple[float, float]:
     """The largest formula gap and diagonal defect over the random samples;
-    their assignments are released on return, before the qubit check."""
+    each chunk's arrays are released before the next chunk is drawn, and
+    the last before the qubit check."""
     d_s, d_e = config.dim_s, config.dim_e
     max_formula_gap = 0.0
     max_diagonal_defect = 0.0
-    # a sample draws its zero-discord assignment's normals and the Ginibre
-    # pair of its state as one normal draw, then its flat Dirichlet weights
-    size = zero_discord_size(d_s, d_e)
     # ``consistency_defect`` reads the marginals from the weights and forms no
     # joint operator, so a sample holds its normals (8 bytes each), its d_s
     # projectors and d_s environment states, its state and diagonal state
     # (16 bytes an entry) and its weights (8 bytes each): 4128 bytes at (4, 4)
+    size = zero_discord_size(d_s, d_e)
     per_sample = (8 * (size + 2 * d_s * d_s) + 16 * d_s * (d_s * d_s + d_e * d_e)
                   + 16 * 2 * d_s * d_s + 8 * d_s)
     for lo, hi in chunk_ranges(config.samples, per_sample):
-        # the draws stay per sample, in stream order; each kind is then built
-        # as one stack, which the checks read at once
-        n = hi - lo
-        normals = np.empty((n, size + 2 * d_s * d_s))
-        weights = np.empty((n, d_s))
-        for i in range(n):
-            rng.standard_normal(out=normals[i])
-            # dirichlet(ones(d_s)) draws d_s standard gammas of shape 1, which
-            # are standard exponentials from the same stream
-            rng.standard_exponential(out=weights[i])
-        # and scales them by 1 / their sum, accumulated left to right: a
-        # pairwise np.sum rounds differently from d_s = 8 on
-        weights *= 1.0 / np.add.accumulate(weights, axis=1)[:, -1:]
-        z = zero_discord_assignment(normals[:, :size], d_s, d_e)
-        eta = ginibre_densities(normals[:, size:].reshape(n, 2, d_s, d_s))
-        defect = consistency_defect(z, eta)
-        gap = np.abs(defect - trace_norm(eta - dephase(eta, z.basis)))
-        diagonal = weighted_sum(weights, z.basis.projectors)
-        max_formula_gap = max(max_formula_gap, float(np.max(gap)))
-        max_diagonal_defect = max(max_diagonal_defect,
-                                  float(np.max(consistency_defect(z, diagonal))))
+        formula_gap, diagonal_defect = _theorem2_chunk(hi - lo, d_s, d_e, rng)
+        max_formula_gap = max(max_formula_gap, formula_gap)
+        max_diagonal_defect = max(max_diagonal_defect, diagonal_defect)
     return max_formula_gap, max_diagonal_defect
+
+
+def _theorem2_chunk(n: int, d_s: int, d_e: int, rng) -> tuple[float, float]:
+    """The largest formula gap and diagonal defect over ``n`` samples, whose
+    arrays go when it returns. A sample draws its zero-discord assignment's
+    normals and the Ginibre pair of its state as one normal draw, then its
+    flat Dirichlet weights."""
+    size = zero_discord_size(d_s, d_e)
+    # the draws stay per sample, in stream order; each kind is then built
+    # as one stack, which the checks read at once
+    normals = np.empty((n, size + 2 * d_s * d_s))
+    weights = np.empty((n, d_s))
+    for i in range(n):
+        rng.standard_normal(out=normals[i])
+        # dirichlet(ones(d_s)) draws d_s standard gammas of shape 1, which
+        # are standard exponentials from the same stream
+        rng.standard_exponential(out=weights[i])
+    # and scales them by 1 / their sum, accumulated left to right: a
+    # pairwise np.sum rounds differently from d_s = 8 on
+    weights *= 1.0 / np.add.accumulate(weights, axis=1)[:, -1:]
+    z = zero_discord_assignment(normals[:, :size], d_s, d_e)
+    eta = ginibre_densities(normals[:, size:].reshape(n, 2, d_s, d_s))
+    gap = np.abs(consistency_defect(z, eta) - trace_norm(eta - dephase(eta, z.basis)))
+    diagonal = weighted_sum(weights, z.basis.projectors)
+    return float(np.max(gap)), float(np.max(consistency_defect(z, diagonal)))
 
 
 def _run_theorem2(config, rng):

@@ -3,15 +3,16 @@ valid system-environment density operators.
 
 ``domain_verdict`` decides membership by the smallest output eigenvalue
 (``min_output_eigenvalue``, on the assignment's support factor when it has
-one), for one state or a stack; bisection along affine rays locates the
+one, read from the weights when that factor is diagonal, as on the flags),
+for one state or a stack; bisection along affine rays locates the
 boundary with the same verdict, deciding ``_SPECULATIVE_STEPS`` steps per
 stacked call on the midpoints they could visit (and the center with t = 1
 in one call), with the bits of one step per call; the volume is estimated
 by Monte Carlo sampling under the Hilbert-Schmidt measure, handing each
 byte-bounded stack of draws (``eigen_chunks``) to ``domain_verdict``. ``simplex_domain_check``
 is the independent check that the flag assignment's output spectrum is its
-weights padded with zeros, which the factor, built from those weights, would
-take for granted: with the flags rotated onto the computational basis, the
+weights padded with zeros, which the flags' diagonal factor reads off
+directly: with the flags rotated onto the computational basis, the
 output's environment blocks are weighted sums of Kronecker factors, so it
 eigensolves the d_e diagonal d_s x d_s blocks and bounds the Frobenius norm
 of the off-diagonal ones by the triangle inequality, never forming the

@@ -28,6 +28,7 @@ from assignlab.assignments import (
     zero_discord_size,
 )
 from assignlab.cli import ENV_EQUALITY_TOL, ExperimentConfig, run
+from assignlab.compatibility import boundary_along_ray, domain_volume
 from assignlab.operators import (
     PAULI_Z,
     PSD_TOL,
@@ -232,13 +233,38 @@ class TestCanonicalFlags:
         flags.apply(np.eye(d) / d)
         flags.min_output_eigenvalue(np.eye(d) / d)
         arrays = dict(reachable_arrays(flags))
-        for name in ("_terms", "_columns[2]", "_support[2]", "_support[3]", "basis.vectors",
-                     "env_ops"):
+        for name in ("_terms", "_columns[2]", "_support[2]", "_support[3]", "_support[4]",
+                     "basis.vectors", "env_ops"):
             assert f"flags.{name}" in arrays
         for path, array in arrays.items():
             assert not array.flags.writeable, path
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
+
+    def test_flag_probes_call_no_eigensolver(self, monkeypatch):
+        # the flags' support factor is diagonal, so their positivity probes
+        # read the output spectrum from the weights; ``boundary_along_ray``
+        # still checks its two end states, d x d, with ``require_density``
+        d = 4
+        flags = canonical_flags(d)
+        eigvalsh = np.linalg.eigvalsh
+
+        def states_only(h, *args, **kwargs):
+            if np.shape(h)[-1] != d or not allow_states:
+                raise AssertionError(f"an eigensolve of shape {np.shape(h)}")
+            return eigvalsh(h, *args, **kwargs)
+
+        allow_states = False
+        monkeypatch.setattr(np.linalg, "eigvalsh", states_only)
+        rng = np.random.default_rng(0)
+        assert domain_volume(flags, 200, rng).samples == 200
+        report = positivity_certificate(flags, 100, rng)
+        allow_states = True
+        section = boundary_along_ray(flags, np.eye(d) / d, report.witness_state)
+        monkeypatch.undo()
+        assert report.min_eigenvalue == pytest.approx(min_eigenvalue(flags.apply(report.witness_state)),
+                                                      abs=1e-12)
+        assert section.t_star < 1.0 and section.iterations > 0
 
     @pytest.mark.parametrize("experiment", ["dynamics-cp", "lemma1", "compat-domain"])
     def test_reports_do_not_depend_on_which_run_built_the_flags(self, experiment):

@@ -19,6 +19,7 @@ from assignlab.assignments import (
     audit_corruption,
     audit_outputs,
     broadcast_assignment,
+    canonical_flags,
     eigen_chunks,
     env_negativity_report,
     equal_env_certificate,
@@ -593,7 +594,29 @@ def support_families(d, rng):
         (LinearAssignment(z.basis, negative), True),
         (product_assignment(canonical_basis(d), random_pure(d + 1, rng)), True),
         (broadcast_assignment(measurement), True),
+        (broadcast_assignment(OrthogonalProjectorSet.computational(d)), True),
     ]
+
+
+def exactly_orthogonal(assignment):
+    """Is each tau_i the flag |i><i|, as on the flags and on a broadcast on
+    the computational basis? Then the support columns v_i (x) e_i have
+    disjoint entries, orthogonal with no rounding."""
+    flags = OrthogonalProjectorSet.computational(len(assignment.env_ops)).projectors
+    return np.array_equal(assignment.env_ops, flags)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+def factor_eigensolve(assignment, states):
+    """The smallest output eigenvalue from the eigensolve of the support
+    factor, G diag(w) G^dag, whatever G is."""
+    owner, t, g, g_dag, _ = assignment._support
+    w = assignment.basis.coefficients(states)[..., owner] * t
+    return np.minimum(min_eigenvalue((g * w[..., None, :]) @ g_dag), 0.0)
 
 
 class TestSupportFactor:
@@ -617,6 +640,55 @@ class TestSupportFactor:
                 assert np.array_equal(lams, full)
             singles = [assignment.min_output_eigenvalue(state) for state in states]
             assert np.array_equal(lams, singles)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_flags_read_the_spectrum_from_the_weights(self, d):
+        flags = canonical_flags(d)
+        owner, t, g, g_dag, diagonal = flags._support
+        assert np.array_equal(g, np.diag(diagonal))
+        # real, as LAPACK's QR leaves R's diagonal, and +-1 within a
+        # rounding (1 - 2^-53 at d >= 3, where basis vectors carry 1/sqrt(2))
+        assert np.all(diagonal.imag == 0.0) and np.all(t == 1.0)
+        assert np.max(np.abs(np.abs(diagonal) - 1.0)) <= 2.0**-52
+        rng = np.random.default_rng(90 + d)
+        states = [flags.basis.projectors, random_density(d, rng, 40), random_pure(d, rng, 40)]
+        if d == 2:
+            states.append(np.stack(qubit_states()))
+        states = np.concatenate(states)
+        # three times as far from the center: past the domain's boundary,
+        # with negative weights
+        center = np.eye(d) / d
+        states = np.concatenate([states, center + 3.0 * (states - center)])
+        assert np.min(flags.basis.coefficients(states)) < 0
+        expected = factor_eigensolve(flags, states)
+        assert same_bits(flags.min_output_eigenvalue(states), expected)
+        assert same_bits([flags.min_output_eigenvalue(state) for state in states], expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_only_a_diagonal_factor_skips_the_eigensolve(self, d, monkeypatch):
+        # the random measurements' columns are orthogonal only up to
+        # rounding, which the QR leaves off the diagonal on most draws: a
+        # factor with no entry off its diagonal takes the diagonal path
+        # wherever it comes from, and any other keeps its eigensolve
+        rng = np.random.default_rng(70 + d)
+        for assignment, factored in support_families(d, rng):
+            if not factored:
+                continue
+            g, diagonal = assignment._support[2], assignment._support[4]
+            assert (diagonal is not None) == (np.count_nonzero(g - np.diag(np.diagonal(g))) == 0)
+            if exactly_orthogonal(assignment):
+                assert diagonal is not None
+            if isinstance(assignment.basis, ProjectorBasis) and not exactly_orthogonal(assignment):
+                assert diagonal is None  # the canonical basis vectors overlap
+            states = np.concatenate([assignment.basis.projectors, random_pure(d, rng, 10),
+                                     random_density(d, rng, 10)])
+            expected = factor_eigensolve(assignment, states)
+            calls = []
+            monkeypatch.setattr(assignments, "min_eigenvalue",
+                                lambda h: calls.append(h.shape) or min_eigenvalue(h))
+            assert same_bits(assignment.min_output_eigenvalue(states), expected)
+            monkeypatch.undo()
+            assert (calls == []) == (diagonal is not None)
 
     def test_a_stacked_assignment_takes_the_full_path(self):
         rng = np.random.default_rng(8)

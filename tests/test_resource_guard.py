@@ -145,6 +145,17 @@ class TestMemoryOracle:
         config = ExperimentConfig(experiment="theorem2", samples=100, dim_s=21, dim_e=21)
         assert traced_peak(run, config) < 4 * MIB
 
+    def test_theorem2_releases_a_chunk_before_drawing_the_next(self):
+        # at d_s = 2, d_e = 46 is the smallest d_e at which a theorem2 chunk
+        # is one sample (about 135 KiB, over half the budget); samples 1 and
+        # 2 both trace 0.392 MiB, where a loop that kept one chunk's arrays
+        # while drawing the next traced 0.458 MiB (+17%) at samples 2; the
+        # bound leaves a 5% margin
+        peaks = [traced_peak(run, ExperimentConfig(experiment="theorem2", samples=samples,
+                                                   dim_s=2, dim_e=46))
+                 for samples in (1, 2)]
+        assert peaks[1] <= 1.05 * peaks[0]
+
     def test_sweep_holds_one_assignment_per_chunk(self, monkeypatch):
         # at a one-byte budget a chunk is one assignment and one coupling:
         # eight assignments at (2, 30) peak at 15 joint operators of
