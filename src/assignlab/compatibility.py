@@ -9,37 +9,29 @@ boundary with the same verdict, deciding ``_SPECULATIVE_STEPS`` steps per
 stacked call on the midpoints they could visit (and the center with t = 1
 in one call), with the bits of one step per call; the volume is estimated
 by Monte Carlo sampling under the Hilbert-Schmidt measure, handing each
-byte-bounded stack of draws (``eigen_chunks``) to ``domain_verdict``. ``simplex_domain_check``
-is the independent check that the flag assignment's output spectrum is its
-weights padded with zeros, which the flags' diagonal factor reads off
-directly: with the flags rotated onto the computational basis, the
-output's environment blocks are weighted sums of Kronecker factors, so it
-eigensolves the d_e diagonal d_s x d_s blocks and bounds the Frobenius norm
-of the off-diagonal ones by the triangle inequality, never forming the
-D x D output; a bound within ``BLOCK_TOL`` moves the smallest eigenvalue by
-at most ``BLOCK_TOL`` (Weyl's inequality). Its probes are drawn, weighed and
-eigensolved in chunks sized by those blocks, and a count below one is
-refused. All of them refuse a tolerance that is not finite and positive.
+byte-bounded stack of draws (``eigen_chunks``) to ``domain_verdict``.
+``simplex_domain_check`` is the independent check that the flag
+assignment's output spectrum is its weights padded with zeros, which the
+flags' diagonal factor reads off directly; it eigensolves the outputs'
+d_s x d_s environment blocks, never a D x D output. Its probes are drawn,
+weighed and eigensolved in chunks sized by those blocks, and a count below
+one is refused. All of them refuse a tolerance that is not finite and positive.
 Their results carry values; the command line's gates decide on them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from assignlab.assignments import _one, _read_only, eigen_chunks
+from assignlab.assignments import OrthogonalProjectorSet, _one, eigen_chunks
 from assignlab.operators import (
     PSD_TOL,
-    _rank1_vectors,
     chunk_ranges,
     min_eigenvalue,
     random_density,
     require_density,
-    require_unitary,
-    weighted_sum,
 )
 
 __all__ = [
@@ -58,17 +50,8 @@ BISECTION_MAX_ITER = 60
 # bisection steps decided per stacked domain_verdict, on 2^k - 1 midpoints
 _SPECULATIVE_STEPS = 3
 
-# largest Frobenius norm of a flag output's off-diagonal environment blocks
-# that the block eigensolve drops; it bounds the shift of every eigenvalue
-BLOCK_TOL = 1e-12
-
 # two-sided 95% normal quantile for the Wilson score interval
 Z95 = 1.959963984540054
-
-# each checked flag assignment's rotated ``_flag_blocks``, kept while the
-# assignment lives and never keeping it alive: the shared canonical flags
-# build theirs once, until ``canonical_flags.cache_clear()`` drops the flags
-_FLAG_BLOCKS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -217,106 +200,39 @@ class SimplexDomainReport:
     max_gap: float  # worst |lambda_min - min(0, min_i q_i)| observed
 
 
-def _flag_frame(assignment) -> np.ndarray:
-    """Unitary F whose first columns are the flag vectors f_i of the
-    environment operators tau_i = |f_i><f_i|, completed by an orthonormal
-    complement when there are fewer flags than d_e; exactly the identity for
-    computational flags."""
-    taus = assignment.env_ops
-    not_idempotent = np.max(np.abs(taus @ taus - taus)) > 1e-10
-    overlaps = np.einsum("iab,jba->ij", taus, taus)
-    if not_idempotent or np.max(np.abs(overlaps - np.eye(len(taus)))) > 1e-10:
-        raise ValueError("environment operators are not orthonormal rank-1 projectors")
-    flags = _rank1_vectors(taus)
-    if len(flags) < assignment.dim_e:
-        # the right singular vectors past the flags span their complement
-        flags = np.concatenate([flags, np.linalg.svd(flags.conj())[2][len(flags):].conj()])
-    return require_unitary(flags.T)
-
-
-def _flag_blocks(basis, rotated_env: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, norms) of the outputs sum_i q_i P_i (x) tau'_i of flags rotated
-    onto their frame, ``rotated_env`` = tau'_i. Environment block (j, k) of
-    an output is sum_i q_i (tau'_i)_jk P_i: the d_e diagonal ones are the
-    weighted sums of diag[j, i] = (tau'_i)_jj P_i, and the off-diagonal ones
-    have Frobenius norm at most sum_i |q_i| norms_i, with norms_i =
-    ||P_i||_F ||OFF(tau'_i)||_F (triangle inequality and ||A (x) B||_F =
-    ||A||_F ||B||_F); exactly 0 when every tau'_i is diagonal."""
-    j = np.arange(rotated_env.shape[-1])
-    # (d_e, n, d_s, d_s): the product tensor forms for the same entries
-    diag = basis.projectors * rotated_env[:, j, j].T[:, :, None, None]
-    off_env = rotated_env.copy()
-    off_env[:, j, j] = 0.0
-    norms = np.linalg.norm(basis.projectors, axis=(1, 2)) * np.linalg.norm(off_env, axis=(1, 2))
-    return diag, norms
-
-
-def _rotated_flag_blocks(assignment) -> tuple[np.ndarray, np.ndarray]:
-    """``_flag_blocks`` of the flags rotated once onto their ``_flag_frame``,
-    tau'_i = F^dag tau_i F, built on the assignment's first check and kept
-    with it, read-only, in ``_FLAG_BLOCKS``."""
-    blocks = _FLAG_BLOCKS.get(assignment)
-    if blocks is None:
-        frame = _flag_frame(assignment)
-        rotated = frame.conj().T @ assignment.env_ops @ frame
-        blocks = _FLAG_BLOCKS[assignment] = _read_only(*_flag_blocks(assignment.basis, rotated))
-    return blocks
-
-
-def _flag_block_minima(basis, diag: np.ndarray, norms: np.ndarray, states: np.ndarray,
-                       first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, q) on a stack of states: the weights q = ``basis.coefficients``
-    and each output's least eigenvalue lam over its diagonal blocks, built
-    from the ``_flag_blocks`` (diag, norms) and eigensolved in one stacked
-    call. ValueError, naming the probe (numbered from ``first``), when the
-    off-block bound is above ``BLOCK_TOL`` or a diagonal block is not finite."""
-    q = basis.coefficients(states)
-    blocks = weighted_sum(q[:, None, :], diag)
-    off = np.abs(q) @ norms
-    finite = np.isfinite(blocks).all(axis=(1, 2, 3))
-    bad = np.flatnonzero(~(off <= BLOCK_TOL) | ~finite)
-    if bad.size:
-        i = bad[0]
-        if not finite[i]:
-            raise ValueError(f"probe {first + i}: diagonal flag blocks are not finite")
-        raise ValueError(f"probe {first + i}: off-diagonal flag blocks have norm "
-                         f"{off[i]:.3e} > BLOCK_TOL {BLOCK_TOL:.0e}")
-    return min_eigenvalue(blocks).min(axis=-1), q
-
-
 def simplex_domain_check(
     assignment, samples: int, rng: np.random.Generator, tol: float = PSD_TOL
 ) -> SimplexDomainReport:
-    """For an assignment whose environment operators are mutually orthogonal
-    rank-1 projectors tau_i = |f_i><f_i| (flags), the output
-    sum_i q_i P_i (x) tau_i has the weight vector ``basis.coefficients``
-    padded with zeros as its spectrum, so domain membership is equivalent to
-    all weights being nonnegative. Verify that equivalence on random probes,
-    independently of the weights and of the support factor.
+    """For an assignment whose environment operators are the computational
+    flags tau_i = |i><i| (the first n of d_e), each output
+    sum_i q_i P_i (x) |i><i| is block diagonal on the environment index with
+    block i exactly q_i P_i, so its spectrum is the weight vector
+    ``basis.coefficients`` padded with zeros and domain membership is
+    equivalent to all weights being nonnegative. Verify that equivalence on
+    random probes, independently of ``min_output_eigenvalue`` and ``apply``:
+    each probe's smallest eigenvalue is the least over its n blocks, and no
+    D x D output is formed. Other environment operators raise ValueError.
 
-    The flags are rotated once onto their frame F (``_flag_frame``), as
-    tau'_i = F^dag tau_i F: the outputs sum_i q_i P_i (x) tau'_i are the
-    originals conjugated by I (x) F, with the same spectra and block diagonal
-    on the environment index. Their Kronecker terms and off-block norms are
-    built once per assignment and kept with it (``_rotated_flag_blocks``).
-    The probes come in chunks sized by their diagonal blocks (16 d_e d_s^2
-    bytes a probe); each chunk's states are drawn, and their weights read,
-    once, and ``_flag_block_minima`` sums those blocks, with no D x D output:
-    a probe whose off-diagonal environment blocks may have Frobenius norm
-    above ``BLOCK_TOL`` raises ValueError, and otherwise its smallest eigenvalue
-    is the least over the d_e diagonal d_s x d_s blocks. The dropped blocks
-    have spectral norm at most their Frobenius norm, so by Weyl's inequality
-    that eigenvalue is within ``BLOCK_TOL`` of the full output's."""
+    The probes come in chunks sized by their blocks (16 n d_s^2 bytes a
+    probe); each chunk's states are drawn, and their weights read, once. A
+    probe whose blocks are not finite raises ValueError naming it."""
     _require_tol(tol)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    d_s, d_e = _one(assignment).dim_s, assignment.dim_e
-    diag, norms = _rotated_flag_blocks(assignment)
+    projectors = _one(assignment).basis.projectors
+    n, d_s, d_e = len(projectors), assignment.dim_s, assignment.dim_e
+    if not np.array_equal(assignment.env_ops,
+                          OrthogonalProjectorSet.computational(d_e).projectors[:n]):
+        raise ValueError("environment operators are not the computational flags |i><i|")
     agreements = 0
     max_gap = 0.0
-    for lo, hi in chunk_ranges(samples, 16 * d_e * d_s * d_s):
-        states = random_density(d_s, rng, hi - lo)
-        lam, q = _flag_block_minima(assignment.basis, diag, norms, states, lo)
+    for lo, hi in chunk_ranges(samples, 16 * n * d_s * d_s):
+        q = assignment.basis.coefficients(random_density(d_s, rng, hi - lo))
+        blocks = q[:, :, None, None] * projectors
+        finite = np.isfinite(blocks).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise ValueError(f"probe {lo + np.argmin(finite)}: flag blocks are not finite")
+        lam = min_eigenvalue(blocks).min(axis=-1)
         q_min = q.min(axis=-1)
         agreements += int(np.count_nonzero((lam >= -tol) == (q_min >= -tol)))
         max_gap = max(max_gap, float(np.max(np.abs(lam - np.minimum(0.0, q_min)))))

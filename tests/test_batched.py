@@ -310,7 +310,7 @@ class TestStackedProbing:
                 assert report.probes == count
                 assert abs(report.min_eigenvalue - best) <= FLOAT_TOL
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_domain_volume_and_simplex(self, d, chunking):
         flags = orthogonal_flag_assignment(canonical_basis(d))
         for seed in (0, 5):

@@ -1,6 +1,4 @@
-import gc
 import re
-import weakref
 
 import numpy as np
 import pytest
@@ -23,12 +21,12 @@ from assignlab.compatibility import (
     simplex_domain_check,
     wilson_interval,
 )
-from assignlab.cli import ExperimentConfig, run
 from assignlab.operators import (
     canonical_basis,
     min_eigenvalue,
     qubit_states,
     random_density,
+    random_pure,
     random_unitary,
 )
 
@@ -271,14 +269,6 @@ class TestSimplexDomain:
         assert report.agreements == report.probes
         assert report.max_gap < 1e-9
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_measurement_flags_read_the_weights(self, d):
-        rng = np.random.default_rng(d)
-        measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
-        report = simplex_domain_check(broadcast_assignment(measurement), 200, rng)
-        assert report.agreements == report.probes
-        assert report.max_gap < 1e-9
-
     def test_named_probes(self):
         q_mixed = BASIS.coefficients(I2 / 2)
         assert q_mixed.min() == pytest.approx(0.0, abs=1e-12)
@@ -290,7 +280,7 @@ class TestSimplexDomain:
     def test_rejects_non_orthonormal_env(self):
         rng = np.random.default_rng(11)
         a = LinearAssignment(BASIS, np.stack([random_density(2, rng) for _ in range(4)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=NOT_FLAGS):
             simplex_domain_check(a, 10, rng)
 
     @pytest.mark.parametrize("samples", [0, -3])
@@ -299,89 +289,74 @@ class TestSimplexDomain:
             simplex_domain_check(FLAG, samples, np.random.default_rng(0))
 
 
-def flag_families(d, rng):
-    """Canonical flags, flags on a Haar measurement (tau_i = Pi_i), and a
-    Haar measurement's flags spanning d of d + 3 environment dimensions."""
-    measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
-    few = random_unitary(d + 3, rng)[:, :d].T
-    return [
-        orthogonal_flag_assignment(canonical_basis(d)),
-        broadcast_assignment(measurement),
-        LinearAssignment(measurement, few[:, :, None] * few.conj()[:, None, :]),
-    ]
+NOT_FLAGS = r"^environment operators are not the computational flags \|i><i\|$"
+
+
+def wider_flags(d):
+    """The canonical basis's computational flags spanning d^2 of d^2 + 3
+    environment dimensions."""
+    return LinearAssignment(canonical_basis(d),
+                            OrthogonalProjectorSet.computational(d * d + 3).projectors[:d * d])
 
 
 class TestFlagBlocks:
     """The block eigensolve against the full one, and what it refuses."""
 
-    @pytest.mark.parametrize("d,families", [(2, 3), (3, 3), (4, 1), (5, 1)])
-    def test_blocks_agree_with_the_full_spectrum(self, d, families):
-        rng = np.random.default_rng(30 + d)
-        for assignment in flag_families(d, rng)[:families]:
-            frame = compatibility._flag_frame(assignment)
-            assert np.max(np.abs(frame.conj().T @ frame - np.eye(assignment.dim_e))) <= 1e-12
-            rotated_env = frame.conj().T @ assignment.env_ops @ frame
-            states = random_density(d, rng, 12)
-            blocks, q = compatibility._flag_block_minima(
-                assignment.basis, *compatibility._flag_blocks(assignment.basis, rotated_env),
-                states)
-            assert np.array_equal(q, assignment.basis.coefficients(states))
-            full = np.linalg.eigvalsh(assignment.apply(states))[:, 0]
-            assert np.max(np.abs(blocks - full)) <= 1e-12
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_off_block_bound_covers_the_rotated_output(self, d, monkeypatch):
-        rng = np.random.default_rng(50 + d)
-        for k, assignment in enumerate(flag_families(d, rng)):
-            frame = compatibility._flag_frame(assignment)
-            rotated_env = frame.conj().T @ assignment.env_ops @ frame
-            states = random_density(d, rng, 12)
-            # states, and unit-trace Hermitian operators with negative weights
-            inputs = np.concatenate([states, 2 * states[:6] - states[6:]])
-            q = assignment.basis.coefficients(inputs)
-            diag, norms = compatibility._flag_blocks(assignment.basis, rotated_env)
-            bound = np.abs(q) @ norms
-            out = LinearAssignment(assignment.basis, rotated_env).apply(inputs)
-            out = out.reshape(len(inputs), d, assignment.dim_e, d, assignment.dim_e)
-            j = np.arange(assignment.dim_e)
-            out[:, :, j, :, j] = 0.0
-            actual = np.linalg.norm(out.reshape(len(inputs), -1), axis=1)
-            assert np.any(q < 0.0)
-            if k == 0:  # computational flags: no off-diagonal entry at all
-                assert np.array_equal(bound, np.zeros(len(inputs)))
-            else:  # measured and few flags: nonzero off-diagonal rounding
-                assert np.all(actual > 0.0) and np.all(bound >= actual)
-                # the check itself refuses each input whose true norm is
-                # above BLOCK_TOL
-                for i in range(len(inputs)):
-                    monkeypatch.setattr(compatibility, "BLOCK_TOL", actual[i] * (1 - 1e-9))
-                    with pytest.raises(ValueError, match="off-diagonal flag blocks"):
-                        compatibility._flag_block_minima(
-                            assignment.basis, diag, norms, inputs[i:i + 1])
+    def test_blocks_agree_with_the_full_spectrum(self, d, monkeypatch):
+        # the check's draws are replaced by chosen inputs, and its block
+        # eigenvalues read as it computes them
+        rng = np.random.default_rng(30 + d)
+        states = random_density(d, rng, 12)
+        # states, pure states, and unit-trace Hermitian operators with
+        # negative weights
+        inputs = np.concatenate([states, random_pure(d, rng, 6), 2 * states[:6] - states[6:]])
+        flags = canonical_flags(d)
+        assert np.any(flags.basis.coefficients(inputs) < 0.0)
+        fed, minima = iter(inputs), []
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_computational_flags_are_their_own_frame(self, d):
-        assert np.array_equal(compatibility._flag_frame(orthogonal_flag_assignment(
-            canonical_basis(d))), np.eye(d * d))
+        def feed(dim, rng, size):
+            return np.stack([next(fed) for _ in range(size)])
+
+        def spy(blocks):
+            lam = min_eigenvalue(blocks)
+            minima.append(lam.min(axis=-1))
+            return lam
+
+        monkeypatch.setattr(compatibility, "random_density", feed)
+        monkeypatch.setattr(compatibility, "min_eigenvalue", spy)
+        simplex_domain_check(flags, len(inputs), rng)
+        full = np.linalg.eigvalsh(flags.apply(inputs))[:, 0]
+        assert np.max(np.abs(np.concatenate(minima) - full)) <= 1e-12
 
     def test_fewer_flags_than_environment_dimensions(self):
-        rng = np.random.default_rng(12)
-        assignment = flag_families(2, rng)[2]
-        assert (len(assignment.env_ops), assignment.dim_e) == (2, 5)
-        report = simplex_domain_check(assignment, 100, rng)
+        # the same blocks as the canonical flags, so the same report
+        wider = wider_flags(2)
+        assert (len(wider.env_ops), wider.dim_e) == (4, 7)
+        report = simplex_domain_check(wider, 100, np.random.default_rng(12))
         assert report.agreements == report.probes and report.max_gap <= 1e-12
+        assert report == simplex_domain_check(FLAG, 100, np.random.default_rng(12))
 
-    def test_rounded_off_diagonal_blocks_exceed_a_zero_tolerance(self, monkeypatch):
-        monkeypatch.setattr(compatibility, "BLOCK_TOL", 0.0)
-        rng = np.random.default_rng(13)
-        measured = broadcast_assignment(OrthogonalProjectorSet.from_unitary(random_unitary(3, rng)))
-        with pytest.raises(ValueError, match=r"^probe 0: off-diagonal flag blocks have norm"):
-            simplex_domain_check(measured, 20, rng)
-        # computational flags: the rotation is the identity and the zeros exact
-        for d in (2, 3, 4):
-            flags = orthogonal_flag_assignment(canonical_basis(d))
-            report = simplex_domain_check(flags, 20, rng)
-            assert report.agreements == report.probes
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_measured_flags_are_refused(self, d):
+        # flags on a Haar measurement (tau_i = Pi_i), and a Haar
+        # measurement's flags spanning d of d + 3 environment dimensions
+        rng = np.random.default_rng(d)
+        measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
+        few = random_unitary(d + 3, rng)[:, :d].T
+        few_flags = few[:, :, None] * few.conj()[:, None, :]
+        for assignment in (broadcast_assignment(measurement),
+                           LinearAssignment(measurement, few_flags)):
+            with pytest.raises(ValueError, match=NOT_FLAGS):
+                simplex_domain_check(assignment, 20, rng)
+
+    def test_a_nudged_off_diagonal_entry_is_refused(self):
+        taus = np.array(OrthogonalProjectorSet.computational(4).projectors)
+        taus[2, 0, 1] += 1e-15
+        taus[2, 1, 0] += 1e-15
+        nudged = LinearAssignment(BASIS, taus)
+        with pytest.raises(ValueError, match=NOT_FLAGS):
+            simplex_domain_check(nudged, 20, np.random.default_rng(13))
 
     def test_a_nan_weight_names_its_probe_across_chunks(self, monkeypatch):
         # on qubit flags a budget of 2048 bytes draws and eigensolves 8
@@ -400,7 +375,7 @@ class TestFlagBlocks:
 
         monkeypatch.setattr(operators.ProjectorBasis, "coefficients", poisoned)
         flags = orthogonal_flag_assignment(canonical_basis(2))
-        with pytest.raises(ValueError, match=r"^probe 13: diagonal flag blocks are not finite$"):
+        with pytest.raises(ValueError, match=r"^probe 13: flag blocks are not finite$"):
             simplex_domain_check(flags, 20, np.random.default_rng(3))
         assert seen == [8, 8]
 
@@ -409,50 +384,9 @@ class TestFlagBlocks:
             raise AssertionError("apply was called")
 
         monkeypatch.setattr(LinearAssignment, "apply", refused)
-        for assignment in flag_families(3, np.random.default_rng(15)):
+        for assignment in (canonical_flags(3), wider_flags(3)):
             report = simplex_domain_check(assignment, 20, np.random.default_rng(16))
             assert report.agreements == report.probes
-
-    def test_two_runs_build_the_flag_blocks_once(self, monkeypatch):
-        built = []
-
-        def counted(name):
-            build = getattr(compatibility, name)
-
-            def counting_build(*args):
-                built.append(name)
-                return build(*args)
-            return counting_build
-
-        for name in ("_flag_frame", "_flag_blocks"):
-            monkeypatch.setattr(compatibility, name, counted(name))
-        canonical_flags.cache_clear()
-        config = ExperimentConfig(experiment="compat-domain", dim_s=3, samples=100)
-        first, second = run(config), run(config)
-        assert built == ["_flag_frame", "_flag_blocks"]
-        assert first.metrics == second.metrics
-        for array in compatibility._FLAG_BLOCKS[canonical_flags(3)]:
-            assert not array.flags.writeable
-
-    def test_kept_flag_blocks_keep_no_assignment_alive(self):
-        canonical = canonical_flags(2)
-        other = orthogonal_flag_assignment(canonical_basis(2))
-        for assignment in (canonical, other):
-            simplex_domain_check(assignment, 10, np.random.default_rng(17))
-        assert canonical in compatibility._FLAG_BLOCKS and other in compatibility._FLAG_BLOCKS
-        refs = [weakref.ref(canonical), weakref.ref(other)]
-        del canonical, other, assignment
-        canonical_flags.cache_clear()
-        gc.collect()
-        assert [ref() for ref in refs] == [None, None]
-
-    def test_a_nan_off_diagonal_flag_entry_fails_the_bound(self):
-        rotated_env = np.array(OrthogonalProjectorSet.computational(4).projectors)
-        rotated_env[2, 0, 1] = np.nan
-        states = random_density(2, np.random.default_rng(3), 5)
-        with pytest.raises(ValueError, match=r"^probe 0: off-diagonal flag blocks have norm nan"):
-            compatibility._flag_block_minima(
-                BASIS, *compatibility._flag_blocks(BASIS, rotated_env), states)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_report_is_the_same_at_every_chunk_budget(self, d, monkeypatch):
@@ -469,7 +403,7 @@ class TestFlagBlocks:
         taus = np.stack([np.diag([2, 2, -1]), np.diag([2, -1, 2])]) / 3
         assert np.allclose(np.einsum("iab,jba->ij", taus, taus), np.eye(2), rtol=0, atol=1e-15)
         a = LinearAssignment(OrthogonalProjectorSet.computational(2), taus)
-        with pytest.raises(ValueError, match="not orthonormal rank-1 projectors"):
+        with pytest.raises(ValueError, match=NOT_FLAGS):
             simplex_domain_check(a, 10, np.random.default_rng(14))
 
 

@@ -132,11 +132,11 @@ class TestMemoryOracle:
         assert traced_peak(run, config) <= 2.5 * cli._largest_stack_bytes(config) + 8 * MIB
 
     def test_flag_domain_check_builds_no_joint_operators(self):
-        # the flag check holds block stacks and the flags' Kronecker factors,
-        # never a D x D output: (6, 6) at samples 100 traces about 4 MiB,
-        # where the flags' terms alone would be 25.6 MiB
+        # the flag check holds the blocks q_i P_i, never a D x D output:
+        # (6, 6) at samples 100 traces about 3.8 MiB, where the flags' terms
+        # alone would be 25.6 MiB
         config = ExperimentConfig(experiment="compat-domain", samples=100, dim_s=6, dim_e=6)
-        assert traced_peak(run, config) < 8 * MIB
+        assert traced_peak(run, config) < 5 * MIB
 
     def test_theorem2_builds_no_joint_operators(self):
         # the consistency checks read the marginals from the weights: (21, 21)

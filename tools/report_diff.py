@@ -9,7 +9,8 @@ BASE_CHECKOUT, at every seed of the inclusive range and at dims (2,2), (3,3),
 ``pechukas`` reads only d_e and ``compat-domain`` only d_s, so they run at
 (2,2), (3,3) and (4,4) only (their (2,3) and (3,2) reports would repeat those
 apart from the echoed config); ``compat-domain`` also runs at (5,5), its
-only 5 x 5 flag blocks. After those, ``compat-domain`` runs once more at
+only 5 x 5 flag blocks, and at (6,6), the largest flag check the memory
+guard accepts. After those, ``compat-domain`` runs once more at
 (2,2) with tol 1e-8 (``TOL_CONFIGS``), every seed in turn: at the default
 tol every bisection step toward axis state 5 leaves the domain, at 1e-8 its
 boundary lands inside (0, 1), so both branches of a step are rendered.
@@ -47,7 +48,7 @@ SAMPLES = 100
 DIMS = ((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))
 # the dims an experiment renders at when it reads fewer than it is given
 FEWER_DIMS = {"table1": DIMS[:1], "broadcast": DIMS[:1],
-              "pechukas": DIMS[:3], "compat-domain": DIMS[:3] + ((5, 5),)}
+              "pechukas": DIMS[:3], "compat-domain": DIMS[:3] + ((5, 5), (6, 6))}
 # (experiment, dims, tol as labelled) rendered after the default-tol configs
 TOL_CONFIGS = (("compat-domain", (2, 2), "1e-8"),)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
