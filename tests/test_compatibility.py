@@ -329,34 +329,56 @@ class TestFlagBlocks:
         full = np.linalg.eigvalsh(flags.apply(inputs))[:, 0]
         assert np.max(np.abs(np.concatenate(minima) - full)) <= 1e-12
 
-    def test_fewer_flags_than_environment_dimensions(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fewer_flags_than_environment_dimensions(self, d):
         # the same blocks as the canonical flags, so the same report
-        wider = wider_flags(2)
-        assert (len(wider.env_ops), wider.dim_e) == (4, 7)
+        wider = wider_flags(d)
+        assert (len(wider.env_ops), wider.dim_e) == (d * d, d * d + 3)
         report = simplex_domain_check(wider, 100, np.random.default_rng(12))
         assert report.agreements == report.probes and report.max_gap <= 1e-12
-        assert report == simplex_domain_check(FLAG, 100, np.random.default_rng(12))
+        assert report == simplex_domain_check(canonical_flags(d), 100, np.random.default_rng(12))
 
+    @pytest.mark.parametrize("family", ["measured", "few"])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_measured_flags_are_refused(self, d):
+    def test_measured_flags_are_refused(self, d, family):
         # flags on a Haar measurement (tau_i = Pi_i), and a Haar
         # measurement's flags spanning d of d + 3 environment dimensions
         rng = np.random.default_rng(d)
         measurement = OrthogonalProjectorSet.from_unitary(random_unitary(d, rng))
-        few = random_unitary(d + 3, rng)[:, :d].T
-        few_flags = few[:, :, None] * few.conj()[:, None, :]
-        for assignment in (broadcast_assignment(measurement),
-                           LinearAssignment(measurement, few_flags)):
-            with pytest.raises(ValueError, match=NOT_FLAGS):
-                simplex_domain_check(assignment, 20, rng)
+        if family == "measured":
+            assignment = broadcast_assignment(measurement)
+        else:
+            few = random_unitary(d + 3, rng)[:, :d].T
+            assignment = LinearAssignment(measurement, few[:, :, None] * few.conj()[:, None, :])
+        with pytest.raises(ValueError, match=NOT_FLAGS):
+            simplex_domain_check(assignment, 20, rng)
 
-    def test_a_nudged_off_diagonal_entry_is_refused(self):
-        taus = np.array(OrthogonalProjectorSet.computational(4).projectors)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_a_nudged_off_diagonal_entry_is_refused(self, d):
+        taus = np.array(canonical_flags(d).env_ops)
         taus[2, 0, 1] += 1e-15
         taus[2, 1, 0] += 1e-15
-        nudged = LinearAssignment(BASIS, taus)
+        nudged = LinearAssignment(canonical_basis(d), taus)
         with pytest.raises(ValueError, match=NOT_FLAGS):
             simplex_domain_check(nudged, 20, np.random.default_rng(13))
+
+    @pytest.mark.parametrize("kind", ["permuted", "shifted", "nudged-diagonal"])
+    def test_flags_off_the_first_computational_projectors_are_refused(self, kind):
+        # exact rank-1 flags in another order, on |i+1><i+1|, or with a
+        # diagonal weight moved by 1e-15 within unit trace: all Hermitian
+        # and unit-trace, so LinearAssignment accepts them
+        taus = np.array(OrthogonalProjectorSet.computational(5).projectors)
+        if kind == "permuted":
+            taus = taus[[1, 0, 2, 3]]
+        elif kind == "shifted":
+            taus = taus[1:]
+        else:
+            taus = taus[:4]
+            taus[2, 2, 2] -= 1e-15
+            taus[2, 3, 3] += 1e-15
+        moved = LinearAssignment(BASIS, taus)
+        with pytest.raises(ValueError, match=NOT_FLAGS):
+            simplex_domain_check(moved, 20, np.random.default_rng(15))
 
     def test_a_nan_weight_names_its_probe_across_chunks(self, monkeypatch):
         # on qubit flags a budget of 2048 bytes draws and eigensolves 8
