@@ -135,10 +135,18 @@ def probe_chunks(assignment, total: int):
 def eigen_chunks(assignment, total: int):
     """``chunk_ranges`` over ``total`` probe states of ``assignment`` handed to
     ``min_output_eigenvalue``: each chunk's matrices, R x R on the support
-    factor and D x D without it, fit in ``_CHUNK_BYTES``."""
+    factor and D x D without it, fit in ``_CHUNK_BYTES``. On a diagonal
+    support factor a probe holds no matrix beyond its d_s x d_s state, so it
+    is budgeted by that state, its coefficients and its R weights."""
     support = _one(assignment)._support
-    n = assignment.dim_s * assignment.dim_e if support is None else len(support[0])
-    return chunk_ranges(total, 16 * n * n)
+    if support is None:
+        n = assignment.dim_s * assignment.dim_e
+        return chunk_ranges(total, 16 * n * n)
+    owner, *_, diagonal = support
+    if diagonal is None:
+        return chunk_ranges(total, 16 * len(owner) ** 2)
+    d, count = assignment.dim_s, assignment.basis.projectors.shape[-3]
+    return chunk_ranges(total, 16 * d * d + 8 * (count + len(owner)))
 
 
 @dataclass(frozen=True, eq=False)

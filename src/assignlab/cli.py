@@ -584,8 +584,10 @@ _EXPERIMENTS = {
     "appendix": (_run_appendix, 2, lambda s, e: [(s * s, s, e)]),
     "compat-domain": (_run_compat_domain, 1, lambda s, e: [(s * s, s, s * s)]),
     "broadcast": (_run_broadcast, 1, lambda s, e: [(4, 2, 2)]),
-    # the flags' terms and unit images on the search's full path; the first
-    # entry counts them at the sweep's dims, where the sweep builds neither
+    # the flags' terms and a full stack of unit images on the search's full
+    # path, a count kept as it is, though induced_map holds the terms and
+    # one chunk of images; the first entry counts them at the sweep's dims,
+    # where the sweep builds neither
     "dynamics-cp": (_run_dynamics_cp, 2, lambda s, e: [(s * s, s, e), (s * s, s, s * s)]),
     "table1": (_run_table1, 1, lambda s, e: [(4, 2, 2)]),
 }

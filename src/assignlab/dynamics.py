@@ -110,10 +110,12 @@ def induced_map(assignment, u: np.ndarray) -> np.ndarray:
 
     Assignments are defined on Hermitian operators only, so each matrix unit
     is extended complex-linearly through its Hermitian decomposition
-    E = H + iK. The images of the d_s^2 distinct parts come from one call of
-    the assignment's ``apply``; each gets its own two matrix products and
-    trace, in blocks of images bounded by ``chunk_ranges``, so the columns
-    are bit-identical to mapping each matrix unit on its own.
+    E = H + iK. The images of the d_s^2 distinct parts are built one block
+    of inputs at a time, one call of the assignment's ``apply`` a block, in
+    blocks bounded by ``chunk_ranges`` at one D x D image an input, so one
+    block of images is held at a time. Each image gets its own two matrix
+    products and trace, so the columns are bit-identical to mapping each
+    matrix unit on its own.
     """
     d_s, d_e = assignment.dim_s, assignment.dim_e
     dim = d_s * d_e
@@ -121,11 +123,10 @@ def induced_map(assignment, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected one {dim}-dimensional unitary, got shape {np.shape(u)}")
     u = require_unitary(u)
     inputs, herm, skew, sign = _unit_inputs(d_s)
-    images = assignment.apply(inputs)
     u_dag = u.conj().T
-    traced = np.empty((len(images), d_s, d_s), dtype=complex)
-    for i, i_end in chunk_ranges(len(images), images[0].nbytes):
-        joint = u @ images[i:i_end] @ u_dag
+    traced = np.empty((len(inputs), d_s, d_s), dtype=complex)
+    for i, i_end in chunk_ranges(len(inputs), 16 * dim * dim):
+        joint = u @ assignment.apply(inputs[i:i_end]) @ u_dag
         traced[i:i_end] = np.einsum("niaja->nij", joint.reshape(-1, d_s, d_e, d_s, d_e))
     columns = traced[herm] + 1j * (sign[:, None, None] * traced[skew])
     mat = np.ascontiguousarray(columns.reshape(d_s * d_s, d_s * d_s).T)

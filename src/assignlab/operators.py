@@ -381,12 +381,20 @@ def random_pure(d: int, rng: np.random.Generator, size: int | None = None) -> np
 def haar_unitaries(normals: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from standard normals of shape (..., 2, d, d):
     one stacked QR of the Ginibre matrices (x[0] + i x[1])/sqrt2, with the
-    phases of each R diagonal moved onto the columns of Q."""
-    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+    phases of each R diagonal moved onto the columns of Q.
+
+    G is written into one buffer, each part multiplied by 1/sqrt2: the bits
+    of dividing x[0] + i x[1] by sqrt2, which numpy does by multiplying each
+    part by 1/(sqrt2 + 0*0), for every nonzero normal."""
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(normals[..., 0, :, :], scale, out=g.real)
+    np.multiply(normals[..., 1, :, :], scale, out=g.imag)
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases[..., None, :]
+    q *= phases[..., None, :]
+    return q
 
 
 def random_unitary(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

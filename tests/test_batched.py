@@ -273,29 +273,48 @@ class TestStackedOperators:
 class TestStackedProbing:
     @pytest.mark.parametrize("d", [2, 4])
     def test_probe_chunks_respect_the_budget(self, d, chunking):
-        # outputs mapped through apply are D x D; the flags' eigensolves run
-        # on their support factor, R x R with R = d^2 < D = d^3
+        # outputs mapped through apply are D x D; the flags' support factor
+        # is diagonal, so a flag probe holds its d x d state, its d^2
+        # coefficients and its R = d^2 weights, and no matrix beyond them
         flags = orthogonal_flag_assignment(canonical_basis(d))
         full = product_assignment(canonical_basis(d), random_density(3, np.random.default_rng(1)))
 
-        def largest(side):
-            return max(1, operators._CHUNK_BYTES // (16 * side * side))
+        def largest(item_bytes):
+            return max(1, operators._CHUNK_BYTES // item_bytes)
 
-        for chunks_of, assignment, side in ((probe_chunks, flags, d * flags.dim_e),
-                                            (eigen_chunks, flags, d * d),
-                                            (eigen_chunks, full, 3 * d)):
+        flag_probe = 16 * d * d + 8 * (d * d + d * d)
+        for chunks_of, assignment, item_bytes in (
+                (probe_chunks, flags, 16 * (d * flags.dim_e) ** 2),
+                (eigen_chunks, flags, flag_probe),
+                (eigen_chunks, full, 16 * (3 * d) ** 2)):
             chunks = list(chunks_of(assignment, 50))
-            assert max(hi - lo for lo, hi in chunks) == min(largest(side), 50)
+            assert max(hi - lo for lo, hi in chunks) == min(largest(item_bytes), 50)
         # one chunking over every probe, so chunks run across kinds; each
         # piece's offset is where its kind starts in the chunk
         total = d * d + 6 * (d == 2) + 50
         chunks = list(_probe_states(flags, 50, np.random.default_rng(0)))
-        assert max(len(states) for _, states in chunks) == min(largest(d * d), total)
+        assert max(len(states) for _, states in chunks) == min(largest(flag_probe), total)
         assert sum(len(states) for _, states in chunks) == total
         for pieces, states in chunks:
             offsets = [offset for _, _, offset in pieces]
             assert offsets[0] == 0 and offsets == sorted(set(offsets))
             assert offsets[-1] < len(states)
+
+    def test_flag_probes_chunk_by_what_they_hold(self, monkeypatch):
+        # lemma1's converse at (6, 6), samples 500: 536 flag probes of 1152
+        # bytes each (a 6 x 6 state, 36 coefficients and 36 weights) make 3
+        # chunks; a budget of R x R = 36 x 36 entries a probe made 45
+        seen = []
+
+        def spy(assignment, total):
+            chunks = list(eigen_chunks(assignment, total))
+            seen.append(len(chunks))
+            return iter(chunks)
+
+        monkeypatch.setattr(assignments, "eigen_chunks", spy)
+        report = positivity_certificate(canonical_flags(6), 500, np.random.default_rng(0))
+        assert report.probes == 536
+        assert seen == [3]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_positivity_certificate(self, d, chunking):
@@ -391,10 +410,18 @@ class TestStackedProbing:
         # eigensolve's in the last bits, but not with the chunking
         whole = positivity_certificate(assignment, samples, np.random.default_rng(seed))
         assert abs(whole.min_eigenvalue - best) <= FLOAT_TOL
+        # a probe's bytes in eigen_chunks: its D x D output, its R x R
+        # matrix on the support factor, or, on a diagonal factor, its state,
+        # coefficients and weights
         support = assignment._support
-        side = d * assignment.dim_e if support is None else len(support[0])
+        if support is None:
+            probe = 16 * (d * assignment.dim_e) ** 2
+        elif support[-1] is None:
+            probe = 16 * len(support[0]) ** 2
+        else:
+            probe = 16 * d * d + 8 * (len(assignment.basis.projectors) + len(support[0]))
         for step in (1, 2, 3, 4, 5, 7, count):
-            monkeypatch.setattr(operators, "_CHUNK_BYTES", 16 * side * side * step)
+            monkeypatch.setattr(operators, "_CHUNK_BYTES", probe * step)
             chunks = list(_probe_states(assignment, samples, np.random.default_rng(seed)))
             assert [len(states) for _, states in chunks[:-1]] == [step] * (len(chunks) - 1)
             report = positivity_certificate(assignment, samples, np.random.default_rng(seed))

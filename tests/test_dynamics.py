@@ -197,6 +197,17 @@ def reference_map(assignment, u):
     return mat
 
 
+def whole_stack_map(assignment, u):
+    """Reference: every unit image from one ``apply``, conjugated and traced
+    as one stack."""
+    d_s, d_e = assignment.dim_s, assignment.dim_e
+    inputs, herm, skew, sign = dynamics._unit_inputs(d_s)
+    joint = u @ assignment.apply(inputs) @ u.conj().T
+    traced = np.einsum("niaja->nij", joint.reshape(-1, d_s, d_e, d_s, d_e))
+    columns = traced[herm] + 1j * (sign[:, None, None] * traced[skew])
+    return np.ascontiguousarray(columns.reshape(d_s * d_s, d_s * d_s).T)
+
+
 def reference_choi_spectrum(mat, d):
     """Independent reference: the Choi matrix as a sum of kron blocks."""
     c = np.zeros((d * d, d * d), dtype=complex)
@@ -237,6 +248,17 @@ class TestBitIdentity:
                 ref_spectrum = reference_choi_spectrum(ref, d)
                 assert np.array_equal(choi_matrix(superop).spectrum, ref_spectrum)
                 assert cp_certificate(superop).lambda_min_choi == ref_spectrum[0]
+
+    @pytest.mark.parametrize("per_chunk", ["one image", "all images"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_chunked_images_match_the_whole_stack(self, d, per_chunk, monkeypatch):
+        rng = np.random.default_rng(200 + d)
+        for assignment in bit_identity_families(d, rng):
+            dim = assignment.dim_s * assignment.dim_e
+            images = 1 if per_chunk == "one image" else d * d
+            monkeypatch.setattr(operators, "_CHUNK_BYTES", 16 * dim * dim * images)
+            u = random_unitary(dim, rng)
+            assert induced_map(assignment, u).tobytes() == whole_stack_map(assignment, u).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_unit_inputs_match_the_per_unit_loop(self, d):

@@ -26,11 +26,12 @@ from assignlab.assignments import (
     audit_corruption,
     canonical_flags,
     audit_outputs,
+    orthogonal_flag_assignment,
     pechukas_constraints,
 )
 from assignlab.cli import ExperimentConfig, UsageError, main, run
-from assignlab.dynamics import classical_cp_sweep
-from assignlab.operators import canonical_basis, random_density
+from assignlab.dynamics import classical_cp_sweep, induced_map
+from assignlab.operators import canonical_basis, random_density, random_unitary
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MIB = 2**20
@@ -155,6 +156,17 @@ class TestMemoryOracle:
                                                    dim_s=2, dim_e=46))
                  for samples in (1, 2)]
         assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_full_path_holds_one_chunk_of_unit_images(self):
+        # with the flags' terms built first, induced_map at (5, 5) (D = 125)
+        # traces 0.98 MiB, about four 250 KB images: one chunk of images,
+        # its two products and the unitary's checks, a sixth of the bound;
+        # mapping all 25 unit images at once traced 6.94 MiB
+        flags = orthogonal_flag_assignment(canonical_basis(5))
+        flags._terms  # built before the trace starts
+        u = random_unitary(125, np.random.default_rng(0))
+        image_stack = 16 * 5**2 * 125**2
+        assert traced_peak(induced_map, flags, u) < image_stack
 
     def test_sweep_holds_one_assignment_per_chunk(self, monkeypatch):
         # at a one-byte budget a chunk is one assignment and one coupling:
