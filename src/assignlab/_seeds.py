@@ -129,7 +129,7 @@ class FixedState(ISeedSequence):
 def keyed_streams(seed: int, count: int):
     """The generators ``default_rng([seed, i])`` for i in range(count), in
     order, from one hash pass per key chunk (32 bytes of state an index:
-    8192 indices at the default ``_CHUNK_BYTES``)."""
+    16384 indices at the default ``_CHUNK_BYTES``)."""
     for lo, hi in chunk_ranges(count, 32):
         for state in seed_states(seed, lo, hi):
             yield np.random.Generator(np.random.PCG64(FixedState(state)))

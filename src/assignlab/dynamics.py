@@ -256,7 +256,7 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     replayable with :func:`replay_unitary` independently of the scan order;
     the first witness's coupling is returned too, as ``first_unitary``. The
     streams are those of ``default_rng([seed, i])``, bit for bit, from one
-    hash pass per chunk of 8192 indices (``_seeds.keyed_streams``) in place
+    hash pass per chunk of 16384 indices (``_seeds.keyed_streams``) in place
     of a SeedSequence per index, while ``replay_unitary`` goes through
     ``default_rng`` itself; a negative ``seed`` raises ValueError, as
     ``default_rng`` does, and so do ``attempts`` below one.

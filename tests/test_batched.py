@@ -303,7 +303,9 @@ class TestStackedProbing:
     def test_flag_probes_chunk_by_what_they_hold(self, monkeypatch):
         # lemma1's converse at (6, 6), samples 500: 536 flag probes of 1152
         # bytes each (a 6 x 6 state, 36 coefficients and 36 weights) make 3
-        # chunks; a budget of R x R = 36 x 36 entries a probe made 45
+        # chunks at a 256 KiB budget; a budget of R x R = 36 x 36 entries a
+        # probe made 45
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 256 * 1024)
         seen = []
 
         def spy(assignment, total):

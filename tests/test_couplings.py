@@ -156,7 +156,9 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 2**32 - 1, 2**32, 2**64 - 1])
     def test_states_match_seed_sequence(self, seed):
         # indices 0 and 1, and both sides of the default key-chunk boundary
-        for lo, hi in ((0, 2), (8190, 8194)):
+        # (32 bytes of state an index)
+        edge = operators._CHUNK_BYTES // 32
+        for lo, hi in ((0, 2), (edge - 2, edge + 2)):
             assert np.array_equal(seeds.seed_states(seed, lo, hi),
                                   seed_sequence_states(seed, lo, hi))
 

@@ -146,12 +146,13 @@ class TestMemoryOracle:
         config = ExperimentConfig(experiment="theorem2", samples=100, dim_s=21, dim_e=21)
         assert traced_peak(run, config) < 4 * MIB
 
-    def test_theorem2_releases_a_chunk_before_drawing_the_next(self):
-        # at d_s = 2, d_e = 46 is the smallest d_e at which a theorem2 chunk
-        # is one sample (about 135 KiB, over half the budget); samples 1 and
-        # 2 both trace 0.392 MiB, where a loop that kept one chunk's arrays
-        # while drawing the next traced 0.458 MiB (+17%) at samples 2; the
-        # bound leaves a 5% margin
+    def test_theorem2_releases_a_chunk_before_drawing_the_next(self, monkeypatch):
+        # at a 256 KiB budget and d_s = 2, d_e = 46 is the smallest d_e at
+        # which a theorem2 chunk is one sample (about 135 KiB, over half the
+        # budget); samples 1 and 2 both trace 0.392 MiB, where a loop that
+        # kept one chunk's arrays while drawing the next traced 0.458 MiB
+        # (+17%) at samples 2; the bound leaves a 5% margin
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", 256 * 1024)
         peaks = [traced_peak(run, ExperimentConfig(experiment="theorem2", samples=samples,
                                                    dim_s=2, dim_e=46))
                  for samples in (1, 2)]
@@ -159,9 +160,9 @@ class TestMemoryOracle:
 
     def test_full_path_holds_one_chunk_of_unit_images(self):
         # with the flags' terms built first, induced_map at (5, 5) (D = 125)
-        # traces 0.98 MiB, about four 250 KB images: one chunk of images,
-        # its two products and the unitary's checks, a sixth of the bound;
-        # mapping all 25 unit images at once traced 6.94 MiB
+        # traces 1.69 MiB, about seven 250 KB images: one chunk of two
+        # images, its two products and the unitary's checks, under a third
+        # of the bound; mapping all 25 unit images at once traced 6.94 MiB
         flags = orthogonal_flag_assignment(canonical_basis(5))
         flags._terms  # built before the trace starts
         u = random_unitary(125, np.random.default_rng(0))
@@ -179,10 +180,10 @@ class TestMemoryOracle:
     @pytest.mark.parametrize("d", [2, 3])
     def test_sweep_budget_counts_the_couplings_arrays(self, d):
         # a chunk of assignments is charged the six D x D arrays each of its
-        # couplings holds, so 50 assignments peak near one budget: 0.31 MiB
-        # at (2, 2) and 0.28 at (3, 3); a budget that also charged d_s terms
-        # and d_s^2 unit images, which the sweep never builds, let 0.51 and
-        # 0.37 MiB through
+        # couplings holds, so 50 assignments peak near one budget: 1.24
+        # budgets at (2, 2) and 1.00 at (3, 3) (0.62 and 0.50 MiB); at a
+        # 256 KiB budget, one that also charged d_s terms and d_s^2 unit
+        # images, which the sweep never builds, let 2.0 and 1.5 through
         peak = traced_peak(classical_cp_sweep, 50, d, d, np.random.default_rng(0))
         assert peak <= 1.35 * operators._CHUNK_BYTES
 
@@ -194,7 +195,7 @@ class TestMemoryOracle:
         assert traced_peak(run, config) <= 2.5 * 16 * 36 * 36**2
 
     def test_pechukas_lifts_the_probes_within_the_budget(self):
-        # at d_e = 128 delta (D = 256, 1 MiB) fills the budget four times,
+        # at d_e = 128 delta (D = 256, 1 MiB) fills the budget twice,
         # so each probe's product is formed alone: the residuals peak at
         # 4.0 joint operators; all four probes lifted at once peak at 10.1
         taus = random_density(128, np.random.default_rng(0), 4)
