@@ -64,6 +64,7 @@ import numpy as np
 
 from assignlab.operators import (
     ProjectorBasis,
+    _hermitian_part,
     _rank1_vectors,
     canonical_basis,
     chunk_ranges,
@@ -240,7 +241,11 @@ class LinearAssignment:
         diagonal, G diag(w) G^dag is diag(g_r w_r conj(g_r)), read off with
         no eigensolve."""
         if self._support is None:
-            return min_eigenvalue(self.apply(state))
+            # min_eigenvalue's steps inline, as its parameter would keep the
+            # output alive through the eigensolve: here the output is a
+            # temporary, freed once its Hermitian part is formed, so the
+            # eigensolve holds two D x D stacks, not three
+            return np.linalg.eigvalsh(_hermitian_part(self.apply(state)))[..., 0]
         owner, t, g, g_dag, diagonal = self._support
         w = self.basis.coefficients(state)[..., owner] * t
         if diagonal is not None:

@@ -89,10 +89,11 @@ SEED_ENV_VAR = "ASSIGNLAB_SEED"
 
 _MAX_STACK_BYTES = 64 * 2**20  # refuse a config whose stacks exceed this many bytes
 
-# a probe's full eigensolve holds three joint operators beside the terms (its
-# output, the output's Hermitian part and the eigensolver's copy), which 2.5
-# counts cover only when a count is at least three of them: it decides only
-# for a qubit measurement's two terms
+# a probe's full eigensolve holds two joint operators beside the terms: its
+# output and the output's Hermitian part, then that part and the
+# eigensolver's copy of one matrix. 2.5 counts cover them when a count is at
+# least two; the floor stays at three, since a lower one would accept larger
+# configs. It decides only for a qubit measurement's two terms
 _PROBE_OPERATORS = 3
 
 

@@ -126,8 +126,12 @@ def induced_map(assignment, u: np.ndarray) -> np.ndarray:
     u_dag = u.conj().T
     traced = np.empty((len(inputs), d_s, d_s), dtype=complex)
     for i, i_end in chunk_ranges(len(inputs), 16 * dim * dim):
-        joint = u @ assignment.apply(inputs[i:i_end]) @ u_dag
-        traced[i:i_end] = np.einsum("niaja->nij", joint.reshape(-1, d_s, d_e, d_s, d_e))
+        # conjugated in the images' own buffer, which is freed before the
+        # next block is mapped
+        images = assignment.apply(inputs[i:i_end])
+        np.matmul(u @ images, u_dag, out=images)
+        traced[i:i_end] = np.einsum("niaja->nij", images.reshape(-1, d_s, d_e, d_s, d_e))
+        del images
     columns = traced[herm] + 1j * (sign[:, None, None] * traced[skew])
     mat = np.ascontiguousarray(columns.reshape(d_s * d_s, d_s * d_s).T)
     mat.setflags(write=False)
@@ -248,6 +252,15 @@ def _first_witness(assignment, u: np.ndarray, screened: np.ndarray, lo: int):
     return None
 
 
+def _keyed_normals(streams, n: int, dim: int) -> np.ndarray:
+    """The normals replay_unitary(seed, i) draws for the next ``n`` indices,
+    one stream per index."""
+    normals = np.empty((n, 2, dim, dim))
+    for normal, stream in zip(normals, streams):
+        stream.standard_normal(out=normal)
+    return normals
+
+
 def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     """Search seeded Haar unitaries for one whose induced map is not CP: a
     witness has a Choi eigenvalue below ``NONCP_THRESHOLD``.
@@ -288,13 +301,10 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     streams = keyed_streams(seed, attempts)
     # a chunk of couplings is bounded by their normals and unitaries (the
     # screen's U W is R/D of the unitaries); induced_map bounds the joint
-    # operators of each witness candidate it confirms on its own
+    # operators of each witness candidate it confirms on its own. The
+    # normals are freed once the unitaries are built
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
-        # the normals replay_unitary(seed, i) draws, one stream per index
-        normals = np.empty((hi - lo, 2, dim, dim))
-        for normal, stream in zip(normals, streams):
-            stream.standard_normal(out=normal)
-        u = haar_unitaries(normals)
+        u = haar_unitaries(_keyed_normals(streams, hi - lo, dim))
         screened = _screen_minima(factor, assignment, u)
         if first is None:
             first = _first_witness(assignment, u, screened, lo)

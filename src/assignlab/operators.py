@@ -189,9 +189,16 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
 
 def _hermitian_part(h) -> np.ndarray:
     """(h + h^dag)/2 in one new array: the same bits as the two-step form,
-    one stack-sized copy fewer."""
+    with h^dag written straight into the output, so the only stack it
+    allocates is the one it returns. The output takes the layout
+    np.add(h, h^dag) gives it: h's, or that of h's transpose when h's
+    columns are the contiguous axis, so each matrix's rows are contiguous.
+    A later einsum over it (``basis.coefficients``) rounds by that layout."""
     h = np.asarray(h, dtype=complex)
-    out = np.add(h, _dagger(h))
+    t = h.swapaxes(-1, -2)
+    out = np.empty_like(h if abs(h.strides[-1]) <= abs(h.strides[-2]) else t)
+    np.conjugate(t, out=out)
+    np.add(h, out, out=out)
     out /= 2
     return out
 

@@ -264,6 +264,20 @@ class TestSymmetrizedSpectra:
         assert np.array_equal(min_eigenvalue(h), np.linalg.eigvalsh(herm)[..., 0])
         assert np.array_equal(trace_norm(h), np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_layout_of_the_two_step_form(self, layout):
+        # a later einsum over the Hermitian part (basis.coefficients) rounds
+        # by its layout, so it keeps the one np.add(h, h^dag) gives, not
+        # that of h^dag, whose values are the same
+        rng = np.random.default_rng(1)
+        h = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        h = {"C": h, "F": np.asfortranarray(h), "transposed": h.swapaxes(-1, -2)}[layout]
+        two_step = np.add(h, h.conj().swapaxes(-1, -2))
+        two_step /= 2
+        herm = operators._hermitian_part(h)
+        assert herm.tobytes() == two_step.tobytes()
+        assert herm.strides == two_step.strides
+
 
 class TestStackedSearch:
     @pytest.mark.parametrize("chunking", CHUNKINGS)

@@ -2,13 +2,14 @@
 holds at once, at all the dims it builds, and a traced run stays within that
 count: its peak is at most 2.5 counts plus 8 MiB, at samples 1 and, for the
 stacked sweep and audits, at samples 20. The factor 2.5 covers an assigned
-output stack and its eigensolve beside the terms (lemma1 at (2, 512) peaks at
-2.3 counts); the 8 MiB covers what does not grow with the dims. theorem1 at
-(2, 512), which the guard accepts, does not hold to it: it peaks at 2.8
-counts (181 MiB against 168 MiB), and no test runs it, as it takes 7 s. The
-sweep and the appendix hold one chunk of assignments at a time. The canonical
-flags are built once per process and kept (``canonical_flags``), so each
-traced run starts with none, and its peak counts building them."""
+output stack and its Hermitian part beside the terms (lemma1 at (2, 512)
+peaks at 2.1 counts); the 8 MiB covers what does not grow with the dims.
+theorem1 at (2, 512), the largest the guard accepts, peaks at 2.6 counts
+(165 MiB against 168 MiB); it takes about 12 s, so CI runs it in a step of
+its own, not here. The sweep and the appendix hold one chunk of assignments
+at a time. The canonical flags are built once per process and kept
+(``canonical_flags``), so each traced run starts with none, and its peak
+counts building them."""
 
 import importlib.util
 import json
@@ -28,6 +29,7 @@ from assignlab.assignments import (
     audit_outputs,
     orthogonal_flag_assignment,
     pechukas_constraints,
+    product_assignment,
 )
 from assignlab.cli import ExperimentConfig, UsageError, main, run
 from assignlab.dynamics import classical_cp_sweep, induced_map
@@ -160,14 +162,35 @@ class TestMemoryOracle:
 
     def test_full_path_holds_one_chunk_of_unit_images(self):
         # with the flags' terms built first, induced_map at (5, 5) (D = 125)
-        # traces 1.69 MiB, about seven 250 KB images: one chunk of two
-        # images, its two products and the unitary's checks, under a third
-        # of the bound; mapping all 25 unit images at once traced 6.94 MiB
+        # traces 1.22 MiB, about five 250 KB images: one chunk of two
+        # images, one product and the unitary's checks, under a fifth of
+        # the bound; mapping all 25 unit images at once traced 6.94 MiB
         flags = orthogonal_flag_assignment(canonical_basis(5))
         flags._terms  # built before the trace starts
         u = random_unitary(125, np.random.default_rng(0))
         image_stack = 16 * 5**2 * 125**2
         assert traced_peak(induced_map, flags, u) < image_stack
+
+    def test_flag_full_path_conjugates_in_the_images_buffer(self):
+        # at (4, 4) a chunk is eight 64 KiB unit images; each chunk is
+        # conjugated in its own buffer and freed before the next is mapped,
+        # so the map holds one chunk of images and one product: 1.07 MiB
+        # traced, where a new array for the conjugate traced 1.57
+        flags = canonical_flags(4)
+        flags._terms  # built before the trace starts
+        u = random_unitary(64, np.random.default_rng(0))
+        assert traced_peak(induced_map, flags, u) <= 2 * operators._CHUNK_BYTES + 0.1 * MIB
+
+    def test_full_path_probe_holds_two_output_stacks(self):
+        # a product assignment at (2, 128) has no support factor (R = 512 is
+        # over D = 256), so a probe eigensolves its 1 MiB output: the output
+        # and its Hermitian part trace 2.1 MiB beside the kept terms; the
+        # conjugate transpose in a new array of its own traced 3.1
+        rng = np.random.default_rng(0)
+        assignment = product_assignment(canonical_basis(2), random_density(128, rng))
+        assignment._terms, assignment._support  # built before the trace starts
+        state = random_density(2, rng)
+        assert traced_peak(assignment.min_output_eigenvalue, state) <= 2.5 * MIB
 
     def test_sweep_holds_one_assignment_per_chunk(self, monkeypatch):
         # at a one-byte budget a chunk is one assignment and one coupling:
