@@ -252,15 +252,6 @@ def _first_witness(assignment, u: np.ndarray, screened: np.ndarray, lo: int):
     return None
 
 
-def _keyed_normals(streams, n: int, dim: int) -> np.ndarray:
-    """The normals replay_unitary(seed, i) draws for the next ``n`` indices,
-    one stream per index."""
-    normals = np.empty((n, 2, dim, dim))
-    for normal, stream in zip(normals, streams):
-        stream.standard_normal(out=normal)
-    return normals
-
-
 def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     """Search seeded Haar unitaries for one whose induced map is not CP: a
     witness has a Choi eigenvalue below ``NONCP_THRESHOLD``.
@@ -301,10 +292,14 @@ def find_noncp_unitary(assignment, attempts: int, seed: int) -> NonCPSearch:
     streams = keyed_streams(seed, attempts)
     # a chunk of couplings is bounded by their normals and unitaries (the
     # screen's U W is R/D of the unitaries); induced_map bounds the joint
-    # operators of each witness candidate it confirms on its own. The
-    # normals are freed once the unitaries are built
+    # operators of each witness candidate it confirms on its own
     for lo, hi in chunk_ranges(attempts, 32 * dim * dim):
-        u = haar_unitaries(_keyed_normals(streams, hi - lo, dim))
+        # the normals replay_unitary(seed, i) draws, one stream per index
+        normals = np.empty((hi - lo, 2, dim, dim))
+        for normal, stream in zip(normals, streams):
+            stream.standard_normal(out=normal)
+        u = haar_unitaries(normals)
+        del normals, normal  # freed once the unitaries are built
         screened = _screen_minima(factor, assignment, u)
         if first is None:
             first = _first_witness(assignment, u, screened, lo)

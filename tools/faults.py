@@ -1,14 +1,14 @@
 """Minor page faults per round of a benchmark workload, config by config.
 
-    python3 tools/faults.py --workload wide-d4 --seed 7 --rounds 10 [CHECKOUT]
+    python3 tools/faults.py --workload wide-d4 --seed 7 [CHECKOUT]
 
 Runs the workload's round of ``perfbench/workloads.py`` as
 ``perfbench/run.py`` does: ``cli.run`` then ``render_report`` for each
 config, the reference kernel after each round, one BLAS thread, the program
 imported from ``src/`` of CHECKOUT (this checkout by default). After
-``--warmup`` rounds it counts ``--rounds`` more and prints, one line a
-round, the minor page faults (``getrusage`` ``ru_minflt`` of this process)
-each config made and the round's total, then the median of each column.
+WARMUP rounds it counts ROUNDS more and prints, one line a round, the minor
+page faults (``getrusage`` ``ru_minflt`` of this process) each config made
+and the round's total, then the median of each column.
 
 In steady state a round allocates nothing it keeps, so its faults are pages
 the C heap returned to the system between chunks or runs and touched again:
@@ -31,6 +31,8 @@ import reference  # noqa: E402
 import workloads  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WARMUP = 3
+ROUNDS = 8
 
 
 def minor_faults() -> int:
@@ -53,13 +55,9 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", nargs="?", default=ROOT)
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--warmup", type=int, default=3)
     args = parser.parse_args(argv)
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
-    if args.rounds < 1 or args.warmup < 0:
-        parser.error("--rounds must be at least 1 and --warmup at least 0")
     for var in THREAD_VARS:  # before numpy is loaded
         os.environ[var] = "1"
     try:
@@ -69,9 +67,9 @@ def main(argv=None) -> int:
         return 2
     configs = workloads.build_configs(cli.ExperimentConfig, args.workload, args.seed)
     kernel = reference.Reference()
-    for _ in range(args.warmup):
+    for _ in range(WARMUP):
         count_round(cli, configs, kernel)
-    rounds = [count_round(cli, configs, kernel) for _ in range(args.rounds)]
+    rounds = [count_round(cli, configs, kernel) for _ in range(ROUNDS)]
     print("round", *map(workloads.label, configs), "total", sep="\t")
     for i, faults in enumerate(rounds):
         print(i, *faults, sum(faults), sep="\t")
