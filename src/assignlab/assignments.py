@@ -30,10 +30,11 @@ time, each chunk within ``_CHUNK_BYTES`` of the matrices a probe holds:
 ``eigen_chunks`` for ``min_output_eigenvalue`` (R x R on the support factor
 below). ``positivity_certificate`` chunks its whole probe sequence at once,
 so a chunk may span probe kinds (basis projectors, axis states, random pure
-and mixed states), and ``pechukas_constraints`` lifts its four probes in one
-stacked product where they fit. The Hermiticity/trace audit has two halves:
-``audit_outputs`` maps caller-drawn states, for one assignment or a stack,
-and ``audit_corruption`` corrupts one assignment.
+and mixed states). ``pechukas_constraints`` needs no chunks: it weighs the
+d_e x d_e environment operators by its four probe states' overlaps. The
+Hermiticity/trace audit has two halves: ``audit_outputs`` maps caller-drawn
+states, for one assignment or a stack, and ``audit_corruption`` corrupts one
+assignment.
 
 Positivity is decided by ``min_output_eigenvalue``. Every output lies in the
 span of the R vectors v_i (x) e_im, where P_i = |v_i><v_i| and e_im are the
@@ -48,7 +49,9 @@ an R x R eigensolve in place of a D x D one; otherwise it eigensolves
 diagonal and the spectrum on the support is read from the weights,
 |g_r|^2 q t, with no eigensolve. One eigendecomposition of the tau_i per
 assignment gives W, its weights and their owners, which the non-CP search's
-factored induced map reads too. ``env_negativity_report`` keeps the full
+factored induced map reads too; the factor counts R from the tau_i's
+eigenvalues first, so an assignment with R >= D builds no W for it.
+``env_negativity_report`` keeps the full
 eigensolve, since it checks a block-spectrum claim about the assigned
 operators themselves.
 """
@@ -73,7 +76,6 @@ from assignlab.operators import (
     haar_unitaries,
     hermiticity_defect,
     min_eigenvalue,
-    partial_trace,
     qubit_states,
     random_density,
     random_pure,
@@ -216,12 +218,14 @@ class LinearAssignment:
         ``_columns``' W = QG and diagonal its diagonal when every entry off
         it is exactly zero (the columns of W exactly orthogonal, as on the
         flags), else None; None for a stack of assignments or when R >= D,
-        where the factor saves nothing."""
+        where the factor saves nothing. R is counted as ``_columns`` counts
+        it, so W is built only when the factor is."""
         if self.env_ops.ndim != 3:
             return None
-        owner, t, w = self._columns
-        if len(owner) >= self.dim_s * self.dim_e:
+        t = np.linalg.eigh(self.env_ops)[0]
+        if np.count_nonzero(np.abs(t) > SUPPORT_EIG_TOL) >= self.dim_s * self.dim_e:
             return None
+        owner, t, w = self._columns
         g = np.linalg.qr(w, mode="r")
         diagonal = np.diagonal(g)
         if np.count_nonzero(g - np.diag(diagonal)):
@@ -548,30 +552,24 @@ def pechukas_constraints(taus, states=None) -> PechukasResiduals:
     if len(taus) != 4 or len(states) != 4:
         raise ValueError("need exactly four environment operators and four states")
     taus = [require_hermitian(t, name=f"tau {i}") for i, t in enumerate(taus)]
-    dim_e = taus[0].shape[-1]
     for i, t in enumerate(taus):
         if t.shape != taus[0].shape:
             raise ValueError("environment operators must share one dimension")
         require_unit_trace(t, name=f"tau {i}")
-    s1, s2, s4, s5 = (np.asarray(s, dtype=complex) for s in states)
-    dim_s = s1.shape[0]
+    probes = np.array(states, dtype=complex)
+    s1, s2, s4, s5 = probes
     t1, t2, t4, t5 = taus
 
     delta = 0.5 * (tensor(s1, t1) + tensor(s4, t4)) - 0.5 * (tensor(s2, t2) + tensor(s5, t5))
     mixture = trace_norm(delta)
 
-    # expectation of the identity over each probe state, scaled to match the
-    # 2*tau_a - tau_b - tau_c normalization: one stacked product, partial
-    # trace and eigensolve for as many of the four probes as fit
-    # ``_CHUNK_BYTES``, each probe's product the size of delta
-    probes = np.stack([s1, s2, s4, s5])
-    lead = (1,) * (delta.ndim - 2)
-    residuals = []
-    for lo, hi in chunk_ranges(len(probes), delta.nbytes):
-        lifted = tensor(probes[lo:hi], np.eye(dim_e))
-        lifted = lifted.reshape((hi - lo,) + lead + lifted.shape[-2:])
-        reduced = partial_trace(lifted @ delta, dim_s, dim_e, "S")
-        residuals.extend(trace_norm(4.0 * reduced))
+    # expectation of the identity over each probe state s_k, scaled to match
+    # the 2*tau_a - tau_b - tau_c normalization: with delta = sum_j c_j s_j (x)
+    # tau_j, Tr_S[(s_k (x) 1) delta] = sum_j c_j Tr(s_k s_j) tau_j, so the four
+    # relations are the probes' overlaps weighing the taus, d_e x d_e each
+    overlaps = np.einsum("kab,jba->kj", probes, probes).real
+    weights = 4.0 * overlaps * np.array([0.5, -0.5, 0.5, -0.5])
+    residuals = trace_norm(np.tensordot(weights, np.stack(taus), axes=1))
     return PechukasResiduals(mixture_residual=mixture, expectation_residuals=tuple(residuals))
 
 

@@ -16,7 +16,8 @@ flags' diagonal factor reads off directly; it eigensolves the outputs'
 d_s x d_s environment blocks, never a D x D output. Its probes are drawn,
 weighed and eigensolved in chunks sized by those blocks, and a count below
 one is refused. All of them refuse a tolerance that is not finite and positive.
-Their results carry values; the command line's gates decide on them.
+``domain_verdict`` returns the verdicts themselves; the other results carry
+values, and the command line's gates decide on them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from assignlab.operators import (
 )
 
 __all__ = [
-    "CompatibilityVerdict",
     "domain_verdict",
     "RaySection",
     "boundary_along_ray",
@@ -54,27 +54,18 @@ _SPECULATIVE_STEPS = 3
 Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class CompatibilityVerdict:
-    """``in_domain`` (at ``tol``) stays a boolean: ``domain_volume`` counts
-    it and ``boundary_along_ray`` bisects on it."""
-
-    lambda_min: float  # arrays of one per state for a stack of states
-    in_domain: bool
-
-
 def _require_tol(tol: float) -> None:
     """Refuse a tolerance that is not a finite positive number (NaN is neither)."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def domain_verdict(assignment, state: np.ndarray, tol: float = PSD_TOL) -> CompatibilityVerdict:
-    """Is ``state`` mapped to a positive semidefinite operator? A stack of
-    states gets one smallest eigenvalue and one verdict per state."""
+def domain_verdict(assignment, state: np.ndarray, tol: float = PSD_TOL):
+    """Is ``state`` mapped to a positive semidefinite operator, its smallest
+    output eigenvalue at least -``tol``? A stack of states gets one verdict
+    per state."""
     _require_tol(tol)
-    lam = assignment.min_output_eigenvalue(state)
-    return CompatibilityVerdict(lambda_min=lam, in_domain=lam >= -tol)
+    return assignment.min_output_eigenvalue(state) >= -tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +122,7 @@ def boundary_along_ray(
 
     # the center and the far end in one call
     ends = np.concatenate([center[None], ray([1.0])])
-    inside = domain_verdict(assignment, ends, tol).in_domain
+    inside = domain_verdict(assignment, ends, tol)
     if not inside[0]:
         raise ValueError("center state is not in the compatibility domain")
     if inside[1]:
@@ -142,7 +133,7 @@ def boundary_along_ray(
     while hi - lo > BISECTION_BRACKET and iterations < BISECTION_MAX_ITER:
         if j >= len(mids):  # past the last decided step
             mids, j = _midpoint_tree(lo, hi), 0
-            verdicts = domain_verdict(assignment, ray(mids), tol).in_domain
+            verdicts = domain_verdict(assignment, ray(mids), tol)
         if verdicts[j]:
             lo, j = mids[j], 2 * j + 2
         else:
@@ -184,7 +175,7 @@ def domain_volume(
     hits = 0
     for lo, hi in eigen_chunks(assignment, samples):
         states = random_density(assignment.dim_s, rng, hi - lo)
-        hits += int(np.count_nonzero(domain_verdict(assignment, states, tol).in_domain))
+        hits += int(np.count_nonzero(domain_verdict(assignment, states, tol)))
     return DomainEstimate(
         samples=samples,
         hits=hits,

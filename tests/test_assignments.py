@@ -527,6 +527,25 @@ class TestPechukasConstraints:
         )
         assert res_bad.max_residual > 1e-6
 
+    @pytest.mark.parametrize("dim_e", [2, 3])
+    def test_residuals_are_the_closed_form_relations(self, dim_e):
+        # probe k of either quartet (x+, a+, x-, a-) overlaps its antipode
+        # by 0 and the other pair by 1/2, so its relation is
+        # 2 tau_k - tau_b - tau_c over that pair (b, c)
+        relations = [(0, 1, 3), (1, 0, 2), (2, 1, 3), (3, 0, 2)]
+        rng = np.random.default_rng(40 + dim_e)
+        for states in ((ETA[0], ETA[1], ETA[3], ETA[4]), (ETA[0], ETA[2], ETA[3], ETA[5])):
+            for shape in ((), (7,)):
+                taus = random_density(dim_e, rng, 4 * (shape[0] if shape else 1))
+                taus = taus.reshape((4,) + shape + (dim_e, dim_e))
+                res = pechukas_constraints(taus, states=states)
+                for got, (k, b, c) in zip(res.expectation_residuals, relations):
+                    want = trace_norm(2 * taus[k] - taus[b] - taus[c])
+                    assert np.shape(got) == shape
+                    assert np.max(np.abs(got - want)) <= 1e-14
+                equal = pechukas_constraints(np.broadcast_to(taus[0], taus.shape), states=states)
+                assert np.max(equal.max_residual) <= 1e-14
+
 
 class TestAudit:
     def test_valid_assignment_clean(self):

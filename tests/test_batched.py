@@ -193,20 +193,6 @@ def ref_pechukas(taus, states):
     return residuals
 
 
-def old_pechukas_constraints(taus, states):
-    """The mixture residual and the four probe residuals as computed one
-    probe at a time, each with its own product, partial trace and eigensolve."""
-    s1, s2, s4, s5 = (np.asarray(s, dtype=complex) for s in states)
-    t1, t2, t4, t5 = (np.asarray(t, dtype=complex) for t in taus)
-    dim_e = t1.shape[-1]
-    delta = 0.5 * (tensor(s1, t1) + tensor(s4, t4)) - 0.5 * (tensor(s2, t2) + tensor(s5, t5))
-    residuals = []
-    for probe in (s1, s2, s4, s5):
-        reduced = partial_trace(tensor(probe, np.eye(dim_e)) @ delta, 2, dim_e, "S")
-        residuals.append(trace_norm(4.0 * reduced))
-    return trace_norm(delta), residuals
-
-
 @pytest.fixture(params=[False, True], ids=["budget-chunks", "one-state-chunks"])
 def chunking(request, monkeypatch):
     if request.param:
@@ -370,22 +356,6 @@ class TestStackedProbing:
                 assert np.allclose(got, ref, rtol=0, atol=FLOAT_TOL)
                 assert abs(res.max_residual[k] - max(ref)) <= FLOAT_TOL
             assert res.max_residual[3] <= FLOAT_TOL
-
-    @pytest.mark.parametrize("dim_e", [2, 3])
-    def test_pechukas_residuals_match_one_probe_at_a_time(self, dim_e):
-        rng = np.random.default_rng(30 + dim_e)
-        eta = qubit_states()
-        for taus in (random_density(dim_e, rng, 4),
-                     random_density(dim_e, rng, 4 * 9).reshape(4, 9, dim_e, dim_e)):
-            for states in (None, (eta[0], eta[2], eta[3], eta[5])):
-                res = pechukas_constraints(taus, states=states)
-                mixture, residuals = old_pechukas_constraints(
-                    taus, (eta[0], eta[1], eta[3], eta[4]) if states is None else states)
-                assert np.array_equal(res.mixture_residual, mixture)
-                assert len(res.expectation_residuals) == 4
-                for got, want in zip(res.expectation_residuals, residuals):
-                    assert np.shape(got) == np.shape(want)
-                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("case, kind", [
         ((2, 0, 4, 1, 0), "measurement projector"),
@@ -727,6 +697,15 @@ class TestSupportFactor:
         states = random_density(3, rng, 4)
         assert np.array_equal(stacked.min_output_eigenvalue(states),
                               min_eigenvalue(stacked.apply(states)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_support_columns_without_a_factor(self, d):
+        # a product assignment has R = d^2 d_e >= D = d d_e: it has no
+        # support factor, and W (D x R) is never built for one
+        rng = np.random.default_rng(d)
+        assignment = product_assignment(canonical_basis(d), random_density(4, rng))
+        assert assignment._support is None
+        assert "_columns" not in assignment.__dict__
 
     def test_block_spectrum_checks_keep_the_full_eigensolve(self, monkeypatch):
         def refuse(assignment, state):

@@ -4,8 +4,8 @@ count: its peak is at most 2.5 counts plus 8 MiB, at samples 1 and, for the
 stacked sweep and audits, at samples 20. The factor 2.5 covers an assigned
 output stack and its Hermitian part beside the terms (lemma1 at (2, 512)
 peaks at 2.1 counts); the 8 MiB covers what does not grow with the dims.
-theorem1 at (2, 512), the largest the guard accepts, peaks at 2.6 counts
-(165 MiB against 168 MiB); it takes about 12 s, so CI runs it in a step of
+theorem1 at (2, 512), the largest the guard accepts, peaks at 2.1 counts
+(133 MiB against 168 MiB); it takes about 12 s, so CI runs it in a step of
 its own, not here. The sweep and the appendix hold one chunk of assignments
 at a time. The canonical flags are built once per process and kept
 (``canonical_flags``), so each traced run starts with none, and its peak
@@ -217,10 +217,10 @@ class TestMemoryOracle:
         config = ExperimentConfig(experiment="appendix", samples=100, dim_s=6, dim_e=6)
         assert traced_peak(run, config) <= 2.5 * 16 * 36 * 36**2
 
-    def test_pechukas_lifts_the_probes_within_the_budget(self):
-        # at d_e = 128 delta (D = 256, 1 MiB) fills the budget twice,
-        # so each probe's product is formed alone: the residuals peak at
-        # 4.0 joint operators; all four probes lifted at once peak at 10.1
+    def test_pechukas_peaks_at_the_mixture(self):
+        # at d_e = 128 forming delta (D = 256, 1 MiB) peaks at 4.0 joint
+        # operators; the four relations weigh the d_e x d_e taus and lift
+        # no probe (all four probes lifted at once peaked at 10.1)
         taus = random_density(128, np.random.default_rng(0), 4)
         assert traced_peak(pechukas_constraints, list(taus)) <= 5 * 16 * 256**2
 
